@@ -29,8 +29,6 @@ from .simulate import (
     VarianceGamma,
     default_model,
     derive_seeds,
-    sample_cp_increment,
-    sample_vg_increment,
     simulate_path,
 )
 from .estimators import (
@@ -42,8 +40,6 @@ from .estimators import (
     density_estimate,
     drift_responses,
     estimate_curve,
-    estimate_m,
-    estimate_mu,
     fit_responses,
     ll_weights,
     second_derivative_fit,

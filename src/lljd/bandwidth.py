@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import (
-    DEGENERACY_FLOOR,
-    LOCAL_LINEAR,
-    EstimatorConfig,
-    drift_responses,
-    term_points,
-)
+from .estimators import EstimatorConfig, _fit, drift_responses, term_points
 from .proxy import ProxySeries
 
 __all__ = ["BandwidthChoice", "rule_of_thumb", "default_cv_grid", "cross_validate"]
@@ -57,7 +51,6 @@ def cross_validate(
     xt: ProxySeries,
     h_grid,
     cfg: EstimatorConfig | None = None,
-    chunk: int = 256,
 ) -> BandwidthChoice:
     """Leave-one-out cross-validation of the drift fit over a bandwidth grid.
 
@@ -84,42 +77,19 @@ def cross_validate(
     resp = drift_responses(xt)
     n = len(resp)
     resp_mean = float(resp.mean())
-    kernel = cfg.kernel.eval
-    local_linear = cfg.method == LOCAL_LINEAR
+    idx = np.arange(n)
+    deleted = (idx - 1, idx + 2)  # terms i-1, i, i+1 leave the fit at ppts[i]
 
     cv_vals = np.empty(len(h_grid))
     degen_counts = np.zeros(len(h_grid), dtype=int)
     for hi, h in enumerate(h_grid):
-        sse = 0.0
-        degen = 0
-        for lo in range(0, n, chunk):
-            idx = np.arange(lo, min(lo + chunk, n))
-            x_eval = ppts[idx]
-            kv = kernel((kpts[None, :] - x_eval[:, None]) / h)
-            # delete the three terms touching each left-out observation
-            rows = np.arange(len(idx))
-            for off in (-1, 0, 1):
-                cols = idx + off
-                valid = (cols >= 0) & (cols < n)
-                kv[rows[valid], cols[valid]] = 0.0
-            s0 = kv.sum(axis=1)
-            t0 = kv @ resp
-            if local_linear:
-                d = ppts[None, :] - x_eval[:, None]
-                kd = kv * d
-                s1 = kd.sum(axis=1)
-                s2 = (kd * d).sum(axis=1)
-                det = s0 * s2 - s1 * s1
-                ok = (s0 >= DEGENERACY_FLOOR * n) & (det > 0) & np.isfinite(det)
-                pred = np.where(ok, (s2 * t0 - s1 * (kd @ resp)) / np.where(ok, det, 1.0), 0.0)
-            else:
-                ok = s0 >= DEGENERACY_FLOOR * n
-                pred = np.where(ok, t0 / np.where(ok, s0, 1.0), 0.0)
-            err = np.where(ok, resp[idx] - pred, resp[idx] - resp_mean)
-            sse += float(err @ err)
-            degen += int((~ok).sum())
+        (pred,), _, ok = _fit(
+            kpts, ppts, resp[:, None], ppts, replace(cfg, bandwidth=float(h)), deleted
+        )
+        err = np.where(ok, resp - pred, resp - resp_mean)
+        degen = int((~ok).sum())
         degen_counts[hi] = degen
-        cv_vals[hi] = sse / n if degen < n else np.nan
+        cv_vals[hi] = float(err @ err) / n if degen < n else np.nan
 
     if np.all(np.isnan(cv_vals)):
         raise ValidationError(

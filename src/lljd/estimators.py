@@ -1,4 +1,5 @@
-"""Local linear and Nadaraya-Watson estimation from proxy series.
+"""Local polynomial estimation from proxy series: local linear and
+Nadaraya-Watson curve fits, local cubic curvature and kernel density.
 
 The estimating equations pair each response with a kernel weight one index
 back: for proxy entries xt[0..m-1], term t (t = 1..m-2) carries
@@ -18,10 +19,36 @@ integrated path: averaging the state over adjacent windows keeps only 2/3 of
 the instantaneous second moment, so the raw squared-difference statistic
 estimates (2/3) M(x).
 
-The local linear weight of term i at evaluation point x is
+Every fit here is a local polynomial fit (Fan & Gijbels 1996, ch. 3). At an
+evaluation point x, with K_i = K((kernel point_i - x)/h) and
+d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
 
-    w[i] = K((xt[i-1]-x)/h) * (S2 - (xt[i]-x) * S1),
-    S_r  = sum_j K((xt[j-1]-x)/h) * (xt[j]-x)^r,
+    S_j = sum_i K_i d_i^j         j = 0..2p
+    T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
+
+One routine, `_power_sums`, computes them for any number of responses. Its
+callers read:
+
+    estimate_curve, fit_responses   p=1: the local linear intercept
+                                    (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
+                                    p=0: the Nadaraya-Watson mean T_0 / S_0
+    second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
+                                    normal equations, solved in one batch
+    density_estimate                p=0: S_0 over every proxy, / (n h)
+    bandwidth.cross_validate        the p=0/1 fit at the regressor points,
+                                    with an exclusion window
+
+S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
+point a range of terms lo <= i < hi to leave out; their kernel weights are
+set to zero before anything is summed, so a leave-out fit is exactly the fit
+on the remaining terms. The sums accumulate over tiles of at most
+TILE_ELEMENTS (evaluation point, term) pairs: TILE_ROWS points by all terms
+when that fits, term blocks otherwise. A fit therefore needs working memory
+of a few tiles, however many terms it has.
+
+`ll_weights` is the single-point weight form of the local linear fit,
+
+    w[i] = K_i * (S_2 - d_i * S_1),
 
 and the curve estimate is the weighted mean of responses. This closed form
 equals the intercept of the kernel-weighted least squares line through the
@@ -32,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -51,8 +78,6 @@ __all__ = [
     "ll_weights",
     "fit_responses",
     "estimate_curve",
-    "estimate_mu",
-    "estimate_m",
     "density_estimate",
     "second_derivative_fit",
 ]
@@ -63,6 +88,17 @@ NADARAYA_WATSON = "nadaraya_watson"
 # A grid point is treated as undefined when the kernel mass there falls below
 # this fraction of the term count; avoids 0/0 amplification in empty regions.
 DEGENERACY_FLOOR = 1e-10
+
+# A local cubic design whose reciprocal condition number falls below this is
+# singular: fewer than four distinct regressors carry weight, and a solve
+# would return rounding noise. Its grid point is undefined.
+CUBIC_RCOND = 1e-12
+
+# Working-memory bound of the kernel sums: a tile holds at most TILE_ELEMENTS
+# (evaluation point, term) pairs, 16 MB per float64 temporary. It spans
+# TILE_ROWS points by all terms when that fits, and term blocks otherwise.
+TILE_ROWS = 256
+TILE_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -118,7 +154,7 @@ def term_points(xt: ProxySeries, index_alignment: str = "aligned"):
     """Kernel points and regressor points of the estimating terms."""
     arr = _check_series(xt)
     kpts = arr[:-2]
-    ppts = arr[1:-1] if index_alignment == "as_written" else arr[:-2]
+    ppts = arr[1:-1] if index_alignment == "as_written" else kpts
     return kpts, ppts
 
 
@@ -152,30 +188,56 @@ def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner"
     return np.linspace(lo, hi, n_points)
 
 
-def _fit_many(kpts, ppts, responses: Sequence[np.ndarray], grid, cfg: EstimatorConfig):
-    """Evaluate the configured fit for several response vectors sharing one
-    weight structure. Returns (values per response, n_eff, defined mask)."""
+def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int,
+                window=None):
+    """Weighted power sums of the degree-`degree` local polynomial fit (see
+    the module docstring): s[g, j] = S_j for j = 0..2*degree and
+    t[g, j, r] = T_j of column r of `responses` [n_terms, R] for
+    j = 0..degree. `window` = (lo, hi) leaves terms lo[g] <= i < hi[g] out of
+    the sums at grid[g]."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    h = cfg.bandwidth
-    n_terms = len(kpts)
-    kv = cfg.kernel.eval((kpts[None, :] - grid[:, None]) / h)
-    s0 = kv.sum(axis=1)
-    ok = s0 >= DEGENERACY_FLOOR * n_terms
-    if cfg.method == NADARAYA_WATSON:
-        denom = np.where(ok, s0, 1.0)
-        vals = [np.where(ok, kv @ r / denom, np.nan) for r in responses]
-        return vals, s0, ok
-    d = ppts[None, :] - grid[:, None]
-    kd = kv * d
-    s1 = kd.sum(axis=1)
-    s2 = (kd * d).sum(axis=1)
-    det = s0 * s2 - s1 * s1
-    ok = ok & (det > 0) & np.isfinite(det)
-    denom = np.where(ok, det, 1.0)
-    vals = [
-        np.where(ok, (s2 * (kv @ r) - s1 * (kd @ r)) / denom, np.nan) for r in responses
-    ]
-    return vals, s0, ok
+    n, n_grid = len(kpts), len(grid)
+    s = np.zeros((n_grid, 2 * degree + 1))
+    t = np.zeros((n_grid, degree + 1, responses.shape[1]))
+    rows = max(1, min(n_grid, TILE_ROWS))
+    cols = max(1, min(n, TILE_ELEMENTS // rows))
+    for r0 in range(0, n_grid, rows):
+        x = grid[r0 : r0 + rows, None]
+        for c0 in range(0, n, cols):
+            d = ppts[None, c0 : c0 + cols] - x
+            w = kernel.eval((d if kpts is ppts else kpts[None, c0 : c0 + cols] - x) / h)
+            if window is not None:
+                lo = np.maximum(window[0][r0 : r0 + rows] - c0, 0)
+                hi = np.minimum(window[1][r0 : r0 + rows] - c0, w.shape[1])
+                for off in range(int(np.max(hi - lo, initial=0))):
+                    hit = np.flatnonzero(lo + off < hi)
+                    w[hit, lo[hit] + off] = 0.0
+            for j in range(2 * degree + 1):
+                s[r0 : r0 + rows, j] += w.sum(axis=1)
+                if j <= degree:
+                    t[r0 : r0 + rows, j] += w @ responses[c0 : c0 + cols]
+                if j < 2 * degree:
+                    w *= d
+    return s, t
+
+
+def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None):
+    """The configured local linear or Nadaraya-Watson fit of each column of
+    `responses` [n_terms, R]. Returns (values [R, G], n_eff, defined mask);
+    values are NaN where the fit is undefined."""
+    degree = 0 if cfg.method == NADARAYA_WATSON else 1
+    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth, degree, window)
+    s0 = s[:, 0]
+    ok = s0 >= DEGENERACY_FLOOR * len(kpts)
+    if degree == 0:
+        num, den = t[:, 0], s0
+    else:
+        s1, s2 = s[:, 1], s[:, 2]
+        den = s0 * s2 - s1 * s1
+        ok = ok & (den > 0) & np.isfinite(den)
+        num = s2[:, None] * t[:, 0] - s1[:, None] * t[:, 1]
+    vals = np.where(ok[:, None], num / np.where(ok, den, 1.0)[:, None], np.nan)
+    return vals.T, s0, ok
 
 
 def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
@@ -187,7 +249,7 @@ def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
         raise ValidationError(
             f"expected {len(kpts)} responses (one per term), got {len(responses)}"
         )
-    vals, n_eff, ok = _fit_many(kpts, ppts, [responses], grid, cfg)
+    vals, n_eff, ok = _fit(kpts, ppts, responses[:, None], grid, cfg)
     return vals[0], n_eff, int((~ok).sum())
 
 
@@ -212,9 +274,8 @@ def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate
         grid = default_grid(xt)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     kpts, ppts = term_points(xt, cfg.index_alignment)
-    resp_mu = drift_responses(xt)
-    resp_m = second_moment_responses(xt)
-    (mu_hat, m_hat), n_eff, ok = _fit_many(kpts, ppts, [resp_mu, resp_m], grid, cfg)
+    responses = np.column_stack([drift_responses(xt), second_moment_responses(xt)])
+    (mu_hat, m_hat), n_eff, ok = _fit(kpts, ppts, responses, grid, cfg)
     return CurveEstimate(
         grid=grid,
         mu_hat=mu_hat,
@@ -230,26 +291,13 @@ def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate
     )
 
 
-def estimate_mu(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate:
-    """Drift curve estimate (the second-moment curve rides along for free,
-    the two fits share their weights)."""
-    return estimate_curve(xt, grid, cfg)
-
-
-def estimate_m(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate:
-    """Second infinitesimal moment curve estimate: diffusion variance plus
-    aggregate squared jump intensity."""
-    return estimate_curve(xt, grid, cfg)
-
-
 def density_estimate(xt: ProxySeries, grid, kernel: Kernel, h: float) -> np.ndarray:
     """Kernel density of the proxy sample over a grid."""
     arr = _check_series(xt)
     if not (h > 0 and math.isfinite(h)):
         raise ValidationError(f"bandwidth must be positive, got {h}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    kv = kernel.eval((arr[None, :] - grid[:, None]) / h)
-    return kv.sum(axis=1) / (len(arr) * h)
+    s, _ = _power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
+    return s[:, 0] / (len(arr) * h)
 
 
 def second_derivative_fit(
@@ -262,31 +310,23 @@ def second_derivative_fit(
 ) -> np.ndarray:
     """Second derivative of the response curve via a local cubic fit.
 
-    Derivative estimation needs more smoothing than the curve itself, so
-    callers normally pass a pilot bandwidth larger than their curve h. Grid
-    points with an empty neighbourhood or singular design come back NaN.
+    `responses` is one vector per estimating term, or several stacked as
+    rows; the result is then [G] or one row per response. Derivative
+    estimation needs more smoothing than the curve itself, so callers
+    normally pass a pilot bandwidth larger than their curve h. Grid points
+    with an empty neighbourhood or singular design come back NaN.
     """
     kpts, ppts = term_points(xt, index_alignment)
     responses = np.asarray(responses, dtype=float)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    kv = kernel.eval((kpts[None, :] - grid[:, None]) / h)
-    u = (ppts[None, :] - grid[:, None]) / h
-    # Weighted power sums up to u^6 for the 4x4 normal equations in u-space.
-    pows = [kv]
-    for _ in range(6):
-        pows.append(pows[-1] * u)
-    s = np.stack([p.sum(axis=1) for p in pows], axis=1)  # [G, 7]
-    t = np.stack([(pows[p] @ responses) for p in range(4)], axis=1)  # [G, 4]
-    mat = np.empty((len(grid), 4, 4))
-    for a in range(4):
-        for b in range(4):
-            mat[:, a, b] = s[:, a + b]
-    out = np.full(len(grid), np.nan)
-    ok = s[:, 0] >= DEGENERACY_FLOOR * len(kpts)
-    for g in np.flatnonzero(ok):
-        try:
-            coef = np.linalg.solve(mat[g], t[g])
-        except np.linalg.LinAlgError:
-            continue
-        out[g] = 2.0 * coef[2] / (h * h)
-    return out
+    # sums in u = d/h, where the normal equations are well scaled
+    u = kpts / h
+    s, t = _power_sums(
+        u, u if ppts is kpts else ppts / h, np.atleast_2d(responses).T,
+        np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
+    )
+    mat = s[:, np.add.outer(np.arange(4), np.arange(4))]
+    sv = np.linalg.svd(mat, compute_uv=False)
+    ok = (s[:, 0] >= DEGENERACY_FLOOR * len(kpts)) & (sv[:, -1] > CUBIC_RCOND * sv[:, 0])
+    out = np.full(t.shape[::2], np.nan)
+    out[ok] = 2.0 * np.linalg.solve(mat[ok], t[ok])[:, 2] / (h * h)
+    return out.T if responses.ndim > 1 else out[:, 0]

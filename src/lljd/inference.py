@@ -23,11 +23,11 @@ kernel-weighted average of (delta-differences)^4/delta is rescaled by 5/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError
 from .estimators import (
@@ -82,7 +82,21 @@ def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
     return (arr[2:] - arr[1:-1]) ** 4 / xt.delta
 
 
-def _band_inputs(est: CurveEstimate, xt: ProxySeries, alpha: float, pilot_h):
+def _normal_critical(alpha: float) -> float:
+    """Two-sided standard normal critical value z_{1-alpha/2}."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
+def _bands(
+    est: CurveEstimate,
+    xt: ProxySeries,
+    alpha: float,
+    pilot_h: float | None,
+    bias_corrected: bool,
+    curves: tuple,
+) -> ConfidenceBands:
+    """Bands for the named curves ("mu", "m"). They share one density pass
+    and one local cubic pass for their curvatures."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if est.method != LOCAL_LINEAR:
@@ -91,12 +105,52 @@ def _band_inputs(est: CurveEstimate, xt: ProxySeries, alpha: float, pilot_h):
         pilot_h = 2.0 * est.h
     if not (pilot_h > 0 and math.isfinite(pilot_h)):
         raise ValidationError(f"pilot bandwidth must be positive, got {pilot_h}")
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = _normal_critical(alpha)
     mom = moments(est.kernel)
-    b_const = bias_constant(mom.k1)
     p_hat = density_estimate(xt, est.grid, est.kernel, est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
-    return pilot_h, z, mom, b_const, p_hat, rate
+    if bias_corrected:
+        responses = {"mu": drift_responses, "m": second_moment_responses}
+        curvature = second_derivative_fit(
+            xt,
+            [responses[c](xt) for c in curves],
+            est.grid,
+            est.kernel,
+            pilot_h,
+            est.index_alignment,
+        )
+    else:
+        curvature = np.zeros((len(curves), len(est.grid)))
+    fields = {}
+    for name, c2 in zip(curves, curvature):
+        if name == "mu":
+            estimate, spread = est.mu_hat, est.m_hat
+        else:
+            cfg = EstimatorConfig(
+                bandwidth=est.h,
+                kernel=est.kernel,
+                method=LOCAL_LINEAR,
+                index_alignment=est.index_alignment,
+            )
+            c4_raw, _, _ = fit_responses(xt, fourth_moment_responses(xt), est.grid, cfg)
+            estimate, spread = est.m_hat, FOURTH_MOMENT_SCALE * c4_raw
+        bias = 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
+        ok = (
+            np.isfinite(estimate)
+            & np.isfinite(bias)
+            & (p_hat > DENSITY_FLOOR)
+            & np.isfinite(spread)
+            & (spread >= 0.0)
+        )
+        var = np.where(ok, mom.v * spread / np.where(ok, p_hat, 1.0), np.nan)
+        half = z * np.sqrt(var) / rate
+        center = estimate - bias
+        fields[f"lo_{name}"] = np.where(ok, center - half, np.nan)
+        fields[f"hi_{name}"] = np.where(ok, center + half, np.nan)
+        fields[f"undefined_{name}"] = int((~ok).sum())
+    return ConfidenceBands(
+        alpha=alpha, bias_corrected=bias_corrected, pilot_h=pilot_h, **fields
+    )
 
 
 def mu_band(
@@ -107,30 +161,7 @@ def mu_band(
     bias_corrected: bool = True,
 ) -> ConfidenceBands:
     """Pointwise normal band for the drift curve."""
-    pilot_h, z, mom, b_const, p_hat, rate = _band_inputs(est, xt, alpha, pilot_h)
-    mu2 = second_derivative_fit(
-        xt, drift_responses(xt), est.grid, est.kernel, pilot_h, est.index_alignment
-    )
-    bias = 0.5 * est.h**2 * mu2 * b_const if bias_corrected else np.zeros_like(est.grid)
-    ok = (
-        np.isfinite(est.mu_hat)
-        & np.isfinite(bias)
-        & (p_hat > DENSITY_FLOOR)
-        & (est.m_hat >= 0.0)
-    )
-    var = np.where(ok, mom.v * est.m_hat / np.where(ok, p_hat, 1.0), np.nan)
-    half = z * np.sqrt(var) / rate
-    center = est.mu_hat - bias
-    lo = np.where(ok, center - half, np.nan)
-    hi = np.where(ok, center + half, np.nan)
-    return ConfidenceBands(
-        alpha=alpha,
-        lo_mu=lo,
-        hi_mu=hi,
-        bias_corrected=bias_corrected,
-        pilot_h=pilot_h,
-        undefined_mu=int((~ok).sum()),
-    )
+    return _bands(est, xt, alpha, pilot_h, bias_corrected, ("mu",))
 
 
 def m_band(
@@ -141,44 +172,7 @@ def m_band(
     bias_corrected: bool = True,
 ) -> ConfidenceBands:
     """Pointwise normal band for the second-moment curve."""
-    pilot_h, z, mom, b_const, p_hat, rate = _band_inputs(est, xt, alpha, pilot_h)
-    m2 = second_derivative_fit(
-        xt,
-        second_moment_responses(xt),
-        est.grid,
-        est.kernel,
-        pilot_h,
-        est.index_alignment,
-    )
-    cfg = EstimatorConfig(
-        bandwidth=est.h,
-        kernel=est.kernel,
-        method=LOCAL_LINEAR,
-        index_alignment=est.index_alignment,
-    )
-    c4_raw, _, _ = fit_responses(xt, fourth_moment_responses(xt), est.grid, cfg)
-    c4 = FOURTH_MOMENT_SCALE * c4_raw
-    bias = 0.5 * est.h**2 * m2 * b_const if bias_corrected else np.zeros_like(est.grid)
-    ok = (
-        np.isfinite(est.m_hat)
-        & np.isfinite(bias)
-        & (p_hat > DENSITY_FLOOR)
-        & np.isfinite(c4)
-        & (c4 >= 0.0)
-    )
-    var = np.where(ok, mom.v * c4 / np.where(ok, p_hat, 1.0), np.nan)
-    half = z * np.sqrt(var) / rate
-    center = est.m_hat - bias
-    lo = np.where(ok, center - half, np.nan)
-    hi = np.where(ok, center + half, np.nan)
-    return ConfidenceBands(
-        alpha=alpha,
-        lo_m=lo,
-        hi_m=hi,
-        bias_corrected=bias_corrected,
-        pilot_h=pilot_h,
-        undefined_m=int((~ok).sum()),
-    )
+    return _bands(est, xt, alpha, pilot_h, bias_corrected, ("m",))
 
 
 def attach_bands(
@@ -189,8 +183,5 @@ def attach_bands(
     bias_corrected: bool = True,
 ) -> ConfidenceBands:
     """Compute both bands, store them on the estimate, and return them."""
-    bmu = mu_band(est, xt, alpha, pilot_h, bias_corrected)
-    bm = m_band(est, xt, alpha, pilot_h, bias_corrected)
-    both = replace(bmu, lo_m=bm.lo_m, hi_m=bm.hi_m, undefined_m=bm.undefined_m)
-    est.bands = both
-    return both
+    est.bands = _bands(est, xt, alpha, pilot_h, bias_corrected, ("mu", "m"))
+    return est.bands

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,20 +139,33 @@ def ingest_prices(path, price_col: str, delta: float, time_col: str | None = Non
     return series, info
 
 
+def _strict_json(value):
+    """`value` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def emit_report(results, format: str, path) -> Path:
     """Write a results payload deterministically.
 
-    JSON: `results` is a dict; a schema_version field is added when absent and
-    keys are sorted. CSV: `results` is a list of dicts with identical keys, in
+    JSON: `results` is a dict; a schema_version field is added when absent,
+    keys are sorted and non-finite floats are written as null, so the file is
+    strict JSON. CSV: `results` is a list of dicts with identical keys, in
     row order.
     """
     path = Path(path)
     if format == "json":
         if not isinstance(results, dict):
             raise ValidationError("JSON reports take a dict payload")
-        payload = dict(results)
+        payload = _strict_json(dict(results))
         payload.setdefault("schema_version", 1)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        path.write_text(text + "\n")
         return path
     if format == "csv":
         if not isinstance(results, list) or not results:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalError, ValidationError
 
@@ -114,6 +113,8 @@ def _truncation_radius(k: Kernel) -> float:
 
 
 def _quad_moment(k: Kernel, i: int, j: int) -> float:
+    from scipy import integrate  # only custom kernels get here
+
     r = _truncation_radius(k)
     val, abserr = integrate.quad(
         lambda u: float(k.eval(u)) ** i * u**j, -r, r, epsabs=1e-12, limit=400

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from .bandwidth import rule_of_thumb
 from .errors import LljdError, NumericalError, ValidationError
@@ -29,7 +28,7 @@ from .estimators import (
     estimate_curve,
 )
 from .kernels import GAUSSIAN, Kernel
-from .proxy import build_proxy
+from .proxy import ProxySeries, build_proxy
 from .simulate import (
     CompoundPoisson,
     JumpSizeDist,
@@ -142,9 +141,9 @@ def rmse(est: CurveEstimate, truth: Callable, target: str = "mu") -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _replicate(model: ModelSpec, cfg: McConfig, seed: int, common_grid: np.ndarray):
+def _simulate_proxy(cfg: McConfig, seed: int) -> ProxySeries:
     path = simulate_path(
-        model,
+        cfg.model,
         PathConfig(
             t_span=cfg.t_span,
             n=cfg.n,
@@ -153,7 +152,10 @@ def _replicate(model: ModelSpec, cfg: McConfig, seed: int, common_grid: np.ndarr
             substeps=cfg.substeps,
         ),
     )
-    pr = build_proxy(path.y, path.delta)
+    return build_proxy(path.y, path.delta)
+
+
+def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     h = rule_of_thumb(pr, cfg.t_span).h
     qpts = np.quantile(pr.xt, cfg.quantiles)
     pts = np.concatenate([common_grid, qpts, [cfg.eval_x]])
@@ -165,7 +167,7 @@ def _replicate(model: ModelSpec, cfg: McConfig, seed: int, common_grid: np.ndarr
         out[method] = {
             "mu_grid": mu[:g],
             "bias_q": mu[g : g + len(cfg.quantiles)]
-            - np.asarray(model.mu(qpts), dtype=float),
+            - np.asarray(cfg.model.mu(qpts), dtype=float),
             "mu_at_x": float(mu[-1]),
             "m_at_x": float(m[-1]),
         }
@@ -190,28 +192,19 @@ def run_study(cfg: McConfig) -> McReport:
     also reported.
 
     Replicates that fail numerically (explosions, degenerate designs) are
-    recorded and skipped; the study aborts if more than 10% fail.
+    recorded and skipped; the study aborts if more than 10% fail. The first
+    replicate's proxy is built once: it fixes the grid and is replicate 0.
     """
     start = time.perf_counter()
     seeds = derive_seeds(cfg.master_seed, cfg.replicates)
 
-    pilot = simulate_path(
-        cfg.model,
-        PathConfig(
-            t_span=cfg.t_span,
-            n=cfg.n,
-            seed=seeds[0],
-            burn_in=cfg.burn_in,
-            substeps=cfg.substeps,
-        ),
-    )
-    common_grid = default_grid(
-        build_proxy(pilot.y, pilot.delta), cfg.grid_n, cfg.range_mode
-    )
+    pilot = _simulate_proxy(cfg, seeds[0])
+    common_grid = default_grid(pilot, cfg.grid_n, cfg.range_mode)
 
     def work(seed: int):
         try:
-            return _replicate(cfg.model, cfg, seed, common_grid)
+            pr = pilot if seed == seeds[0] else _simulate_proxy(cfg, seed)
+            return _replicate(cfg, pr, common_grid)
         except LljdError as exc:
             return ("failed", f"{type(exc).__name__}: {exc}")
 
@@ -292,6 +285,8 @@ def qq_data(standardized) -> tuple[np.ndarray, float]:
     Returns (pairs, ks): pairs[:, 0] are standard normal quantiles at the
     plotting positions (i - 0.5)/n, pairs[:, 1] the sorted sample values.
     """
+    from scipy import stats  # only QQ extracts need it; keeps it off CLI start-up
+
     values = np.asarray(standardized, dtype=float)
     if values.ndim != 1 or len(values) < 20:
         raise ValidationError("need at least 20 values for QQ diagnostics")

@@ -31,8 +31,6 @@ __all__ = [
     "PathConfig",
     "SamplePath",
     "default_model",
-    "sample_cp_increment",
-    "sample_vg_increment",
     "simulate_path",
     "derive_seeds",
 ]
@@ -193,24 +191,6 @@ def _vg_increments(c: float, eta: float, b: float, dt: float, rng, k: int) -> np
     dg = rng.gamma(dt / b, b, k)
     z = rng.standard_normal(k)
     return c * dg + eta * np.sqrt(dg) * z
-
-
-def sample_cp_increment(lam: float, size: JumpSizeDist, dt: float, rng) -> float:
-    """One compound Poisson increment over a step of length dt."""
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if lam < 0:
-        raise ValidationError(f"jump intensity must be >= 0, got {lam}")
-    return float(_cp_increments(lam, size, dt, rng, 1)[0])
-
-
-def sample_vg_increment(c: float, eta: float, b: float, dt: float, rng) -> float:
-    """One Variance Gamma increment over a step of length dt."""
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if b <= 0:
-        raise ValidationError(f"Gamma variance parameter b must be > 0, got {b}")
-    return float(_vg_increments(c, eta, b, dt, rng, 1)[0])
 
 
 def _jump_increments(jump: JumpSpec, dt: float, rng, k: int) -> np.ndarray:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lljd import estimators
+from lljd.bandwidth import cross_validate, rule_of_thumb
 from lljd.errors import ValidationError
 from lljd.estimators import (
     LOCAL_LINEAR,
@@ -12,14 +16,15 @@ from lljd.estimators import (
     density_estimate,
     drift_responses,
     estimate_curve,
-    estimate_m,
-    estimate_mu,
     fit_responses,
     ll_weights,
+    _power_sums,
+    second_derivative_fit,
     second_moment_responses,
     term_points,
 )
-from lljd.kernels import GAUSSIAN
+from lljd.inference import attach_bands
+from lljd.kernels import EPANECHNIKOV, GAUSSIAN
 from lljd.proxy import ProxySeries, build_proxy
 from lljd.simulate import NoJumps, ModelSpec, PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
@@ -110,7 +115,7 @@ def test_constant_responses_estimated_exactly():
     xt = series(np.arange(30) * c * delta, delta=delta)
     assert np.allclose(drift_responses(xt), c)
     for method in (LOCAL_LINEAR, NADARAYA_WATSON):
-        est = estimate_mu(xt, np.linspace(0.1, 1.5, 7), EstimatorConfig(0.4, method=method))
+        est = estimate_curve(xt, np.linspace(0.1, 1.5, 7), EstimatorConfig(0.4, method=method))
         assert np.allclose(est.mu_hat, c, atol=1e-10)
 
 
@@ -148,7 +153,7 @@ def test_second_moment_vanishes_for_noiseless_drifting_state():
     for n in (100, 200, 400):
         path = simulate_path(model, PathConfig(t_span=4.0, n=n, seed=1, burn_in=0))
         xt = build_proxy(path.y, path.delta)
-        est = estimate_m(xt, np.array([path.x.mean()]), EstimatorConfig(2.0))
+        est = estimate_curve(xt, np.array([path.x.mean()]), EstimatorConfig(2.0))
         vals.append(est.m_hat[0])
     assert vals[0] < 2.0 * 4.0 * (4.0 / 100)  # C * delta with C = 2 c^2
     assert vals[0] > vals[1] > vals[2]
@@ -162,7 +167,7 @@ def test_second_moment_level_on_jump_benchmark():
         path = simulate_path(example_model(1), PathConfig(t_span=10.0, n=2500, seed=seed))
         xt = build_proxy(path.y, path.delta)
         h = 1.06 * np.std(xt.xt, ddof=1) * 10.0 ** (-0.2)
-        est = estimate_m(xt, np.array([0.0]), EstimatorConfig(h))
+        est = estimate_curve(xt, np.array([0.0]), EstimatorConfig(h))
         vals.append(est.m_hat[0])
     assert np.mean(vals) == pytest.approx(target, rel=0.25)
 
@@ -242,8 +247,8 @@ def test_alignment_variants_differ_on_generic_data():
     path = simulate_path(default_model(), PathConfig(t_span=5.0, n=400, seed=12))
     xt = build_proxy(path.y, path.delta)
     h = 0.05
-    a = estimate_mu(xt, np.array([0.0]), EstimatorConfig(h, index_alignment="aligned"))
-    b = estimate_mu(xt, np.array([0.0]), EstimatorConfig(h, index_alignment="as_written"))
+    a = estimate_curve(xt, np.array([0.0]), EstimatorConfig(h, index_alignment="aligned"))
+    b = estimate_curve(xt, np.array([0.0]), EstimatorConfig(h, index_alignment="as_written"))
     assert np.isfinite(a.mu_hat[0]) and np.isfinite(b.mu_hat[0])
     assert a.mu_hat[0] != b.mu_hat[0]
 
@@ -257,3 +262,95 @@ def test_config_validation():
         EstimatorConfig(bandwidth=1.0, index_alignment="middle")
     with pytest.raises(ValidationError):
         fit_responses(series(np.zeros(5)), np.zeros(2), [0.0], EstimatorConfig(1.0))
+
+
+def assert_agree(a, b):
+    """Same NaN placement; elsewhere equal to 1e-12 of each column's largest
+    magnitude. The first axis runs over evaluation points."""
+    a = np.asarray(a).reshape(len(a), -1)
+    b = np.asarray(b).reshape(len(b), -1)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    for col_a, col_b in zip(a.T, b.T):
+        ok = ~np.isnan(col_b)
+        scale = np.max(np.abs(col_b[ok]), initial=0.0)
+        assert np.all(np.abs(col_a[ok] - col_b[ok]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
+def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
+    rng = np.random.default_rng(11)
+    xt = series(rng.normal(0.0, 1.0, 1002))  # 1000 terms
+    kpts, ppts = term_points(xt, "as_written")
+    resp = rng.normal(0.0, 1.0, (1000, 2))
+    # the bulk of the data, and points whose neighbourhoods are empty
+    grid = np.concatenate([np.linspace(-2.0, 2.0, 66), [-40.0, -8.0, 8.0, 40.0]])
+    idx = rng.integers(0, 1000, len(grid))
+    window = (idx - 2, idx + 3)
+    h = 0.3
+
+    def results():
+        out = [
+            np.concatenate([s, t.reshape(len(grid), -1)], axis=1)
+            for p in (0, 1, 3)
+            for w in (None, window)
+            for s, t in [_power_sums(kpts, ppts, resp, grid, kernel, h, p, w)]
+        ]
+        for method in (LOCAL_LINEAR, NADARAYA_WATSON):
+            est = estimate_curve(xt, grid, EstimatorConfig(h, kernel, method=method))
+            out += [est.mu_hat, est.m_hat, est.n_eff]
+        out.append(second_derivative_fit(xt, resp.T, grid, kernel, 2 * h).T)
+        out.append(density_estimate(xt, grid, kernel, h))
+        cv = cross_validate(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel))
+        out.append(np.array([c for _, c in cv.cv_curve]))
+        return out
+
+    # 16-point row tiles over 300-term blocks: 5 row tiles by 4 term blocks
+    monkeypatch.setattr(estimators, "TILE_ROWS", 16)
+    monkeypatch.setattr(estimators, "TILE_ELEMENTS", 16 * 300)
+    tiled = results()
+    monkeypatch.setattr(estimators, "TILE_ROWS", 10**6)
+    monkeypatch.setattr(estimators, "TILE_ELEMENTS", 10**12)
+    for a, b in zip(tiled, results()):
+        assert_agree(a, b)
+    assert any(np.isnan(a).any() for a in tiled)
+
+
+def test_cubic_fit_undefined_where_fewer_than_four_regressors_carry_weight():
+    rng = np.random.default_rng(12)
+    isolated = np.tile([5.0, 5.1, 5.2], 5)
+    xt = series(np.concatenate([isolated, np.clip(rng.normal(0.0, 1.0, 400), -3, 3)]))
+    resp = drift_responses(xt)
+    h = 0.3
+    grid = np.array([-0.5, 5.1, 0.0, 0.5])  # only 5.0, 5.1, 5.2 lie within h of 5.1
+    got = second_derivative_fit(xt, resp, grid, EPANECHNIKOV, h)
+    alone = second_derivative_fit(xt, resp, grid[[0, 2, 3]], EPANECHNIKOV, h)
+    assert np.isnan(got[1])
+    assert np.allclose(got[[0, 2, 3]], alone, rtol=1e-12, atol=0.0)
+    kpts, ppts = term_points(xt)
+    for x, value in zip(grid[[0, 2, 3]], alone):
+        kv = EPANECHNIKOV.eval((kpts - x) / h)
+        design = np.vander((ppts - x) / h, 4, increasing=True)
+        coef = np.linalg.solve(design.T @ (kv[:, None] * design), design.T @ (kv * resp))
+        assert value == pytest.approx(2.0 * coef[2] / h**2, rel=1e-9)
+
+
+def test_fit_and_bands_memory_does_not_grow_with_the_sample():
+    # an AR(1) proxy of 200k points; dense G x n kernel matrices would need
+    # about 1.2 GB here
+    rng = np.random.default_rng(13)
+    noise = rng.normal(0.0, 0.1, 200_000)
+    x = np.empty_like(noise)
+    x[0] = 0.0
+    for i in range(1, len(x)):
+        x[i] = 0.9 * x[i - 1] + noise[i]
+    xt = series(x, delta=0.01)
+    cfg = EstimatorConfig(rule_of_thumb(xt).h)
+    tracemalloc.start()
+    try:
+        est = estimate_curve(xt, None, cfg)
+        attach_bands(est, xt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est.mu_hat).all() and np.isfinite(est.bands.lo_m).all()
+    assert peak < 150e6

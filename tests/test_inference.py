@@ -13,7 +13,7 @@ from lljd.estimators import (
     estimate_curve,
     second_derivative_fit,
 )
-from lljd.inference import attach_bands, m_band, mu_band
+from lljd.inference import _normal_critical, attach_bands, m_band, mu_band
 from lljd.kernels import GAUSSIAN, bias_constant, moments
 from lljd.proxy import build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
@@ -30,6 +30,9 @@ def fitted(seed=0, n=800, t_span=10.0, model=None, grid=None):
 
 def test_normal_quantile_value():
     assert stats.norm.ppf(1 - 0.05 / 2) == pytest.approx(1.959964, abs=1e-5)
+    for alpha in (0.001, 0.01, 0.05, 0.1, 0.32, 0.5, 0.9):
+        z = stats.norm.ppf(1.0 - alpha / 2.0)
+        assert _normal_critical(alpha) == pytest.approx(z, rel=1e-14)
 
 
 def test_half_width_scales_exactly_with_observation_budget():

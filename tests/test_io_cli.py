@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from lljd.io import (
     sha256_file,
     write_curve_csv,
 )
+from lljd.mcstudy import McConfig, run_study
 from lljd.proxy import build_proxy
-from lljd.simulate import PathConfig, default_model, simulate_path
+from lljd.simulate import CompoundPoisson, JumpSizeDist, PathConfig, default_model, simulate_path
 
 
 def write_prices(path, rows, header="t,close"):
@@ -228,3 +233,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     assert main(["estimate", "--in", str(tmp_path / "missing.csv"),
                  "--h", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_import_keeps_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, lljd.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_report_with_skipped_replicates_is_strict_json(tmp_path):
+    model = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 3e5)))
+    cfg = McConfig(model=model, t_span=10.0, n=50, replicates=30, master_seed=1,
+                   methods=("local_linear",), burn_in=20)
+    payload = {"configs": [run_study(cfg).to_dict()]}
+    a = emit_report(payload, "json", tmp_path / "a.json")
+    b = emit_report(payload, "json", tmp_path / "b.json")
+    assert a.read_bytes() == b.read_bytes()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(a.read_text(), parse_constant=reject)
+    per_rep = report["configs"][0]["rmse_per_replicate"]["local_linear"]
+    assert per_rep.count(None) == report["configs"][0]["skipped"] == 3

@@ -93,6 +93,21 @@ def test_identical_master_seed_gives_identical_report():
     assert a == b
 
 
+def test_each_replicate_path_is_simulated_once(monkeypatch):
+    import lljd.mcstudy
+
+    calls = []
+
+    def counting(model, cfg):
+        calls.append(cfg.seed)
+        return simulate_path(model, cfg)
+
+    monkeypatch.setattr(lljd.mcstudy, "simulate_path", counting)
+    cfg = McConfig(model=example_model(1), t_span=5.0, n=200, replicates=7, master_seed=3)
+    run_study(cfg)
+    assert calls == derive_seeds(3, 7)
+
+
 def test_worker_count_does_not_change_report():
     base = dict(model=example_model(2), t_span=5.0, n=200, replicates=10, master_seed=13)
     serial = run_study(McConfig(**base, workers=1)).to_dict()
