@@ -20,6 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from lljd.io import write_table  # noqa: E402
 from lljd.mcstudy import example_model  # noqa: E402
 from lljd.simulate import PathConfig, simulate_path  # noqa: E402
 
@@ -41,9 +42,7 @@ def main():
     )
     path = simulate_path(model, PathConfig(t_span=args.days, n=n, seed=args.seed))
     prices = np.exp(path.y)
-    rows = ["t,close"]
-    rows += [f"{i * path.delta!r},{float(p)!r}" for i, p in enumerate(prices)]
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    write_table(args.out, {"t": np.arange(len(prices)) * path.delta, "close": prices})
     print(f"wrote {args.out}: {len(prices)} prices, delta=1/{args.per_day}")
 
 

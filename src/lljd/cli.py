@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bandwidth import cross_validate, default_cv_grid, rule_of_thumb
+from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb
 from .errors import NumericalError, ValidationError
 from .estimators import EstimatorConfig, default_grid, estimate_curve
 from .inference import attach_bands
@@ -133,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     emp = sub.add_parser("empirical", help="estimate from an observed price series")
     emp.add_argument("--in", dest="infile", required=True)
     emp.add_argument("--price-col", required=True)
-    emp.add_argument("--time-col", default=None)
     emp.add_argument("--delta", default="1/48",
                      help="observation step in days (default five-minute: 1/48)")
     emp.add_argument("--h", default="auto")
@@ -165,9 +164,36 @@ def _choose_bandwidth(spec: str, series: ProxySeries, cfg_kernel, alignment,
         ) from None
     if h <= 0:
         raise ValidationError(f"bandwidth must be positive, got {h}")
-    from .bandwidth import BandwidthChoice
-
     return BandwidthChoice(h=h, method="fixed"), None
+
+
+def _write_manifest(args, start: float) -> float:
+    """Write the manifest of the command's --out artifact; returns the runtime.
+
+    The command's --seed, when it has one, is the master seed, and its --in
+    file, when it has one, is digested.
+    """
+    runtime = time.perf_counter() - start
+    infile = getattr(args, "infile", None)
+    RunManifest(
+        command=args.command,
+        params={k: v for k, v in vars(args).items() if k != "command"},
+        master_seed=getattr(args, "seed", None),
+        input_digests={infile: sha256_file(infile)} if infile else {},
+        runtime_s=runtime,
+    ).write(args.out)
+    return runtime
+
+
+def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, start: float):
+    """Shared tail of estimate and empirical: fit both curves, attach bands
+    when --bands is given, write the curve CSV and its manifest."""
+    est = estimate_curve(series, grid, cfg)
+    if args.bands is not None:
+        attach_bands(est, series, alpha=args.bands, pilot_h=args.pilot_mult * est.h)
+    write_curve_csv(args.out, est)
+    _write_manifest(args, start)
+    return est
 
 
 def _cmd_simulate(args) -> int:
@@ -186,12 +212,7 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     path = simulate_path(model, cfg)
     write_path_csv(args.out, path)
-    RunManifest(
-        command="simulate",
-        params={k: v for k, v in vars(args).items() if k != "command"},
-        master_seed=args.seed,
-        runtime_s=time.perf_counter() - start,
-    ).write(args.out)
+    _write_manifest(args, start)
     print(f"wrote {args.out} ({len(path.x)} observations, delta={path.delta:g})")
     return 0
 
@@ -233,18 +254,9 @@ def _cmd_estimate(args) -> int:
         grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     else:
         grid = default_grid(series, args.grid_n)
-    est = estimate_curve(series, grid, cfg)
-    if args.bands is not None:
-        attach_bands(est, series, alpha=args.bands, pilot_h=args.pilot_mult * est.h)
-    write_curve_csv(args.out, est)
     if args.cv_out and cv_choice is not None:
         write_cv_csv(args.cv_out, cv_choice)
-    RunManifest(
-        command="estimate",
-        params={k: v for k, v in vars(args).items() if k != "command"},
-        input_digests={args.infile: sha256_file(args.infile)},
-        runtime_s=time.perf_counter() - start,
-    ).write(args.out)
+    est = _fit_and_write(args, series, grid, cfg, start)
     print(
         f"wrote {args.out} (h={est.h:g}, method={est.method}, "
         f"{est.undefined_count} undefined grid points)"
@@ -304,13 +316,7 @@ def _cmd_mc_study(args) -> int:
                         {"theoretical": p[0], "sample": p[1]} for p in pairs
                     ]
                     emit_report(rows, "csv", f"{args.csv_prefix}_qq_{idx}_{method}.csv")
-    runtime = time.perf_counter() - start
-    RunManifest(
-        command="mc-study",
-        params={k: v for k, v in vars(args).items() if k != "command"},
-        master_seed=args.seed,
-        runtime_s=runtime,
-    ).write(args.out)
+    runtime = _write_manifest(args, start)
     for rep in reports:
         line = ", ".join(f"rmse[{m}]={rep.rmse[m]:.4f}" for m in rep.methods)
         print(f"{rep.label or 'study'}: {line} (skipped {rep.skipped})")
@@ -321,22 +327,13 @@ def _cmd_mc_study(args) -> int:
 def _cmd_empirical(args) -> int:
     start = time.perf_counter()
     delta = _parse_delta(args.delta)
-    series, info = ingest_prices(args.infile, args.price_col, delta, args.time_col)
+    series, info = ingest_prices(args.infile, args.price_col, delta)
     if args.proxy_out:
         write_proxy_csv(args.proxy_out, series)
     kernel = get_kernel(args.kernel)
     choice, _ = _choose_bandwidth(args.h, series, kernel, "aligned")
     cfg = EstimatorConfig(bandwidth=choice.h, kernel=kernel)
-    est = estimate_curve(series, default_grid(series, args.grid_n), cfg)
-    if args.bands is not None:
-        attach_bands(est, series, alpha=args.bands, pilot_h=args.pilot_mult * est.h)
-    write_curve_csv(args.out, est)
-    RunManifest(
-        command="empirical",
-        params={k: v for k, v in vars(args).items() if k != "command"},
-        input_digests={args.infile: sha256_file(args.infile)},
-        runtime_s=time.perf_counter() - start,
-    ).write(args.out)
+    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, start)
     print(
         f"ingested {info['rows']} prices (delta={delta:g}, uniform steps assumed); "
         f"wrote {args.out} (h={est.h:g})"

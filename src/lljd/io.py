@@ -1,9 +1,11 @@
-"""CSV ingestion, report emission and run manifests.
+"""CSV ingestion and artifacts, reports and run manifests.
 
-All data artifacts are deterministic: fixed field order, floats written in
-shortest exact round-trip form, no timestamps. Each artifact gets a sibling
+One reader and one writer serve every CSV. `read_columns_csv` parses the
+numeric cells in one `np.loadtxt` call and names the first offending line of
+a malformed file; `write_table` writes named columns with floats in shortest
+exact round-trip form. Data artifacts carry no timestamps: each gets a sibling
 ``<name>.manifest.json`` recording the command, parameters, seeds, input
-digests and library version; the manifest carries the only timestamp.
+digests, library version and the only timestamp.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "write_proxy_csv",
     "write_curve_csv",
     "write_cv_csv",
+    "write_table",
     "read_columns_csv",
 ]
 
@@ -75,68 +78,18 @@ class RunManifest:
         return path
 
 
-def ingest_prices(path, price_col: str, delta: float, time_col: str | None = None):
-    """Read a headed CSV of prices and build the log-return-rate proxy.
+def ingest_prices(path, price_col: str, delta: float):
+    """Read the price column of a headed CSV and build the log-return-rate proxy.
 
-    Consecutive rows are treated as uniformly delta-spaced regardless of any
-    time column (session gaps are not special-cased), and that choice is
-    flagged in the returned diagnostics. Malformed cells, blank rows and
-    non-positive prices are reported with their row and column.
-
-    Returns (ProxySeries, info dict).
+    Only the price column is parsed, so other columns (timestamps, say) may
+    hold anything. Consecutive rows are treated as uniformly delta-spaced
+    (session gaps are not special-cased), a choice flagged in the returned
+    diagnostics. Returns (ProxySeries, info dict).
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"input file not found: {path}")
-    prices = []
-    times = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if price_col not in header:
-            raise ValidationError(
-                f"{path}: missing price column {price_col!r} (header: {header})"
-            )
-        pidx = header.index(price_col)
-        tidx = None
-        if time_col is not None:
-            if time_col not in header:
-                raise ValidationError(f"{path}: missing time column {time_col!r}")
-            tidx = header.index(time_col)
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                raise ValidationError(f"{path}: blank row at line {rownum}")
-            if len(row) <= pidx:
-                raise ValidationError(
-                    f"{path}: row at line {rownum} has no {price_col!r} cell"
-                )
-            cell = row[pidx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: unparseable {price_col!r} cell {cell!r} at line {rownum}"
-                ) from None
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValidationError(
-                    f"{path}: non-positive price {cell!r} at line {rownum}"
-                )
-            prices.append(value)
-            if tidx is not None and len(row) > tidx:
-                times.append(row[tidx].strip())
-    series = build_log_proxy(np.asarray(prices), delta)
-    info = {
-        "rows": len(prices),
-        "dropped": 0,
-        "delta": delta,
-        "gaps_treated_as_uniform_steps": True,
-        "times": times or None,
-    }
-    return series, info
+    prices = read_columns_csv(path, [price_col])[price_col]
+    info = {"rows": len(prices), "dropped": 0, "delta": delta,
+            "gaps_treated_as_uniform_steps": True}
+    return build_log_proxy(prices, delta), info
 
 
 def _strict_json(value):
@@ -170,99 +123,105 @@ def emit_report(results, format: str, path) -> Path:
     if format == "csv":
         if not isinstance(results, list) or not results:
             raise ValidationError("CSV reports take a nonempty list of row dicts")
-        header = list(results[0].keys())
-        lines = [",".join(header)]
-        for row in results:
-            lines.append(
-                ",".join(
-                    fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in (row[k] for k in header)
-                )
-            )
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return write_table(path, {k: [row[k] for row in results] for k in results[0]})
     raise ValidationError(f"unknown report format {format!r}")
 
 
-def write_path_csv(path, sample) -> Path:
-    rows = ["i,t,x,y"]
-    for i, (x, y) in enumerate(zip(sample.x, sample.y)):
-        rows.append(f"{i},{fmt_float(i * sample.delta)},{fmt_float(x)},{fmt_float(y)}")
+def _cell_text(column) -> list:
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))  # fmt_float of each cell
+        column = column.tolist()
+    return [fmt_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in column]
+
+
+def write_table(path, columns: dict) -> Path:
+    """Write equal-length named columns as a headed CSV, one row per index.
+
+    Floats are written with `fmt_float`, anything else (ints, labels) with `str`.
+    """
+    cells = [_cell_text(column) for column in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     out = Path(path)
-    out.write_text("\n".join(rows) + "\n")
+    out.write_text("\n".join(lines) + "\n")
     return out
+
+
+def write_path_csv(path, sample) -> Path:
+    i = np.arange(len(sample.x))
+    return write_table(path, {"i": i, "t": i * sample.delta, "x": sample.x, "y": sample.y})
 
 
 def write_proxy_csv(path, series: ProxySeries) -> Path:
     # the proxy at slot i summarises the step ending at (i+1)*delta
-    rows = ["i,t,xtilde"]
-    for i, v in enumerate(series.xt):
-        rows.append(f"{i},{fmt_float((i + 1) * series.delta)},{fmt_float(v)}")
-    out = Path(path)
-    out.write_text("\n".join(rows) + "\n")
-    return out
+    i = np.arange(len(series.xt))
+    return write_table(path, {"i": i, "t": (i + 1) * series.delta, "xtilde": series.xt})
 
 
 def write_curve_csv(path, est) -> Path:
-    header = "x,mu_hat,m_hat,n_eff"
-    bands = est.bands
-    if bands is not None:
-        header += ",lo_mu,hi_mu,lo_m,hi_m"
-    rows = [header]
-    for k in range(len(est.grid)):
-        cells = [
-            fmt_float(est.grid[k]),
-            fmt_float(est.mu_hat[k]),
-            fmt_float(est.m_hat[k]),
-            fmt_float(est.n_eff[k]),
-        ]
-        if bands is not None:
-            cells += [
-                fmt_float(arr[k]) if arr is not None else "nan"
-                for arr in (bands.lo_mu, bands.hi_mu, bands.lo_m, bands.hi_m)
-            ]
-        rows.append(",".join(cells))
-    out = Path(path)
-    out.write_text("\n".join(rows) + "\n")
-    return out
+    columns = {"x": est.grid, "mu_hat": est.mu_hat, "m_hat": est.m_hat, "n_eff": est.n_eff}
+    if est.bands is not None:
+        for name in ("lo_mu", "hi_mu", "lo_m", "hi_m"):
+            band = getattr(est.bands, name)
+            columns[name] = np.full(len(est.grid), np.nan) if band is None else band
+    return write_table(path, columns)
 
 
 def write_cv_csv(path, choice) -> Path:
     if choice.cv_curve is None:
         raise ValidationError("no cross-validation curve to write")
-    rows = ["h,cv,degenerate"]
-    for (h, cv), deg in zip(choice.cv_curve, choice.cv_degenerate):
-        rows.append(f"{fmt_float(h)},{fmt_float(cv)},{deg}")
-    out = Path(path)
-    out.write_text("\n".join(rows) + "\n")
-    return out
+    h, cv = zip(*choice.cv_curve)
+    return write_table(path, {"h": h, "cv": cv, "degenerate": choice.cv_degenerate})
 
 
-def read_columns_csv(path) -> dict:
-    """Read a headed numeric CSV into named float arrays."""
+def read_columns_csv(path, columns=None) -> dict:
+    """Read a headed numeric CSV into named float arrays.
+
+    With `columns` None every cell is parsed and every row must have one cell
+    per header name; otherwise only the named columns are parsed and every
+    row must reach them. Errors name the first offending line.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        cols = {h: [] for h in header}
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                raise ValidationError(f"{path}: blank row at line {rownum}")
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row at line {rownum} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-            for h, cell in zip(header, row):
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        n_rows = 0
+        for n_rows, line in enumerate(fh, start=1):  # np.loadtxt skips empty lines
+            if not line.replace(",", "").strip():
+                raise ValidationError(f"{path}: blank row at line {n_rows + 1}")
+    header = [h.strip() for h in header]
+    names = header if columns is None else list(columns)
+    for name in names:
+        if name not in header:
+            raise ValidationError(f"{path}: missing column {name!r} (header: {header})")
+    if n_rows == 0:
+        return {name: np.empty(0) for name in names}
+    usecols = None if columns is None else [header.index(name) for name in names]
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, quotechar='"',
+                          ndmin=2, usecols=usecols)
+        if data.shape[1] != len(names):
+            raise ValueError(f"rows have {data.shape[1]} cells, expected {len(names)}")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {_first_bad_cell(path, header, usecols) or exc}") from None
+    return dict(zip(names, data.T.copy()))
+
+
+def _first_bad_cell(path, header, usecols):
+    """The first short, long or unparseable row, or None: why a bulk parse failed."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for line, row in enumerate(rows, start=2):
+            if usecols is None and len(row) != len(header):
+                return f"row at line {line} has {len(row)} cells, expected {len(header)}"
+            for j in usecols or range(len(header)):
+                if j >= len(row):
+                    return f"row at line {line} has no {header[j]!r} cell"
                 try:
-                    cols[h].append(float(cell))
+                    float(row[j])
                 except ValueError:
-                    raise ValidationError(
-                        f"{path}: unparseable {h!r} cell {cell!r} at line {rownum}"
-                    ) from None
-    return {h: np.asarray(v) for h, v in cols.items()}
+                    return f"unparseable {header[j]!r} cell {row[j]!r} at line {line}"

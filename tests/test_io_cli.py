@@ -2,13 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lljd.bandwidth import BandwidthChoice
 from lljd.cli import main
 from lljd.errors import ValidationError
+from lljd.estimators import CurveEstimate
+from lljd.inference import ConfidenceBands
 from lljd.io import (
     RunManifest,
     emit_report,
@@ -16,10 +21,20 @@ from lljd.io import (
     read_columns_csv,
     sha256_file,
     write_curve_csv,
+    write_cv_csv,
+    write_path_csv,
+    write_proxy_csv,
 )
 from lljd.mcstudy import McConfig, run_study
-from lljd.proxy import build_proxy
-from lljd.simulate import CompoundPoisson, JumpSizeDist, PathConfig, default_model, simulate_path
+from lljd.proxy import ProxySeries, build_proxy
+from lljd.simulate import (
+    CompoundPoisson,
+    JumpSizeDist,
+    PathConfig,
+    SamplePath,
+    default_model,
+    simulate_path,
+)
 
 
 def write_prices(path, rows, header="t,close"):
@@ -67,6 +82,129 @@ def test_ingest_round_trip_against_direct_proxy(tmp_path):
     series, _ = ingest_prices(f, "close", delta=path.delta)
     direct = build_proxy(path.y, path.delta)
     assert np.allclose(series.xt, direct.xt, atol=1e-10)
+
+
+def test_read_columns_quoted_cells_and_crlf(tmp_path):
+    f = tmp_path / "q.csv"
+    f.write_bytes(b'a,b\r\n"1.5",2\r\n-3,"4e-3"\r\n')
+    cols = read_columns_csv(f)
+    assert list(cols) == ["a", "b"]
+    assert np.array_equal(cols["a"], [1.5, -3.0])
+    assert np.array_equal(cols["b"], [2.0, 4e-3])
+
+
+@pytest.mark.parametrize("blank", ["   ", ","])
+@pytest.mark.parametrize("reader", ["columns", "prices"])
+def test_whitespace_and_empty_cell_lines_are_blank_rows(tmp_path, blank, reader):
+    f = write_prices(tmp_path / "p.csv", ["0,100", blank, "2,101"])
+    with pytest.raises(ValidationError, match="blank row at line 3"):
+        if reader == "columns":
+            read_columns_csv(f)
+        else:
+            ingest_prices(f, "close", delta=1.0)
+
+
+@pytest.mark.parametrize("row, cells", [("1", 1), ("1,2,3", 3)])
+def test_read_columns_rejects_row_of_wrong_width(tmp_path, row, cells):
+    f = write_prices(tmp_path / "p.csv", ["0,100", row, "2,101"])
+    with pytest.raises(ValidationError, match=f"line 3 has {cells} cells, expected 2"):
+        read_columns_csv(f)
+
+
+def test_read_columns_hash_cell_is_not_a_comment(tmp_path):
+    f = write_prices(tmp_path / "p.csv", ["0,100", "#1,101"])
+    with pytest.raises(ValidationError, match="unparseable 't' cell '#1' at line 3"):
+        read_columns_csv(f)
+
+
+def test_read_columns_cell_only_python_accepts_is_a_validation_error(tmp_path):
+    # float() reads "1_000" but the bulk parse does not; the error still names the file
+    f = write_prices(tmp_path / "p.csv", ["0,100", "1,1_000"])
+    with pytest.raises(ValidationError, match="p.csv: could not convert string '1_000'"):
+        read_columns_csv(f)
+
+
+def test_read_columns_nan_cell_reads_as_nan(tmp_path):
+    f = write_prices(tmp_path / "p.csv", ["0,nan", "1,2.5"])
+    cols = read_columns_csv(f)
+    assert np.isnan(cols["close"][0]) and cols["close"][1] == 2.5
+
+
+def test_read_columns_header_only_gives_empty_columns(tmp_path):
+    f = write_prices(tmp_path / "p.csv", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = read_columns_csv(f)
+    assert list(cols) == ["t", "close"]
+    assert all(v.shape == (0,) for v in cols.values())
+
+
+def test_path_csv_round_trip_is_exact(tmp_path):
+    path = simulate_path(default_model(), PathConfig(t_span=2.0, n=300, seed=9))
+    cols = read_columns_csv(write_path_csv(tmp_path / "path.csv", path))
+    assert np.array_equal(cols["x"], path.x)
+    assert np.array_equal(cols["y"], path.y)
+    assert np.array_equal(cols["i"], np.arange(len(path.x)))
+
+
+def test_cli_empirical_reads_only_the_price_column(tmp_path):
+    path = simulate_path(default_model(), PathConfig(t_span=5.0, n=240, seed=3))
+    start = datetime(2015, 1, 5, 9, 35)
+    rows = [
+        f"{(start + timedelta(minutes=5 * i)):%Y-%m-%d %H:%M},{float(p)!r}"
+        for i, p in enumerate(np.exp(path.y))
+    ]
+    f = write_prices(tmp_path / "p.csv", rows, header="time,close")
+    assert rows[0].startswith("2015-01-05 09:35,")
+    curve = tmp_path / "curve.csv"
+    assert main(["empirical", "--in", str(f), "--price-col", "close",
+                 "--out", str(curve)]) == 0
+    assert read_columns_csv(curve)["x"].size == 101
+
+
+def test_path_and_proxy_csv_exact_text(tmp_path):
+    sample = SamplePath(delta=0.1, x=np.array([0.5, -1.25, 1e-20, 2.0 / 3.0]),
+                        y=np.array([0.0, 0.05, -0.075, 1e300]), seed=1, substeps=1)
+    assert write_path_csv(tmp_path / "p.csv", sample).read_text() == (
+        "i,t,x,y\n0,0.0,0.5,0.0\n1,0.1,-1.25,0.05\n2,0.2,1e-20,-0.075\n"
+        "3,0.30000000000000004,0.6666666666666666,1e+300\n"
+    )
+    series = ProxySeries(delta=0.1, xt=np.array([1.5, -0.1, 2.0 / 3.0]))
+    assert write_proxy_csv(tmp_path / "x.csv", series).read_text() == (
+        "i,t,xtilde\n0,0.1,1.5\n1,0.2,-0.1\n2,0.30000000000000004,0.6666666666666666\n"
+    )
+
+
+def test_curve_and_cv_csv_exact_text(tmp_path):
+    est = CurveEstimate(grid=np.array([-0.5, 0.25]), mu_hat=np.array([1.0, np.nan]),
+                        m_hat=np.array([0.1, 0.125]), h=0.2, n_eff=np.array([10.0, 0.0]),
+                        delta=0.1, n_terms=8, method="local_linear", undefined_count=1)
+    assert write_curve_csv(tmp_path / "c.csv", est).read_text() == (
+        "x,mu_hat,m_hat,n_eff\n-0.5,1.0,0.1,10.0\n0.25,nan,0.125,0.0\n"
+    )
+    est.bands = ConfidenceBands(alpha=0.05, lo_mu=np.array([0.5, np.nan]),
+                                hi_mu=np.array([1.5, np.nan]))
+    assert write_curve_csv(tmp_path / "cb.csv", est).read_text() == (
+        "x,mu_hat,m_hat,n_eff,lo_mu,hi_mu,lo_m,hi_m\n"
+        "-0.5,1.0,0.1,10.0,0.5,1.5,nan,nan\n"
+        "0.25,nan,0.125,0.0,nan,nan,nan,nan\n"
+    )
+    choice = BandwidthChoice(h=0.2, method="cross_validation",
+                             cv_curve=((0.1, 2.5), (0.2, 1.0 / 3.0)), cv_degenerate=(0, 3))
+    assert write_cv_csv(tmp_path / "cv.csv", choice).read_text() == (
+        "h,cv,degenerate\n0.1,2.5,0\n0.2,0.3333333333333333,3\n"
+    )
+    with pytest.raises(ValidationError, match="no cross-validation curve"):
+        write_cv_csv(tmp_path / "none.csv", BandwidthChoice(h=0.2, method="fixed"))
+
+
+def test_emit_report_csv_exact_text_of_numpy_values(tmp_path):
+    rows = [
+        {"x": np.float64(0.1), "lo": np.nan, "n": np.int64(7), "tag": "ll"},
+        {"x": np.float32(0.5), "lo": 1e-7, "n": 0, "tag": "nw"},
+    ]
+    out = emit_report(rows, "csv", tmp_path / "r.csv")
+    assert out.read_text() == "x,lo,n,tag\n0.1,nan,7,ll\n0.5,1e-07,0,nw\n"
 
 
 def test_emit_report_deterministic_and_exact(tmp_path):
@@ -132,6 +270,18 @@ def test_cli_simulate_writes_documented_header(tmp_path, capsys):
     assert lines[0] == "i,t,x,y"
     assert len(lines) == 103  # header + n + 2 observations
     assert (tmp_path / "path.csv.manifest.json").exists()
+
+
+def test_cli_manifests_record_seed_and_input_digest(tmp_path):
+    path_csv, curve_csv = tmp_path / "path.csv", tmp_path / "curve.csv"
+    assert main(["simulate", "--t", "2", "--n", "100", "--seed", "3", "--out", str(path_csv)]) == 0
+    assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv)]) == 0
+    sim = json.loads((tmp_path / "path.csv.manifest.json").read_text())
+    est = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+    assert (sim["command"], sim["master_seed"], sim["input_digests"]) == ("simulate", 3, {})
+    assert (est["command"], est["master_seed"]) == ("estimate", None)
+    assert est["input_digests"] == {str(path_csv): sha256_file(path_csv)}
+    assert est["params"]["infile"] == str(path_csv) and est["runtime_s"] >= 0.0
 
 
 def test_cli_simulate_deterministic(tmp_path):
