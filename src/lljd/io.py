@@ -129,8 +129,6 @@ def emit_report(results, format: str, path) -> Path:
 
 def _cell_text(column) -> list:
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return list(map(repr, column.tolist()))  # fmt_float of each cell
         column = column.tolist()
     return [fmt_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 

@@ -59,7 +59,7 @@ def build_log_proxy(prices, delta: float) -> ProxySeries:
     """Proxy built from log prices; the proxy then reads as a return rate.
 
     All prices must be strictly positive; violations are reported with their
-    row index.
+    0-based data row, the index into `prices`.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 1 or len(prices) < 3:
@@ -67,7 +67,7 @@ def build_log_proxy(prices, delta: float) -> ProxySeries:
     bad = np.flatnonzero(~np.isfinite(prices) | (prices <= 0.0))
     if bad.size:
         raise ValidationError(
-            f"non-positive or non-finite price at row {bad[0]} "
+            f"non-positive or non-finite price at 0-based data row {bad[0]} "
             f"(value {prices[bad[0]]!r})"
         )
     series = build_proxy(np.log(prices), delta, source="empirical_log")

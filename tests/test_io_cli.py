@@ -51,9 +51,13 @@ def test_ingest_flat_prices(tmp_path):
 
 
 def test_ingest_blank_row_reports_line(tmp_path):
-    f = write_prices(tmp_path / "p.csv", ["0,100", "", "2,101"])
-    with pytest.raises(ValidationError, match="line 3"):
-        ingest_prices(f, "close", delta=1.0)
+    # empty, whitespace-only and empty-cell lines alike, through both readers
+    for blank in ["", "   ", ","]:
+        f = write_prices(tmp_path / "p.csv", ["0,100", blank, "2,101"])
+        with pytest.raises(ValidationError, match="blank row at line 3"):
+            ingest_prices(f, "close", delta=1.0)
+        with pytest.raises(ValidationError, match="blank row at line 3"):
+            read_columns_csv(f)
 
 
 def test_ingest_missing_column(tmp_path):
@@ -70,7 +74,7 @@ def test_ingest_unparseable_cell(tmp_path):
 
 def test_ingest_nonpositive_price(tmp_path):
     f = write_prices(tmp_path / "p.csv", ["0,100", "1,-3", "2,101"])
-    with pytest.raises(ValidationError, match="non-positive"):
+    with pytest.raises(ValidationError, match="non-positive.* data row 1 "):
         ingest_prices(f, "close", delta=1.0)
 
 
@@ -93,17 +97,6 @@ def test_read_columns_quoted_cells_and_crlf(tmp_path):
     assert np.array_equal(cols["b"], [2.0, 4e-3])
 
 
-@pytest.mark.parametrize("blank", ["   ", ","])
-@pytest.mark.parametrize("reader", ["columns", "prices"])
-def test_whitespace_and_empty_cell_lines_are_blank_rows(tmp_path, blank, reader):
-    f = write_prices(tmp_path / "p.csv", ["0,100", blank, "2,101"])
-    with pytest.raises(ValidationError, match="blank row at line 3"):
-        if reader == "columns":
-            read_columns_csv(f)
-        else:
-            ingest_prices(f, "close", delta=1.0)
-
-
 @pytest.mark.parametrize("row, cells", [("1", 1), ("1,2,3", 3)])
 def test_read_columns_rejects_row_of_wrong_width(tmp_path, row, cells):
     f = write_prices(tmp_path / "p.csv", ["0,100", row, "2,101"])
@@ -120,7 +113,7 @@ def test_read_columns_hash_cell_is_not_a_comment(tmp_path):
 def test_read_columns_cell_only_python_accepts_is_a_validation_error(tmp_path):
     # float() reads "1_000" but the bulk parse does not; the error still names the file
     f = write_prices(tmp_path / "p.csv", ["0,100", "1,1_000"])
-    with pytest.raises(ValidationError, match="p.csv: could not convert string '1_000'"):
+    with pytest.raises(ValidationError, match=r"p\.csv: .*1_000"):
         read_columns_csv(f)
 
 
