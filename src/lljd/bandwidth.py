@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,16 +80,11 @@ def cross_validate(
     idx = np.arange(n)
     deleted = (idx - 1, idx + 2)  # terms i-1, i, i+1 leave the fit at ppts[i]
 
-    cv_vals = np.empty(len(h_grid))
-    degen_counts = np.zeros(len(h_grid), dtype=int)
-    for hi, h in enumerate(h_grid):
-        (pred,), _, ok = _fit(
-            kpts, ppts, resp[:, None], ppts, replace(cfg, bandwidth=float(h)), deleted
-        )
-        err = np.where(ok, resp - pred, resp - resp_mean)
-        degen = int((~ok).sum())
-        degen_counts[hi] = degen
-        cv_vals[hi] = float(err @ err) / n if degen < n else np.nan
+    # one engine pass scores the whole grid: values [H, 1, n], ok [H, n]
+    pred, _, ok = _fit(kpts, ppts, resp[:, None], ppts, cfg, deleted, h_grid)
+    err = np.where(ok, resp - pred[:, 0], resp - resp_mean)
+    degen_counts = (~ok).sum(axis=1)
+    cv_vals = np.array([e @ e / n if c < n else np.nan for e, c in zip(err, degen_counts)])
 
     if np.all(np.isnan(cv_vals)):
         raise ValidationError(

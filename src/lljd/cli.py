@@ -7,8 +7,10 @@ Commands: simulate, estimate, mc-study, empirical. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,8 @@ from .simulate import (
 )
 
 __all__ = ["main"]
+
+_log = logging.getLogger(__name__)
 
 
 def _parse_delta(text: str) -> float:
@@ -146,16 +150,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _choose_bandwidth(spec: str, series: ProxySeries, cfg_kernel, alignment,
-                      method: str = "local_linear"):
+def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
+    """The --h choice; CV fits with the kernel, method and alignment of `cfg`."""
     if spec == "auto":
-        return rule_of_thumb(series), None
+        return rule_of_thumb(series)
     if spec == "cv":
-        pilot = rule_of_thumb(series).h
-        probe = EstimatorConfig(bandwidth=1.0, kernel=cfg_kernel, method=method,
-                                index_alignment=alignment)
-        choice = cross_validate(series, default_cv_grid(pilot), probe)
-        return choice, choice
+        return cross_validate(series, default_cv_grid(rule_of_thumb(series).h), cfg)
     try:
         h = float(spec)
     except ValueError:
@@ -164,10 +164,22 @@ def _choose_bandwidth(spec: str, series: ProxySeries, cfg_kernel, alignment,
         ) from None
     if h <= 0:
         raise ValidationError(f"bandwidth must be positive, got {h}")
-    return BandwidthChoice(h=h, method="fixed"), None
+    return BandwidthChoice(h=h, method="fixed")
 
 
-def _write_manifest(args, start: float) -> float:
+def _bandwidth_record(choice: BandwidthChoice) -> dict:
+    """The manifest's account of the bandwidth choice. A cross-validated h at
+    an edge of its grid is logged as a warning: the CV minimum may lie beyond."""
+    cv = choice.cv_curve
+    edge = cv and choice.h in (cv[0][0], cv[-1][0])
+    if edge:
+        _log.warning("cross-validation chose h=%g at an edge of its grid [%g, %g]; "
+                     "the CV minimum may lie beyond it", choice.h, cv[0][0], cv[-1][0])
+    return {"h": choice.h, "method": choice.method, "cv_grid_edge": edge,
+            "cv_degenerate_max": max(choice.cv_degenerate) if cv else None}
+
+
+def _write_manifest(args, start: float, **diagnostics) -> float:
     """Write the manifest of the command's --out artifact; returns the runtime.
 
     The command's --seed, when it has one, is the master seed, and its --in
@@ -181,18 +193,20 @@ def _write_manifest(args, start: float) -> float:
         master_seed=getattr(args, "seed", None),
         input_digests={infile: sha256_file(infile)} if infile else {},
         runtime_s=runtime,
+        diagnostics=diagnostics,
     ).write(args.out)
     return runtime
 
 
-def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, start: float):
-    """Shared tail of estimate and empirical: fit both curves, attach bands
-    when --bands is given, write the curve CSV and its manifest."""
-    est = estimate_curve(series, grid, cfg)
+def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, start: float,
+                   choice: BandwidthChoice):
+    """Shared tail of estimate and empirical: fit both curves at the chosen h,
+    attach bands when --bands is given, write the curve CSV and its manifest."""
+    est = estimate_curve(series, grid, replace(cfg, bandwidth=choice.h))
     if args.bands is not None:
         attach_bands(est, series, alpha=args.bands, pilot_h=args.pilot_mult * est.h)
     write_curve_csv(args.out, est)
-    _write_manifest(args, start)
+    _write_manifest(args, start, bandwidth=_bandwidth_record(choice))
     return est
 
 
@@ -240,23 +254,16 @@ def _load_series(args) -> ProxySeries:
 def _cmd_estimate(args) -> int:
     start = time.perf_counter()
     series = _load_series(args)
-    kernel = get_kernel(args.kernel)
-    choice, cv_choice = _choose_bandwidth(
-        args.h, series, kernel, args.alignment, METHOD_ALIASES[args.method]
-    )
-    cfg = EstimatorConfig(
-        bandwidth=choice.h,
-        kernel=kernel,
-        method=METHOD_ALIASES[args.method],
-        index_alignment=args.alignment,
-    )
+    cfg = EstimatorConfig(1.0, get_kernel(args.kernel), METHOD_ALIASES[args.method],
+                          args.alignment)
+    choice = _choose_bandwidth(args.h, series, cfg)
     if args.grid_lo is not None and args.grid_hi is not None:
         grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     else:
         grid = default_grid(series, args.grid_n)
-    if args.cv_out and cv_choice is not None:
-        write_cv_csv(args.cv_out, cv_choice)
-    est = _fit_and_write(args, series, grid, cfg, start)
+    if args.cv_out and choice.cv_curve:
+        write_cv_csv(args.cv_out, choice)
+    est = _fit_and_write(args, series, grid, cfg, start, choice)
     print(
         f"wrote {args.out} (h={est.h:g}, method={est.method}, "
         f"{est.undefined_count} undefined grid points)"
@@ -330,10 +337,9 @@ def _cmd_empirical(args) -> int:
     series, info = ingest_prices(args.infile, args.price_col, delta)
     if args.proxy_out:
         write_proxy_csv(args.proxy_out, series)
-    kernel = get_kernel(args.kernel)
-    choice, _ = _choose_bandwidth(args.h, series, kernel, "aligned")
-    cfg = EstimatorConfig(bandwidth=choice.h, kernel=kernel)
-    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, start)
+    cfg = EstimatorConfig(1.0, get_kernel(args.kernel))
+    choice = _choose_bandwidth(args.h, series, cfg)
+    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, start, choice)
     print(
         f"ingested {info['rows']} prices (delta={delta:g}, uniform steps assumed); "
         f"wrote {args.out} (h={est.h:g})"

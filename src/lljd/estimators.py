@@ -26,8 +26,8 @@ d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
     S_j = sum_i K_i d_i^j         j = 0..2p
     T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
 
-One routine, `_power_sums`, computes them for any number of responses. Its
-callers read:
+One routine, `_power_sums`, computes them for any number of responses and
+any number of bandwidths, with a leading bandwidth axis. Its callers read:
 
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
@@ -36,15 +36,18 @@ callers read:
                                     normal equations, solved in one batch
     density_estimate                p=0: S_0 over every proxy, / (n h)
     bandwidth.cross_validate        the p=0/1 fit at the regressor points,
-                                    with an exclusion window
+                                    with an exclusion window, for the whole
+                                    bandwidth grid in one pass
 
 S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are
 set to zero before anything is summed, so a leave-out fit is exactly the fit
 on the remaining terms. The sums accumulate over tiles of at most
 TILE_ELEMENTS (evaluation point, term) pairs: TILE_ROWS points by all terms
-when that fits, term blocks otherwise. A fit therefore needs working memory
-of a few tiles, however many terms it has.
+when that fits, term blocks otherwise. Each tile computes its distances and
+window once and then loops over the bandwidths. A fit therefore needs
+working memory of a few 1 MB tiles, however many terms it has; tiles that
+small stay in cache and are never page-faulted afresh.
 
 `ll_weights` is the single-point weight form of the local linear fit,
 
@@ -95,10 +98,12 @@ DEGENERACY_FLOOR = 1e-10
 CUBIC_RCOND = 1e-12
 
 # Working-memory bound of the kernel sums: a tile holds at most TILE_ELEMENTS
-# (evaluation point, term) pairs, 16 MB per float64 temporary. It spans
+# (evaluation point, term) pairs, 1 MB per float64 temporary. It spans
 # TILE_ROWS points by all terms when that fits, and term blocks otherwise.
-TILE_ROWS = 256
-TILE_ELEMENTS = 1 << 21
+# Such tiles stay in a core's L2 cache and are reused by the allocator, while
+# tiles of many MB are page-faulted afresh by every numpy operation on them.
+TILE_ROWS = 16
+TILE_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -188,56 +193,63 @@ def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner"
     return np.linspace(lo, hi, n_points)
 
 
-def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int,
+def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
                 window=None):
     """Weighted power sums of the degree-`degree` local polynomial fit (see
-    the module docstring): s[g, j] = S_j for j = 0..2*degree and
-    t[g, j, r] = T_j of column r of `responses` [n_terms, R] for
-    j = 0..degree. `window` = (lo, hi) leaves terms lo[g] <= i < hi[g] out of
-    the sums at grid[g]."""
+    the module docstring) at each bandwidth of the 1-d array `h`:
+    s[k, g, j] = S_j at h[k] for j = 0..2*degree and t[k, g, j, r] = T_j of
+    column r of `responses` [n_terms, R] for j = 0..degree. `window` =
+    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g]."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    h = np.atleast_1d(np.asarray(h, dtype=float))
     n, n_grid = len(kpts), len(grid)
-    s = np.zeros((n_grid, 2 * degree + 1))
-    t = np.zeros((n_grid, degree + 1, responses.shape[1]))
+    s = np.zeros((len(h), n_grid, 2 * degree + 1))
+    t = np.zeros((len(h), n_grid, degree + 1, responses.shape[1]))
     rows = max(1, min(n_grid, TILE_ROWS))
     cols = max(1, min(n, TILE_ELEMENTS // rows))
     for r0 in range(0, n_grid, rows):
         x = grid[r0 : r0 + rows, None]
         for c0 in range(0, n, cols):
             d = ppts[None, c0 : c0 + cols] - x
-            w = kernel.eval((d if kpts is ppts else kpts[None, c0 : c0 + cols] - x) / h)
+            dk = d if kpts is ppts else kpts[None, c0 : c0 + cols] - x
+            u = np.empty_like(dk)
             if window is not None:
-                lo = np.maximum(window[0][r0 : r0 + rows] - c0, 0)
-                hi = np.minimum(window[1][r0 : r0 + rows] - c0, w.shape[1])
-                for off in range(int(np.max(hi - lo, initial=0))):
-                    hit = np.flatnonzero(lo + off < hi)
-                    w[hit, lo[hit] + off] = 0.0
-            for j in range(2 * degree + 1):
-                s[r0 : r0 + rows, j] += w.sum(axis=1)
-                if j <= degree:
-                    t[r0 : r0 + rows, j] += w @ responses[c0 : c0 + cols]
-                if j < 2 * degree:
-                    w *= d
+                term = np.arange(c0, c0 + d.shape[1])
+                zr, zc = np.nonzero((window[0][r0 : r0 + rows, None] <= term)
+                                    & (term < window[1][r0 : r0 + rows, None]))
+            for k, hk in enumerate(h):
+                w = kernel.eval(np.divide(dk, hk, out=u))
+                if window is not None:
+                    w[zr, zc] = 0.0
+                for j in range(2 * degree + 1):
+                    s[k, r0 : r0 + rows, j] += w.sum(axis=1)
+                    if j <= degree:
+                        t[k, r0 : r0 + rows, j] += w @ responses[c0 : c0 + cols]
+                    if j < 2 * degree:
+                        w *= d
     return s, t
 
 
-def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None):
+def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None, h=None):
     """The configured local linear or Nadaraya-Watson fit of each column of
     `responses` [n_terms, R]. Returns (values [R, G], n_eff, defined mask);
-    values are NaN where the fit is undefined."""
+    values are NaN where the fit is undefined. A 1-d array `h` of bandwidths
+    replaces cfg.bandwidth and adds a leading bandwidth axis to each result."""
     degree = 0 if cfg.method == NADARAYA_WATSON else 1
-    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth, degree, window)
-    s0 = s[:, 0]
+    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel,
+                       cfg.bandwidth if h is None else h, degree, window)
+    s0 = s[..., 0]
     ok = s0 >= DEGENERACY_FLOOR * len(kpts)
     if degree == 0:
-        num, den = t[:, 0], s0
+        num, den = t[..., 0, :], s0
     else:
-        s1, s2 = s[:, 1], s[:, 2]
+        s1, s2 = s[..., 1], s[..., 2]
         den = s0 * s2 - s1 * s1
         ok = ok & (den > 0) & np.isfinite(den)
-        num = s2[:, None] * t[:, 0] - s1[:, None] * t[:, 1]
-    vals = np.where(ok[:, None], num / np.where(ok, den, 1.0)[:, None], np.nan)
-    return vals.T, s0, ok
+        num = s2[..., None] * t[..., 0, :] - s1[..., None] * t[..., 1, :]
+    vals = np.where(ok[..., None], num / np.where(ok, den, 1.0)[..., None], np.nan)
+    vals = vals.swapaxes(-1, -2)
+    return (vals, s0, ok) if h is not None else (vals[0], s0[0], ok[0])
 
 
 def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
@@ -297,7 +309,7 @@ def density_estimate(xt: ProxySeries, grid, kernel: Kernel, h: float) -> np.ndar
     if not (h > 0 and math.isfinite(h)):
         raise ValidationError(f"bandwidth must be positive, got {h}")
     s, _ = _power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
-    return s[:, 0] / (len(arr) * h)
+    return s[0, :, 0] / (len(arr) * h)
 
 
 def second_derivative_fit(
@@ -324,6 +336,7 @@ def second_derivative_fit(
         u, u if ppts is kpts else ppts / h, np.atleast_2d(responses).T,
         np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
     )
+    s, t = s[0], t[0]
     mat = s[:, np.add.outer(np.arange(4), np.arange(4))]
     sv = np.linalg.svd(mat, compute_uv=False)
     ok = (s[:, 0] >= DEGENERACY_FLOOR * len(kpts)) & (sv[:, -1] > CUBIC_RCOND * sv[:, 0])

@@ -61,6 +61,7 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     timestamp: float = field(default_factory=time.time)
     runtime_s: float | None = None
+    diagnostics: dict = field(default_factory=dict)
 
     def write(self, out_path) -> Path:
         """Write the manifest next to the artifact it describes."""
@@ -73,6 +74,7 @@ class RunManifest:
             "input_digests": self.input_digests,
             "timestamp": self.timestamp,
             "runtime_s": self.runtime_s,
+            "diagnostics": self.diagnostics,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path

@@ -35,9 +35,12 @@ _QUAD_TOL = 1e-10
 
 def _gaussian_eval(u):
     u = np.asarray(u, dtype=float)
-    # |u| beyond ~1e154 squares to inf; exp(-inf) = 0 is the right limit
+    # |u| beyond ~1e154 squares to inf; exp(-inf) = 0 is the right limit. One
+    # temporary; scaling by -0.5 is exact, so the bits equal exp(-0.5*u*u)/sqrt(2pi).
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * u * u) / _SQRT_2PI
+        v = np.asarray(u * u)
+    v *= -0.5
+    return np.divide(np.exp(v, out=v), _SQRT_2PI, out=v)
 
 
 def _epanechnikov_eval(u):

@@ -1,12 +1,22 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lljd import estimators
 from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb
 from lljd.errors import ValidationError
-from lljd.estimators import DEGENERACY_FLOOR, EstimatorConfig, drift_responses, term_points
-from lljd.kernels import GAUSSIAN
+from lljd.estimators import (
+    DEGENERACY_FLOOR,
+    LOCAL_LINEAR,
+    NADARAYA_WATSON,
+    EstimatorConfig,
+    drift_responses,
+    term_points,
+)
 from lljd.proxy import ProxySeries, build_proxy
 from lljd.simulate import ModelSpec, NoJumps, PathConfig, simulate_path
 
@@ -60,7 +70,7 @@ def brute_force_cv(xt, h_grid, cfg):
     resp = drift_responses(xt)
     n = len(resp)
     mean = resp.mean()
-    k = lambda u: float(GAUSSIAN.eval(u))
+    k = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)  # the Gaussian kernel
     out = []
     for h in h_grid:
         sse = 0.0
@@ -77,24 +87,31 @@ def brute_force_cv(xt, h_grid, cfg):
                 s2 += kv * d * d
                 t0 += kv * resp[j]
                 t1 += kv * d * resp[j]
-            det = s0 * s2 - s1 * s1
-            if s0 >= DEGENERACY_FLOOR * n and det > 0:
-                pred = (s2 * t0 - s1 * t1) / det
-                sse += (resp[i] - pred) ** 2
+            if cfg.method == NADARAYA_WATSON:  # degree 0: the local mean
+                defined = s0 >= DEGENERACY_FLOOR * n
+                pred = t0 / s0 if defined else mean
             else:
-                sse += (resp[i] - mean) ** 2
+                det = s0 * s2 - s1 * s1
+                defined = s0 >= DEGENERACY_FLOOR * n and det > 0
+                pred = (s2 * t0 - s1 * t1) / det if defined else mean
+            sse += (resp[i] - pred) ** 2
         out.append(sse / n)
     return np.array(out)
 
 
-def test_cv_matches_brute_force_oracle_and_is_u_shaped():
+def oracle_case():
     model = ModelSpec(
         mu=lambda x: -x + 3.0 * np.sin(3.0 * x), sigma=lambda x: 1.0, jump=NoJumps()
     )
     path = simulate_path(model, PathConfig(t_span=60.0, n=300, seed=21, burn_in=50))
-    xt = build_proxy(path.y, path.delta)
-    h_grid = np.geomspace(0.05, 5.0, 8)
-    cfg = EstimatorConfig(bandwidth=1.0)
+    return build_proxy(path.y, path.delta), np.geomspace(0.05, 5.0, 8)
+
+
+@pytest.mark.parametrize("method", [LOCAL_LINEAR, NADARAYA_WATSON])
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+def test_cv_matches_brute_force_oracle_and_is_u_shaped(alignment, method):
+    xt, h_grid = oracle_case()
+    cfg = EstimatorConfig(bandwidth=1.0, method=method, index_alignment=alignment)
     choice = cross_validate(xt, h_grid, cfg)
     oracle = brute_force_cv(xt, h_grid, cfg)
     got = np.array([c for _, c in choice.cv_curve])
@@ -103,6 +120,54 @@ def test_cv_matches_brute_force_oracle_and_is_u_shaped():
     # U shape: the optimum is interior
     best = int(np.argmin(oracle))
     assert 0 < best < len(h_grid) - 1
+
+
+def test_cv_matches_brute_force_oracle_under_tiny_tiles(monkeypatch):
+    # 298 terms in 16-point row tiles by 100-term blocks: the deletion window
+    # of CV crosses both row and term block boundaries
+    monkeypatch.setattr(estimators, "TILE_ROWS", 16)
+    monkeypatch.setattr(estimators, "TILE_ELEMENTS", 16 * 100)
+    xt, h_grid = oracle_case()
+    cfg = EstimatorConfig(bandwidth=1.0)
+    got = np.array([c for _, c in cross_validate(xt, h_grid, cfg).cv_curve])
+    assert np.allclose(got, brute_force_cv(xt, h_grid, cfg), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_grid", [1, 5, 25])
+def test_cv_scores_the_whole_grid_in_one_engine_pass(monkeypatch, n_grid):
+    calls = []
+    engine = estimators._power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_power_sums", counted)
+    rng = np.random.default_rng(14)
+    xt = series(np.cumsum(rng.normal(0.0, 0.1, 80)))
+    choice = cross_validate(xt, np.geomspace(0.05, 1.0, n_grid), EstimatorConfig(1.0))
+    assert len(calls) == 1 and len(choice.cv_curve) == n_grid
+
+
+def test_cv_working_memory_stays_small():
+    # 2,000 terms and the 25-point default grid: 16 MB kernel tiles, or a
+    # 2000 x 2000 matrix, would each break the bound
+    rng = np.random.default_rng(15)
+    noise = rng.normal(0.0, 0.1, 2002)
+    x = np.empty_like(noise)
+    x[0] = 0.0
+    for i in range(1, len(x)):
+        x[i] = 0.9 * x[i - 1] + noise[i]
+    xt = series(x, delta=0.01)
+    grid = default_cv_grid(rule_of_thumb(xt).h)
+    tracemalloc.start()
+    try:
+        choice = cross_validate(xt, grid, EstimatorConfig(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(choice.cv_curve) == 25
+    assert peak < 8e6
 
 
 def test_cv_near_zero_for_noiseless_affine_relation():

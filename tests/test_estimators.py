@@ -285,16 +285,25 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
     # the bulk of the data, and points whose neighbourhoods are empty
     grid = np.concatenate([np.linspace(-2.0, 2.0, 66), [-40.0, -8.0, 8.0, 40.0]])
     idx = rng.integers(0, 1000, len(grid))
+    idx[:3] = (299, 300, 601)  # windows that straddle 300-term block boundaries
     window = (idx - 2, idx + 3)
     h = 0.3
+    hs = np.array([0.1, h, 1.0])
 
     def results():
-        out = [
-            np.concatenate([s, t.reshape(len(grid), -1)], axis=1)
-            for p in (0, 1, 3)
-            for w in (None, window)
-            for s, t in [_power_sums(kpts, ppts, resp, grid, kernel, h, p, w)]
-        ]
+        out = []
+        for p in (0, 1, 3):
+            for w in (None, window):
+                s, t = _power_sums(kpts, ppts, resp, grid, kernel, hs, p, w)
+                assert s.shape == (3, len(grid), 2 * p + 1)
+                assert t.shape == (3, len(grid), p + 1, 2)
+                # a bandwidth vector gives the sums of one call per bandwidth
+                for k, hk in enumerate(hs):
+                    one_s, one_t = _power_sums(kpts, ppts, resp, grid, kernel, hk, p, w)
+                    assert_agree(s[k], one_s[0])
+                    assert_agree(t[k], one_t[0])
+                out += [np.concatenate([s[k], t[k].reshape(len(grid), -1)], axis=1)
+                        for k in range(3)]
         for method in (LOCAL_LINEAR, NADARAYA_WATSON):
             est = estimate_curve(xt, grid, EstimatorConfig(h, kernel, method=method))
             out += [est.mu_hat, est.m_hat, est.n_eff]

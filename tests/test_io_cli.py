@@ -311,6 +311,40 @@ def test_cli_estimate_cv_bandwidth(tmp_path):
     assert len(lines) == 26
 
 
+def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
+    path_csv, curve_csv = tmp_path / "path.csv", tmp_path / "curve.csv"
+    estimate = ["estimate", "--in", str(path_csv), "--out", str(curve_csv)]
+
+    def bandwidth_record():
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        return manifest["diagnostics"]["bandwidth"]
+
+    # seed 2: CV picks an interior h; seed 3: the upper edge of the default grid
+    for seed, edge in ((2, False), (3, True)):
+        assert main(["simulate", "--t", "2", "--n", "150", "--seed", str(seed),
+                     "--out", str(path_csv)]) == 0
+        caplog.clear()
+        assert main(estimate + ["--h", "cv", "--cv-out", str(tmp_path / "cv.csv")]) == 0
+        cv = read_columns_csv(tmp_path / "cv.csv")
+        record = bandwidth_record()
+        assert record["method"] == "cross_validation" and record["h"] in cv["h"]
+        assert record["cv_grid_edge"] is edge
+        assert record["cv_grid_edge"] == (record["h"] in (cv["h"][0], cv["h"][-1]))
+        assert record["cv_degenerate_max"] == int(cv["degenerate"].max())
+        logged = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(logged) == int(edge)
+    assert "edge of its grid" in logged[0].getMessage()
+    # a plain CLI run, with no logging set up, prints the warning on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "lljd", *estimate, "--h", "cv"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and "edge of its grid" in proc.stderr
+    assert main(estimate) == 0
+    record = bandwidth_record()
+    assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"]) == (
+        "rule_of_thumb", None, None)
+
+
 def test_cli_estimate_accepts_proxy_input(tmp_path):
     path_csv = tmp_path / "path.csv"
     proxy_csv = tmp_path / "proxy.csv"

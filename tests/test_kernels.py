@@ -28,6 +28,14 @@ def test_gaussian_matches_standard_normal_density_pointwise():
     u = np.linspace(-8, 8, 201)
     expected = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
     assert np.max(np.abs(GAUSSIAN.eval(u) - expected)) < 1e-12
+    # the in-place evaluation gives the bits of the direct formula, also where
+    # the weight underflows to subnormal or zero and where u * u overflows
+    u = np.concatenate([np.random.default_rng(3).normal(0.0, 15.0, 10_000),
+                        [0.0, 1e-160, 37.7, 38.5, 1e155, -np.inf]])
+    with np.errstate(over="ignore"):
+        expected = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+    assert np.array_equal(GAUSSIAN.eval(u), expected)
+    assert float(GAUSSIAN.eval(0.0)) == 1.0 / math.sqrt(2 * math.pi)
 
 
 def test_gaussian_density_moments():
