@@ -29,12 +29,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lljd.bandwidth import rule_of_thumb  # noqa: E402
+from lljd.errors import NumericalError  # noqa: E402
 from lljd.estimators import EstimatorConfig, density_estimate, estimate_curve, fit_responses  # noqa: E402
 from lljd.inference import FOURTH_MOMENT_SCALE, fourth_moment_responses  # noqa: E402
 from lljd.kernels import GAUSSIAN, moments  # noqa: E402
 from lljd.mcstudy import example_model  # noqa: E402
 from lljd.proxy import build_proxy  # noqa: E402
-from lljd.simulate import PathConfig, derive_seeds, simulate_path  # noqa: E402
+from lljd.simulate import PathConfig, derive_seeds, simulate_paths  # noqa: E402
 
 
 def main():
@@ -48,8 +49,11 @@ def main():
     model = example_model(1)
     v_const = moments(GAUSSIAN).v
     m_at0, raw, scale = [], [], []
-    for seed in derive_seeds(args.seed, args.reps):
-        path = simulate_path(model, PathConfig(args.t, args.n, seed=seed))
+    lanes = [(model, PathConfig(args.t, args.n, seed=seed))
+             for seed in derive_seeds(args.seed, args.reps)]
+    for path in simulate_paths(lanes, record_x=False):
+        if isinstance(path, NumericalError):
+            raise path
         pr = build_proxy(path.y, path.delta)
         h = rule_of_thumb(pr, args.t).h
         cfg = EstimatorConfig(h)

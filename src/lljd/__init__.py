@@ -30,6 +30,7 @@ from .simulate import (
     default_model,
     derive_seeds,
     simulate_path,
+    simulate_paths,
 )
 from .estimators import (
     LOCAL_LINEAR,
@@ -40,6 +41,7 @@ from .estimators import (
     density_estimate,
     drift_responses,
     estimate_curve,
+    estimate_curves,
     fit_responses,
     ll_weights,
     second_derivative_fit,
@@ -53,6 +55,7 @@ from .mcstudy import (
     example_model,
     qq_data,
     rmse,
+    run_studies,
     run_study,
     table_presets,
 )

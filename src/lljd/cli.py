@@ -37,6 +37,7 @@ from .mcstudy import (
     McConfig,
     example_model,
     qq_data,
+    run_studies,
     run_study,
     table_presets,
 )
@@ -129,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
     mc.add_argument("--grid-n", type=int, default=101)
     mc.add_argument("--range", dest="range_mode", default="inner", choices=["inner", "full"])
-    mc.add_argument("--threads", type=int, default=1)
     mc.add_argument("--csv-prefix", default=None,
                     help="also write per-config band and QQ CSV extracts")
     mc.add_argument("--out", required=True)
@@ -275,17 +275,15 @@ def _cmd_mc_study(args) -> int:
     start = time.perf_counter()
     methods = tuple(METHOD_ALIASES[m.strip()] for m in args.methods.split(","))
     if args.table is not None:
-        configs = table_presets(
-            args.table, replicates=args.reps, master_seed=args.seed, workers=args.threads
-        )
-        configs = [
+        configs = table_presets(args.table, replicates=args.reps, master_seed=args.seed)
+        reports = run_studies([
             McConfig(**{**c.__dict__, "methods": methods, "grid_n": args.grid_n,
                         "range_mode": args.range_mode, "kernel": get_kernel(args.kernel)})
             for c in configs
-        ]
+        ])
     else:
-        configs = [
-            McConfig(
+        reports = [
+            run_study(McConfig(
                 model=example_model(args.example),
                 t_span=args.t,
                 n=args.n,
@@ -295,11 +293,9 @@ def _cmd_mc_study(args) -> int:
                 kernel=get_kernel(args.kernel),
                 grid_n=args.grid_n,
                 range_mode=args.range_mode,
-                workers=args.threads,
                 label=f"example {args.example} T={args.t:g} n={args.n}",
-            )
+            ))
         ]
-    reports = [run_study(c) for c in configs]
     payload = {
         "kind": "mc_study_report",
         "configs": [r.to_dict() for r in reports],

@@ -32,6 +32,8 @@ any number of bandwidths, with a leading bandwidth axis. Its callers read:
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
                                     p=0: the Nadaraya-Watson mean T_0 / S_0
+    estimate_curves                 both from one p=1 pass: the NW sums are
+                                    its j = 0 sums
     second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
                                     normal equations, solved in one batch
     density_estimate                p=0: S_0 over every proxy, / (n h)
@@ -81,6 +83,7 @@ __all__ = [
     "ll_weights",
     "fit_responses",
     "estimate_curve",
+    "estimate_curves",
     "density_estimate",
     "second_derivative_fit",
 ]
@@ -230,6 +233,24 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
     return s, t
 
 
+def _closed_form(s, t, method: str, n_terms: int):
+    """The local linear or Nadaraya-Watson fit from power sums of a degree
+    >= its own (the Nadaraya-Watson S_0, T_0 are the j = 0 sums of a local
+    linear pass). Returns (values [..., R, G], n_eff, defined mask); values
+    are NaN where the fit is undefined."""
+    s0 = s[..., 0]
+    ok = s0 >= DEGENERACY_FLOOR * n_terms
+    if method == NADARAYA_WATSON:
+        num, den = t[..., 0, :], s0
+    else:
+        s1, s2 = s[..., 1], s[..., 2]
+        den = s0 * s2 - s1 * s1
+        ok = ok & (den > 0) & np.isfinite(den)
+        num = s2[..., None] * t[..., 0, :] - s1[..., None] * t[..., 1, :]
+    vals = np.where(ok[..., None], num / np.where(ok, den, 1.0)[..., None], np.nan)
+    return vals.swapaxes(-1, -2), s0, ok
+
+
 def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None, h=None):
     """The configured local linear or Nadaraya-Watson fit of each column of
     `responses` [n_terms, R]. Returns (values [R, G], n_eff, defined mask);
@@ -238,17 +259,7 @@ def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None, h=None)
     degree = 0 if cfg.method == NADARAYA_WATSON else 1
     s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel,
                        cfg.bandwidth if h is None else h, degree, window)
-    s0 = s[..., 0]
-    ok = s0 >= DEGENERACY_FLOOR * len(kpts)
-    if degree == 0:
-        num, den = t[..., 0, :], s0
-    else:
-        s1, s2 = s[..., 1], s[..., 2]
-        den = s0 * s2 - s1 * s1
-        ok = ok & (den > 0) & np.isfinite(den)
-        num = s2[..., None] * t[..., 0, :] - s1[..., None] * t[..., 1, :]
-    vals = np.where(ok[..., None], num / np.where(ok, den, 1.0)[..., None], np.nan)
-    vals = vals.swapaxes(-1, -2)
+    vals, s0, ok = _closed_form(s, t, cfg.method, len(kpts))
     return (vals, s0, ok) if h is not None else (vals[0], s0[0], ok[0])
 
 
@@ -282,25 +293,38 @@ def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate
     """Drift and second-moment curves over a grid (defaults to the inner
     quantile grid of the sample). Degenerate grid points are NaN and counted,
     not raised."""
+    return estimate_curves(xt, grid, cfg, (cfg.method,))[cfg.method]
+
+
+def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dict:
+    """estimate_curve for each of `methods` (overriding cfg.method), keyed by
+    method, from one pass of the kernel sums: the Nadaraya-Watson sums are
+    the j = 0 sums of the local linear pass, so every curve has the bits of
+    its own estimate_curve."""
     if grid is None:
         grid = default_grid(xt)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     kpts, ppts = term_points(xt, cfg.index_alignment)
     responses = np.column_stack([drift_responses(xt), second_moment_responses(xt)])
-    (mu_hat, m_hat), n_eff, ok = _fit(kpts, ppts, responses, grid, cfg)
-    return CurveEstimate(
-        grid=grid,
-        mu_hat=mu_hat,
-        m_hat=m_hat,
-        h=cfg.bandwidth,
-        n_eff=n_eff,
-        delta=xt.delta,
-        n_terms=len(kpts),
-        method=cfg.method,
-        undefined_count=int((~ok).sum()),
-        kernel=cfg.kernel,
-        index_alignment=cfg.index_alignment,
-    )
+    degree = 0 if set(methods) == {NADARAYA_WATSON} else 1
+    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth, degree)
+    out = {}
+    for method in methods:
+        (mu_hat, m_hat), n_eff, ok = _closed_form(s[0], t[0], method, len(kpts))
+        out[method] = CurveEstimate(
+            grid=grid,
+            mu_hat=mu_hat,
+            m_hat=m_hat,
+            h=cfg.bandwidth,
+            n_eff=n_eff,
+            delta=xt.delta,
+            n_terms=len(kpts),
+            method=method,
+            undefined_count=int((~ok).sum()),
+            kernel=cfg.kernel,
+            index_alignment=cfg.index_alignment,
+        )
+    return out
 
 
 def density_estimate(xt: ProxySeries, grid, kernel: Kernel, h: float) -> np.ndarray:

@@ -3,17 +3,18 @@ normality diagnostics for the local linear fit against the Nadaraya-Watson
 baseline.
 
 Replicates are independent work units: each derives its own stream from the
-master seed, and results are reduced in replicate order, so reports are
-byte-identical no matter how many workers run them.
+master seed, and results are reduced in replicate order. Every replicate of
+every config studied together is a lane of the lockstep simulator, and a
+lane's path does not depend on the lanes beside it, so a config's report is
+byte-identical however its replicates are grouped into lane batches: alone
+or with other configs.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .estimators import (
     CurveEstimate,
     EstimatorConfig,
     default_grid,
-    estimate_curve,
+    estimate_curve,  # noqa: F401  (kept bound here for perfbench/spans.py)
+    estimate_curves,
 )
 from .kernels import GAUSSIAN, Kernel
 from .proxy import ProxySeries, build_proxy
@@ -37,7 +39,8 @@ from .simulate import (
     VarianceGamma,
     default_model,
     derive_seeds,
-    simulate_path,
+    simulate_path,  # noqa: F401  (kept bound here for perfbench/spans.py)
+    simulate_paths,
 )
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "McReport",
     "rmse",
     "run_study",
+    "run_studies",
     "qq_data",
     "example_model",
     "table_presets",
@@ -52,6 +56,11 @@ __all__ = [
 
 DEFAULT_QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 METHOD_ALIASES = {"ll": LOCAL_LINEAR, "nw": NADARAYA_WATSON}
+
+# Samples (retained y values, 8 bytes each) that one lane batch keeps: the
+# replicates of a study are simulated in batches of at most this many, so its
+# memory does not grow with the replicate count.
+LANE_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,6 @@ class McConfig:
     eval_x: float = 0.0
     burn_in: int = 200
     substeps: int = 10
-    workers: int = 1
     label: str = ""
 
     def __post_init__(self):
@@ -80,13 +88,12 @@ class McConfig:
         unknown = [m for m in self.methods if m not in METHOD_ALIASES.values()]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 @dataclass
 class McReport:
-    """Aggregated study results (see run_study)."""
+    """Aggregated study results (see run_study); the run's time travels in
+    the run manifest, so identical seeds give byte-identical reports."""
 
     label: str
     t_span: float
@@ -104,12 +111,9 @@ class McReport:
     standardized: dict  # method -> list or None when the spread degenerates
     skipped: int
     failures: list = field(default_factory=list)
-    runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        """JSON-ready payload. runtime_s is intentionally left out so that
-        identical seeds give byte-identical reports; it travels in the run
-        manifest instead."""
+        """JSON-ready payload."""
         return {
             "label": self.label,
             "t_span": self.t_span,
@@ -141,28 +145,14 @@ def rmse(est: CurveEstimate, truth: Callable, target: str = "mu") -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _simulate_proxy(cfg: McConfig, seed: int) -> ProxySeries:
-    path = simulate_path(
-        cfg.model,
-        PathConfig(
-            t_span=cfg.t_span,
-            n=cfg.n,
-            seed=seed,
-            burn_in=cfg.burn_in,
-            substeps=cfg.substeps,
-        ),
-    )
-    return build_proxy(path.y, path.delta)
-
-
 def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     h = rule_of_thumb(pr, cfg.t_span).h
     qpts = np.quantile(pr.xt, cfg.quantiles)
     pts = np.concatenate([common_grid, qpts, [cfg.eval_x]])
     g = len(common_grid)
+    ests = estimate_curves(pr, pts, EstimatorConfig(h, cfg.kernel), cfg.methods)
     out = {}
-    for method in cfg.methods:
-        est = estimate_curve(pr, pts, EstimatorConfig(h, cfg.kernel, method=method))
+    for method, est in ests.items():
         mu, m = est.mu_hat, est.m_hat
         out[method] = {
             "mu_grid": mu[:g],
@@ -174,6 +164,30 @@ def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     return out
 
 
+def _lane_batches(cfgs: list, lanes: list):
+    """Lane batches of (config index, replicate, seed) triples. Lanes that
+    share mu, sigma, x0, y0 and substeps are batched together, longest path
+    first, at most LANE_SAMPLES retained samples (or one lane) per batch. A
+    config's lanes stay consecutive and in replicate order, so its replicate
+    0 is simulated in its first batch."""
+    groups = {}
+    for lane in lanes:
+        cfg = cfgs[lane[0]]
+        key = (cfg.model.mu, cfg.model.sigma, cfg.model.x0, cfg.model.y0, cfg.substeps)
+        groups.setdefault(key, []).append(lane)
+    for group in groups.values():
+        group.sort(key=lambda lane: -(cfgs[lane[0]].burn_in + cfgs[lane[0]].n))
+        batch, samples = [], 0
+        for lane in group:
+            size = cfgs[lane[0]].n + 2
+            if batch and samples + size > LANE_SAMPLES:
+                yield batch
+                batch, samples = [], 0
+            batch.append(lane)
+            samples += size
+        yield batch
+
+
 def run_study(cfg: McConfig) -> McReport:
     """Simulate, estimate and aggregate over replicates.
 
@@ -182,7 +196,7 @@ def run_study(cfg: McConfig) -> McReport:
     points over the inner-quantile range, fixed by the first replicate so all
     replicates are comparable), at the replicate's sample quantile points (for
     the bias table), and at eval_x (for the standardized-estimate
-    diagnostics).
+    diagnostics). All methods come from one pass of the kernel sums.
 
     The headline RMSE is the root mean square deviation of the pointwise
     replicate-mean curve from the truth over the study grid: averaging first
@@ -192,28 +206,70 @@ def run_study(cfg: McConfig) -> McReport:
     also reported.
 
     Replicates that fail numerically (explosions, degenerate designs) are
-    recorded and skipped; the study aborts if more than 10% fail. The first
-    replicate's proxy is built once: it fixes the grid and is replicate 0.
+    recorded and skipped; the study aborts if more than 10% fail, or if the
+    first replicate, which fixes the grid, cannot be simulated.
     """
-    start = time.perf_counter()
-    seeds = derive_seeds(cfg.master_seed, cfg.replicates)
+    return run_studies([cfg])[0]
 
-    pilot = _simulate_proxy(cfg, seeds[0])
-    common_grid = default_grid(pilot, cfg.grid_n, cfg.range_mode)
 
-    def work(seed: int):
+def run_studies(cfgs) -> list[McReport]:
+    """run_study of each config, with the replicates of all of them simulated
+    together as lanes of simulate_paths (see _lane_batches). Each report is
+    byte-identical to run_study of its config alone; the first config that
+    aborts raises its error, as a loop of run_study calls would."""
+    cfgs = list(cfgs)
+    lanes = [
+        (c, r, seed)
+        for c, cfg in enumerate(cfgs)
+        for r, seed in enumerate(derive_seeds(cfg.master_seed, cfg.replicates))
+    ]
+    results = [[None] * cfg.replicates for cfg in cfgs]
+    grids = [None] * len(cfgs)
+    aborted = [None] * len(cfgs)
+    for batch in _lane_batches(cfgs, lanes):
+        _run_batch(cfgs, batch, results, grids, aborted)
+    reports = []
+    for cfg, res, grid, exc in zip(cfgs, results, grids, aborted):
+        if exc is not None:
+            raise exc
+        reports.append(_aggregate(cfg, res, grid))
+    return reports
+
+
+def _run_batch(cfgs: list, batch: list, results: list, grids: list, aborted: list):
+    """Simulate one lane batch and fit its replicates into results[c][r]. A
+    config's replicate 0 fixes grids[c], or its failure goes to aborted[c]."""
+    paths = simulate_paths(
+        [
+            (cfgs[c].model, PathConfig(t_span=cfgs[c].t_span, n=cfgs[c].n, seed=seed,
+                                       burn_in=cfgs[c].burn_in, substeps=cfgs[c].substeps))
+            for c, _, seed in batch
+        ],
+        record_x=False,
+    )
+    for (c, r, _), path in zip(batch, paths):
+        cfg = cfgs[c]
         try:
-            pr = pilot if seed == seeds[0] else _simulate_proxy(cfg, seed)
-            return _replicate(cfg, pr, common_grid)
+            if isinstance(path, LljdError):
+                raise path
+            pr = build_proxy(path.y, path.delta)
+            if r == 0:
+                grids[c] = default_grid(pr, cfg.grid_n, cfg.range_mode)
         except LljdError as exc:
-            return ("failed", f"{type(exc).__name__}: {exc}")
+            if r == 0:
+                aborted[c] = exc
+            results[c][r] = ("failed", f"{type(exc).__name__}: {exc}")
+            continue
+        if aborted[c] is None:
+            try:
+                results[c][r] = _replicate(cfg, pr, grids[c])
+            except LljdError as exc:
+                results[c][r] = ("failed", f"{type(exc).__name__}: {exc}")
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, seeds))
-    else:
-        results = [work(s) for s in seeds]
 
+def _aggregate(cfg: McConfig, results: list, common_grid: np.ndarray) -> McReport:
+    """The report of one config from its per-replicate results, in
+    replicate order; ("failed", message) marks a skipped replicate."""
     failures = [r[1] for r in results if isinstance(r, tuple)]
     skipped = len(failures)
     if skipped > 0.1 * cfg.replicates:
@@ -274,7 +330,6 @@ def run_study(cfg: McConfig) -> McReport:
             report.standardized[method] = [float(v) for v in std]
         else:
             report.standardized[method] = None
-    report.runtime_s = time.perf_counter() - start
     return report
 
 
@@ -322,7 +377,6 @@ def table_presets(
     table: int,
     replicates: int = 100,
     master_seed: int = 20150105,
-    workers: int = 1,
 ) -> list[McConfig]:
     """Preset study grids for the bundled benchmark tables.
 
@@ -343,7 +397,6 @@ def table_presets(
             n=n,
             replicates=replicates,
             master_seed=master_seed,
-            workers=workers,
             label=label,
         )
 

@@ -293,17 +293,22 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         cli(*est, "--out", str(ca))
         cli(*est, "--out", str(cb))
         pairs.append(("estimate", ca.read_bytes() == cb.read_bytes()))
-        # mc-study across thread counts
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        mc = ["mc-study", "--example", "2", "--t", "2", "--n", "150", "--reps", "8",
-              "--seed", "3", "--grid-n", "21"]
-        cli(*mc, "--threads", "1", "--out", str(r1))
-        cli(*mc, "--threads", "4", "--out", str(r2))
-        pairs.append(("mc-study 1 vs 4 threads", r1.read_bytes() == r2.read_bytes()))
-        assert json.loads(r1.read_text())["configs"]
+        # mc-study: a config of a preset table, whose replicates are simulated
+        # in lanes beside those of eight other configs, against the same
+        # config run alone
+        r1, r2, r3 = (tmp_path / f"r{i}.json" for i in (1, 2, 3))
+        common = ["--reps", "8", "--seed", "3", "--grid-n", "21"]
+        cli("mc-study", "--table", "6", *common, "--out", str(r1))
+        cli("mc-study", "--table", "6", *common, "--out", str(r3))
+        pairs.append(("mc-study", r1.read_bytes() == r3.read_bytes()))
+        cli("mc-study", "--example", "2", "--t", "10", "--n", "500", *common, "--out", str(r2))
+        table, alone = (json.loads(r.read_text())["configs"] for r in (r1, r2))
+        assert table[0]["label"] == "vg rmse T=10 n=500"
+        unlabelled = [json.dumps({**c[0], "label": None}) for c in (table, alone)]
+        pairs.append(("mc-study table vs single config", unlabelled[0] == unlabelled[1]))
         return pairs
 
     pairs, elapsed = timed(run)
     for tag, same in pairs:
-        assert same, f"{tag} output differs between identical runs"
+        assert same, f"{tag} outputs differ between runs that must agree"
     report(10, f"byte-identical outputs for {[t for t, _ in pairs]} ({elapsed:.0f}s)")

@@ -359,18 +359,22 @@ def test_cli_estimate_accepts_proxy_input(tmp_path):
     assert read_columns_csv(curve_csv)["x"].size == 101
 
 
-def test_cli_mc_study_and_thread_determinism(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    base = ["mc-study", "--example", "1", "--t", "2", "--n", "120", "--reps", "6",
-            "--seed", "4", "--grid-n", "21"]
-    assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    report = json.loads(out1.read_text())
+def test_cli_mc_study_table_matches_single_config_run(tmp_path):
+    # the table's T=10, n=1000 config, simulated in lanes beside the other
+    # eight, reports what the same config run alone reports
+    table, alone = tmp_path / "table.json", tmp_path / "alone.json"
+    common = ["--reps", "3", "--seed", "4", "--grid-n", "21"]
+    assert main(["mc-study", "--table", "2", *common, "--out", str(table)]) == 0
+    assert main(["mc-study", "--example", "1", "--t", "10", "--n", "1000", *common,
+                 "--out", str(alone)]) == 0
+    report = json.loads(alone.read_text())
     assert report["kind"] == "mc_study_report"
     cfg = report["configs"][0]
     assert set(cfg["rmse"]) == {"local_linear", "nadaraya_watson"}
     assert "runtime_s" not in cfg
+    from_table = json.loads(table.read_text())["configs"][1]
+    assert from_table["label"] == "cp rmse T=10 n=1000"
+    assert json.dumps({**from_table, "label": None}) == json.dumps({**cfg, "label": None})
 
 
 def test_cli_mc_study_table_preset(tmp_path):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+import lljd.mcstudy
 
 from lljd.bandwidth import rule_of_thumb
 from lljd.errors import NumericalError, ValidationError
@@ -10,6 +14,7 @@ from lljd.mcstudy import (
     example_model,
     qq_data,
     rmse,
+    run_studies,
     run_study,
     table_presets,
 )
@@ -21,6 +26,7 @@ from lljd.simulate import (
     default_model,
     derive_seeds,
     simulate_path,
+    simulate_paths,
 )
 
 
@@ -69,7 +75,6 @@ def test_single_replicate_report_matches_manual_pipeline():
         n=400,
         replicates=1,
         master_seed=51,
-        methods=("local_linear",),
     )
     report = run_study(cfg)
     seed = derive_seeds(51, 1)[0]
@@ -78,12 +83,15 @@ def test_single_replicate_report_matches_manual_pipeline():
     h = rule_of_thumb(pr, 10.0).h
     grid = default_grid(pr)
     pts = np.concatenate([grid, np.quantile(pr.xt, cfg.quantiles), [0.0]])
-    est = estimate_curve(pr, pts, EstimatorConfig(h, GAUSSIAN))
-    assert report.estimates_at_x["local_linear"]["mu"][0] == est.mu_hat[-1]
-    assert report.estimates_at_x["local_linear"]["m"][0] == est.m_hat[-1]
-    assert report.mc_band["local_linear"]["grid"] == [float(v) for v in grid]
-    assert report.mc_band["local_linear"]["mean"] == [float(v) for v in est.mu_hat[:101]]
-    assert report.standardized["local_linear"] is None  # one replicate: no spread
+    # both methods come from one pass of the kernel sums, with the bits of
+    # their own estimate_curve
+    for method in ("local_linear", "nadaraya_watson"):
+        est = estimate_curve(pr, pts, EstimatorConfig(h, GAUSSIAN, method=method))
+        assert report.estimates_at_x[method]["mu"][0] == est.mu_hat[-1]
+        assert report.estimates_at_x[method]["m"][0] == est.m_hat[-1]
+        assert report.mc_band[method]["grid"] == [float(v) for v in grid]
+        assert report.mc_band[method]["mean"] == [float(v) for v in est.mu_hat[:101]]
+        assert report.standardized[method] is None  # one replicate: no spread
 
 
 def test_identical_master_seed_gives_identical_report():
@@ -94,25 +102,57 @@ def test_identical_master_seed_gives_identical_report():
 
 
 def test_each_replicate_path_is_simulated_once(monkeypatch):
-    import lljd.mcstudy
+    lanes = []
 
-    calls = []
+    def counting(batch, record_x=True):
+        batch = list(batch)
+        lanes.extend(cfg.seed for _, cfg in batch)
+        return simulate_paths(batch, record_x)
 
-    def counting(model, cfg):
-        calls.append(cfg.seed)
-        return simulate_path(model, cfg)
-
-    monkeypatch.setattr(lljd.mcstudy, "simulate_path", counting)
+    monkeypatch.setattr(lljd.mcstudy, "simulate_paths", counting)
     cfg = McConfig(model=example_model(1), t_span=5.0, n=200, replicates=7, master_seed=3)
     run_study(cfg)
-    assert calls == derive_seeds(3, 7)
+    assert lanes == derive_seeds(3, 7)
 
 
-def test_worker_count_does_not_change_report():
-    base = dict(model=example_model(2), t_span=5.0, n=200, replicates=10, master_seed=13)
-    serial = run_study(McConfig(**base, workers=1)).to_dict()
-    threaded = run_study(McConfig(**base, workers=4)).to_dict()
-    assert serial == threaded
+def payloads(reports):
+    return [json.dumps(r.to_dict()) for r in reports]
+
+
+def test_lane_grouping_does_not_change_report(monkeypatch):
+    a = McConfig(model=example_model(2), t_span=5.0, n=200, replicates=10, master_seed=13)
+    b = McConfig(model=example_model(1), t_span=3.0, n=150, replicates=6, master_seed=4,
+                 burn_in=50, methods=("nadaraya_watson",))
+    c = McConfig(model=default_model(x0=0.5), t_span=4.0, n=120, replicates=5, master_seed=8)
+    alone = payloads([run_study(a), run_study(b), run_study(c)])
+    assert payloads(run_studies([a, b, c])) == alone
+    assert payloads(run_studies([c, a, b])) == [alone[2], alone[0], alone[1]]
+    # batches of at most two lanes of a, so a config spans several batches
+    monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", 2 * (a.n + 2))
+    assert payloads(run_studies([a, b, c])) == alone
+
+
+def test_lane_batch_memory_does_not_grow_with_replicates(monkeypatch):
+    import tracemalloc
+
+    # batches of 16 lanes: 48 replicates take three batches, which must not
+    # be held at once
+    n = 2000
+    monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", 16 * (n + 2))
+    batch_bytes = 8 * 16 * (n + 2)
+
+    def peak(replicates):
+        cfg = McConfig(model=example_model(1), t_span=4.0, n=n, replicates=replicates,
+                       master_seed=6, methods=("local_linear",), grid_n=11, substeps=2)
+        tracemalloc.start()
+        run_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    peak(1)  # first-call imports and caches
+    one_batch, three_batches = peak(16), peak(48)
+    assert three_batches < one_batch + 0.5 * batch_bytes
 
 
 def test_study_reports_partial_failures_and_continues():
@@ -235,5 +275,3 @@ def test_config_validation():
         McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, quantiles=(0.0, 0.5))
     with pytest.raises(ValidationError):
         McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, methods=("spline",))
-    with pytest.raises(ValidationError):
-        McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, workers=0)

@@ -1,5 +1,14 @@
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lljd.simulate
 
 from lljd.errors import NumericalError, ValidationError
 from lljd.simulate import (
@@ -12,14 +21,22 @@ from lljd.simulate import (
     default_model,
     derive_seeds,
     simulate_path,
+    simulate_paths,
 )
-from lljd.simulate import _cp_increments, _vg_increments
+from lljd.simulate import _cp_jumps, _vg_increments
+
+
+def cp_increments(lam, size, dt, rng, k):
+    at, inc = _cp_jumps(lam, size, dt, rng, k)
+    out = np.zeros(k)
+    out[at] = inc
+    return out
 
 
 def test_cp_zero_intensity_is_always_zero():
     rng = np.random.default_rng(0)
     size = JumpSizeDist("normal", 0.0, 1.0)
-    assert np.array_equal(_cp_increments(0.0, size, 1.0, rng, 50), np.zeros(50))
+    assert np.array_equal(cp_increments(0.0, size, 1.0, rng, 50), np.zeros(50))
 
 
 def test_cp_mean_jump_count_matches_poisson_oracle():
@@ -32,7 +49,7 @@ def test_cp_increment_variance_identity():
     # over unit time, Var = lam * E[Z^2] = 2 * 0.036^2 = 0.002592
     rng = np.random.default_rng(2)
     size = JumpSizeDist("normal", 0.0, 0.036)
-    draws = _cp_increments(2.0, size, 1.0, rng, 100_000)
+    draws = cp_increments(2.0, size, 1.0, rng, 100_000)
     assert draws.var() == pytest.approx(0.002592, rel=0.05)
 
 
@@ -146,3 +163,123 @@ def test_path_config_validation():
         PathConfig(t_span=1.0, n=10, seed=1, substeps=0)
     with pytest.raises(ValidationError):
         PathConfig(t_span=1.0, n=10, seed=1, burn_in=-1)
+
+
+def upfront_path(spec, cfg):
+    """Oracle: the Euler path with every draw taken up front from one
+    generator (all diffusion normals, then the jump component) and stepped
+    one scalar at a time."""
+    n_obs = cfg.burn_in + cfg.n + 2
+    m = cfg.substeps
+    k_total = (n_obs - 1) * m
+    dt = cfg.delta / m
+    rng = np.random.default_rng(cfg.seed)
+    z = (rng.standard_normal(k_total) * math.sqrt(dt)).tolist()
+    jump = spec.jump
+    j = np.zeros(k_total)
+    if isinstance(jump, CompoundPoisson) and jump.lam > 0:
+        j = cp_increments(jump.lam, jump.size, dt, rng, k_total)
+    elif isinstance(jump, VarianceGamma):
+        j = _vg_increments(jump.c, jump.eta, jump.b, dt, rng, k_total) - jump.c * dt
+    j = j.tolist()
+    xs, ys = [float(spec.x0)], [float(spec.y0)]
+    x, y = xs[0], ys[0]
+    for i in range(1, n_obs):
+        for k in range((i - 1) * m, i * m):
+            y += x * dt
+            x += spec.mu(x) * dt + spec.sigma(x) * z[k] + j[k]
+            if not -1e8 <= x <= 1e8:
+                raise NumericalError(f"state explosion at observation {i} (substep {k + 1}): "
+                                     f"x = {x!r}")
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs[cfg.burn_in:]), np.array(ys[cfg.burn_in:])
+
+
+def mixed_lanes():
+    cp = CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 0.036))
+    cauchy = CompoundPoisson(5.0, JumpSizeDist("cauchy", 0.01, 0.02))
+    return [
+        (default_model(), PathConfig(t_span=3.0, n=211, seed=1, burn_in=0)),
+        (default_model(jump=cp), PathConfig(t_span=10.0, n=433, seed=2, burn_in=37)),
+        (default_model(jump=cauchy), PathConfig(t_span=4.0, n=97, seed=3, burn_in=5)),
+        (default_model(jump=CompoundPoisson(0.0, JumpSizeDist("normal", 0.0, 1.0))),
+         PathConfig(t_span=2.0, n=150, seed=4, burn_in=11)),
+        (default_model(jump=VarianceGamma(-0.2, 0.2, 0.23)),
+         PathConfig(t_span=6.0, n=389, seed=5, burn_in=200)),
+        (default_model(jump=cp), PathConfig(t_span=1.0, n=2, seed=6, burn_in=0)),
+    ]
+
+
+def test_lanes_match_single_lane_paths_and_the_upfront_oracle(monkeypatch):
+    lanes = mixed_lanes()
+    oracle = [upfront_path(spec, cfg) for spec, cfg in lanes]
+    # blocks of 7 observations (one lane) or one and two (several lanes), and
+    # discards of 999 draws, divide no step count
+    monkeypatch.setattr(lljd.simulate, "BLOCK_VALUES", 75)
+    monkeypatch.setattr(lljd.simulate, "DISCARD_BLOCK", 999)
+    for (spec, cfg), (x, y) in zip(lanes, oracle):
+        path = simulate_path(spec, cfg)
+        assert np.array_equal(path.x, x) and np.array_equal(path.y, y)
+    order = list(range(len(lanes)))
+    for shuffle_seed in (None, 0, 1):
+        if shuffle_seed is not None:
+            random.Random(shuffle_seed).shuffle(order)
+        paths = simulate_paths([lanes[i] for i in order])
+        for i, path in zip(order, paths):
+            x, y = oracle[i]
+            assert np.array_equal(path.x, x) and np.array_equal(path.y, y)
+            assert (path.delta, path.seed) == (lanes[i][1].delta, lanes[i][1].seed)
+    y_only = simulate_paths(lanes, record_x=False)
+    assert all(p.x is None and np.array_equal(p.y, y) for p, (_, y) in zip(y_only, oracle))
+
+
+def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
+    boom = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 3e5)))
+    calm = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 0.036)))
+    lanes = [(boom, PathConfig(t_span=10.0, n=50, seed=s, burn_in=20))
+             for s in derive_seeds(1, 30)]
+    lanes += [(calm, PathConfig(t_span=10.0, n=n, seed=n, burn_in=20)) for n in (50, 80)]
+    alone = []
+    for spec, cfg in lanes:
+        try:
+            alone.append(simulate_path(spec, cfg))
+        except NumericalError as exc:
+            alone.append(exc)
+    failed = [str(a) for a in alone if isinstance(a, NumericalError)]
+    assert len(failed) == 3 and all("explosion at observation" in f for f in failed)
+    for together, single in zip(simulate_paths(lanes), alone):
+        if isinstance(single, NumericalError):
+            assert isinstance(together, NumericalError) and str(together) == str(single)
+        else:
+            assert np.array_equal(together.x, single.x) and np.array_equal(together.y, single.y)
+
+
+def test_lanes_must_share_the_state_equation():
+    cfg = PathConfig(t_span=1.0, n=10, seed=1)
+    with pytest.raises(ValidationError, match="share"):
+        simulate_paths([(default_model(), cfg), (default_model(x0=1.0), cfg)])
+    with pytest.raises(ValidationError, match="share"):
+        simulate_paths([(default_model(), cfg),
+                        (default_model(), PathConfig(t_span=1.0, n=10, seed=1, substeps=5))])
+    assert simulate_paths([]) == []
+
+
+def test_long_path_memory_is_its_retained_arrays():
+    # 200k observations, 2M Euler steps; the retained x and y take 3.2 MB.
+    # Measured as the growth of a fresh interpreter's peak RSS: tracemalloc
+    # traces every float of the Python step loop and would take a minute.
+    code = (
+        "import resource, lljd.simulate as s\n"
+        "model = s.default_model(jump=s.CompoundPoisson(2.0, s.JumpSizeDist('normal', 0.0, 0.036)))\n"
+        "s.simulate_path(model, s.PathConfig(t_span=1.0, n=2, seed=1))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "path = s.simulate_path(model, s.PathConfig(t_span=2000.0, n=200_000, seed=3))\n"
+        "assert len(path.y) == 200_002\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lljd.simulate.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    growth_kb = int(proc.stdout)
+    assert growth_kb < 16 * 1024
