@@ -169,14 +169,22 @@ def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
 
 def _bandwidth_record(choice: BandwidthChoice) -> dict:
     """The manifest's account of the bandwidth choice. A cross-validated h at
-    an edge of its grid is logged as a warning: the CV minimum may lie beyond."""
+    an edge of its grid is logged as a warning: the CV minimum may lie beyond.
+    The CV flatness is (max - min) / min over the finite CV values: how much
+    the choice of h matters on the grid (null when the minimum is 0)."""
     cv = choice.cv_curve
     edge = cv and choice.h in (cv[0][0], cv[-1][0])
     if edge:
         _log.warning("cross-validation chose h=%g at an edge of its grid [%g, %g]; "
                      "the CV minimum may lie beyond it", choice.h, cv[0][0], cv[-1][0])
+    flatness = None
+    if cv:
+        finite = [c for _, c in cv if np.isfinite(c)]
+        flatness = (max(finite) - min(finite)) / min(finite) if min(finite) > 0 else None
     return {"h": choice.h, "method": choice.method, "cv_grid_edge": edge,
-            "cv_degenerate_max": max(choice.cv_degenerate) if cv else None}
+            "cv_degenerate_max": max(choice.cv_degenerate) if cv else None,
+            "cv_backend": choice.cv_backend, "cv_exact_terms": choice.cv_exact_terms,
+            "cv_flatness": flatness}
 
 
 def _write_manifest(args, start: float, **diagnostics) -> float:

@@ -37,9 +37,14 @@ any number of bandwidths, with a leading bandwidth axis. Its callers read:
     second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
                                     normal equations, solved in one batch
     density_estimate                p=0: S_0 over every proxy, / (n h)
-    bandwidth.cross_validate        the p=0/1 fit at the regressor points,
-                                    with an exclusion window, for the whole
-                                    bandwidth grid in one pass
+    bandwidth.cross_validate        backend 'exact': the p=0/1 fit at the
+                                    regressor points, with an exclusion
+                                    window, for the whole bandwidth grid in
+                                    one pass. Backend 'binned' (the
+                                    default) takes the sums from FFTs of
+                                    binned points and calls this engine
+                                    only for its few ill-conditioned
+                                    leave-out fits
 
 S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are

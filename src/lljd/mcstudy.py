@@ -313,7 +313,10 @@ def _aggregate(cfg: McConfig, results: list, common_grid: np.ndarray) -> McRepor
         mean_curve = np.nanmean(mu_grid, axis=0)
         report.rmse[method] = float(np.sqrt(np.nanmean((mean_curve - truth) ** 2)))
         report.bias_at_quantiles[method] = [float(v) for v in np.nanmean(bias_q, axis=0)]
-        lo, hi = np.nanpercentile(mu_grid, [2.5, 97.5], axis=0)
+        # nanpercentile runs a Python-level quantile per grid column; without
+        # NaN, percentile gives the same values in one vectorised call
+        pct = np.nanpercentile if np.isnan(mu_grid).any() else np.percentile
+        lo, hi = pct(mu_grid, [2.5, 97.5], axis=0)
         report.mc_band[method] = {
             "grid": [float(v) for v in common_grid],
             "lo": [float(v) for v in lo],

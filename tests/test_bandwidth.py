@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,7 +18,9 @@ from lljd.estimators import (
     drift_responses,
     term_points,
 )
-from lljd.proxy import ProxySeries, build_proxy
+from lljd.kernels import EPANECHNIKOV, GAUSSIAN, Kernel
+from lljd.mcstudy import example_model
+from lljd.proxy import ProxySeries, build_log_proxy, build_proxy
 from lljd.simulate import ModelSpec, NoJumps, PathConfig, simulate_path
 
 
@@ -112,7 +115,7 @@ def oracle_case():
 def test_cv_matches_brute_force_oracle_and_is_u_shaped(alignment, method):
     xt, h_grid = oracle_case()
     cfg = EstimatorConfig(bandwidth=1.0, method=method, index_alignment=alignment)
-    choice = cross_validate(xt, h_grid, cfg)
+    choice = cross_validate(xt, h_grid, cfg, backend="exact")
     oracle = brute_force_cv(xt, h_grid, cfg)
     got = np.array([c for _, c in choice.cv_curve])
     assert np.allclose(got, oracle, rtol=1e-10)
@@ -129,7 +132,7 @@ def test_cv_matches_brute_force_oracle_under_tiny_tiles(monkeypatch):
     monkeypatch.setattr(estimators, "TILE_ELEMENTS", 16 * 100)
     xt, h_grid = oracle_case()
     cfg = EstimatorConfig(bandwidth=1.0)
-    got = np.array([c for _, c in cross_validate(xt, h_grid, cfg).cv_curve])
+    got = np.array([c for _, c in cross_validate(xt, h_grid, cfg, "exact").cv_curve])
     assert np.allclose(got, brute_force_cv(xt, h_grid, cfg), rtol=1e-10)
 
 
@@ -145,7 +148,8 @@ def test_cv_scores_the_whole_grid_in_one_engine_pass(monkeypatch, n_grid):
     monkeypatch.setattr(estimators, "_power_sums", counted)
     rng = np.random.default_rng(14)
     xt = series(np.cumsum(rng.normal(0.0, 0.1, 80)))
-    choice = cross_validate(xt, np.geomspace(0.05, 1.0, n_grid), EstimatorConfig(1.0))
+    choice = cross_validate(xt, np.geomspace(0.05, 1.0, n_grid), EstimatorConfig(1.0),
+                            backend="exact")
     assert len(calls) == 1 and len(choice.cv_curve) == n_grid
 
 
@@ -162,7 +166,7 @@ def test_cv_working_memory_stays_small():
     grid = default_cv_grid(rule_of_thumb(xt).h)
     tracemalloc.start()
     try:
-        choice = cross_validate(xt, grid, EstimatorConfig(1.0))
+        choice = cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,3 +259,128 @@ def test_default_cv_grid_brackets_pilot():
     assert len(grid) == 25
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(2.5)
     assert np.all(np.diff(grid) > 0)
+
+
+def binned_panel():
+    """Pinned simulated paths: the five-minute benchmark model over 30 days
+    and the mean-reverting compound Poisson model over T = 10."""
+    out = []
+    for which, t_span, n in ((2, 30.0, 1440), (1, 10.0, 1000)):
+        for seed in (1, 2):
+            path = simulate_path(example_model(which), PathConfig(t_span=t_span, n=n, seed=seed))
+            out.append(build_proxy(path.y, path.delta))
+    return out
+
+
+def assert_backends_agree(xt, grid, cfg):
+    """Binned CV against its exact oracle: the same h and degenerate counts,
+    NaN in the same places and every CV value within 1e-4 relative."""
+    exact = cross_validate(xt, grid, cfg, backend="exact")
+    binned = cross_validate(xt, grid, cfg, backend="binned")
+    assert binned.cv_backend == "binned"
+    assert binned.h == exact.h and binned.cv_degenerate == exact.cv_degenerate
+    want = np.array([c for _, c in exact.cv_curve])
+    got = np.array([c for _, c in binned.cv_curve])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.allclose(got, want, rtol=1e-4, atol=0.0, equal_nan=True)
+    return exact, binned
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
+@pytest.mark.parametrize("method", [LOCAL_LINEAR, NADARAYA_WATSON])
+def test_binned_cv_agrees_with_exact_on_a_pinned_panel(kernel, method):
+    fallbacks = degenerate = 0
+    for xt in binned_panel():
+        grid = default_cv_grid(rule_of_thumb(xt).h)
+        exact, binned = assert_backends_agree(xt, grid, EstimatorConfig(1.0, kernel, method))
+        fallbacks += binned.cv_exact_terms
+        degenerate += sum(exact.cv_degenerate)
+    # the panel reaches the fallback and the degenerate penalty
+    assert fallbacks > 0 and degenerate > 0
+
+
+def test_binned_cv_keeps_the_degenerate_penalty_pattern():
+    # the far outliers of the penalty test: h = 1e-4 is too narrow for the
+    # bins and is scored exactly; at the wider h the outliers' leave-out fits
+    # are empty and fall back to the exact engine, which finds them degenerate
+    xt = series(np.concatenate([np.linspace(0, 1, 30), [50.0, 50.001, 50.002, 50.003]]))
+    grid = np.array([1e-4, 0.2, 0.5, 1.0])
+    _, binned = assert_backends_agree(xt, grid, EstimatorConfig(1.0))
+    assert binned.cv_degenerate[0] == 32 and min(binned.cv_degenerate[1:]) > 0
+    assert np.isnan(binned.cv_curve[0][1])
+    # 32 terms at h = 1e-4, then the two outlier terms at each wider h
+    assert binned.cv_exact_terms >= 32 + 2 * 3
+
+
+@pytest.mark.parametrize("n_terms", [2_000, 20_000])
+def test_binned_cv_working_memory_stays_small(n_terms):
+    # the bins and one bandwidth's sums: O(n + bins), no [H, n] arrays; the
+    # 25 x 20,000 float64 arrays of a whole-grid pass would be 4 MB each
+    rng = np.random.default_rng(16)
+    noise = rng.normal(0.0, 0.1, n_terms + 2)
+    x = np.empty_like(noise)
+    x[0] = 0.0
+    for i in range(1, len(x)):
+        x[i] = 0.9 * x[i - 1] + noise[i]
+    xt = series(x, delta=0.01)
+    grid = default_cv_grid(rule_of_thumb(xt).h)
+    cross_validate(xt, grid[:1], EstimatorConfig(1.0))  # first-call imports
+    tracemalloc.start()
+    try:
+        choice = cross_validate(xt, grid, EstimatorConfig(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert choice.cv_backend == "binned" and len(choice.cv_curve) == 25
+    assert peak < 8e6
+
+
+def test_cv_backend_selection():
+    xt = series(np.cumsum(np.random.default_rng(17).normal(0.0, 0.1, 80)))
+    grid = np.geomspace(0.05, 1.0, 3)
+    as_written = EstimatorConfig(1.0, index_alignment="as_written")
+    custom = EstimatorConfig(1.0, Kernel("box", lambda u: 0.5 * (np.abs(u) <= 1.0), 1.0))
+    assert cross_validate(xt, grid).cv_backend == "binned"
+    for cfg in (as_written, custom):
+        choice = cross_validate(xt, grid, cfg)
+        assert (choice.cv_backend, choice.cv_exact_terms) == ("exact", 3 * 78)
+    with pytest.raises(ValidationError, match="unknown CV backend"):
+        cross_validate(xt, grid, backend="fft")
+
+
+def test_binned_cv_scores_bandwidths_below_the_bin_resolution_exactly():
+    # one far outlier stretches the bins to ~0.06 wide: the two smaller h
+    # span fewer than CV_BINS_PER_H bins and are scored by the exact engine
+    rng = np.random.default_rng(18)
+    xt = series(np.insert(rng.normal(0.0, 1.0, 1500), 700, 1000.0))
+    _, binned = assert_backends_agree(xt, np.array([0.05, 0.3, 3.0]), EstimatorConfig(1.0))
+    assert binned.cv_exact_terms >= 2 * 1499
+
+
+def test_binned_cv_matches_exact_at_epanechnikov_support_edges():
+    # five-minute stand-in (panel entry 12 of the benchmark), smallest three h
+    # of its default grid: sparse-tail terms keep one term inside the support
+    # after deletion, which exactly is a degenerate design, and terms just
+    # beyond the support enter the binned sums with small weights; without
+    # the kernel-mass test those fits looked well conditioned, and the
+    # degenerate counts and CV values (7e-4 relative) differed from exact
+    model = dataclasses.replace(example_model(2), x0=0.0, y0=math.log(2000.0))
+    path = simulate_path(model, PathConfig(t_span=100.0, n=4800, seed=12))
+    xt = build_log_proxy(np.exp(path.y), 1.0 / 48)
+    grid = default_cv_grid(rule_of_thumb(xt).h)[:3]
+    exact, _ = assert_backends_agree(xt, grid, EstimatorConfig(1.0, EPANECHNIKOV))
+    assert min(exact.cv_degenerate) > 0
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
+def test_binned_cv_matches_exact_on_tied_tail_points(kernel):
+    # six tied values in the tail: a leave-out fit there rests on five terms
+    # at one place, an exactly collinear design, but their bins spread them
+    # by up to a bin; the spread test hands those fits to the exact engine
+    rng = np.random.default_rng(20)
+    x = rng.normal(0.0, 1.0, 600)
+    x[[100, 200, 300, 400, 500, 550]] = 6.0
+    x[250] = 9.0  # keeps the tied value off the last bin
+    grid = np.geomspace(0.05, 0.5, 4)
+    exact, _ = assert_backends_agree(series(x), grid, EstimatorConfig(1.0, kernel))
+    assert max(exact.cv_degenerate) >= 7

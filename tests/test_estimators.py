@@ -309,7 +309,7 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
             out += [est.mu_hat, est.m_hat, est.n_eff]
         out.append(second_derivative_fit(xt, resp.T, grid, kernel, 2 * h).T)
         out.append(density_estimate(xt, grid, kernel, h))
-        cv = cross_validate(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel))
+        cv = cross_validate(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel), "exact")
         out.append(np.array([c for _, c in cv.cv_curve]))
         return out
 

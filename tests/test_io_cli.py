@@ -319,6 +319,7 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         return manifest["diagnostics"]["bandwidth"]
 
+    pairs = 25 * 149  # (h, term) pairs: 25 grid points by the 149 terms of a path
     # seed 2: CV picks an interior h; seed 3: the upper edge of the default grid
     for seed, edge in ((2, False), (3, True)):
         assert main(["simulate", "--t", "2", "--n", "150", "--seed", str(seed),
@@ -331,6 +332,10 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
         assert record["cv_grid_edge"] is edge
         assert record["cv_grid_edge"] == (record["h"] in (cv["h"][0], cv["h"][-1]))
         assert record["cv_degenerate_max"] == int(cv["degenerate"].max())
+        assert record["cv_backend"] == "binned"
+        assert 0 <= record["cv_exact_terms"] < pairs
+        lo, hi = cv["cv"].min(), cv["cv"].max()
+        assert record["cv_flatness"] == pytest.approx((hi - lo) / lo, rel=1e-12)
         logged = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(logged) == int(edge)
     assert "edge of its grid" in logged[0].getMessage()
@@ -341,8 +346,13 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
     assert proc.returncode == 0 and "edge of its grid" in proc.stderr
     assert main(estimate) == 0
     record = bandwidth_record()
-    assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"]) == (
-        "rule_of_thumb", None, None)
+    assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"],
+            record["cv_backend"], record["cv_exact_terms"], record["cv_flatness"]) == (
+        "rule_of_thumb", None, None, None, None, None)
+    # as-written indexing is scored by the exact engine, every (h, term) pair
+    assert main(estimate + ["--h", "cv", "--alignment", "as_written"]) == 0
+    record = bandwidth_record()
+    assert (record["cv_backend"], record["cv_exact_terms"]) == ("exact", pairs)
 
 
 def test_cli_estimate_accepts_proxy_input(tmp_path):
@@ -419,6 +429,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_import_keeps_scipy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, lljd.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_keeps_numpy_fft_unloaded():
+    # only binned cross-validation needs numpy.fft; it imports it on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, lljd.cli; sys.exit('numpy.fft' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -218,6 +218,25 @@ def test_mc_band_contains_truth_at_central_point():
     )
 
 
+def test_mc_band_percentiles_match_nan_aware_percentiles():
+    # the band takes plain percentiles when no replicate curve has NaN; they
+    # must equal the NaN-aware ones bit for bit, and NaN must still be skipped
+    cfg = McConfig(model=example_model(1), t_span=10.0, n=50, replicates=40,
+                   master_seed=1, methods=("local_linear",))
+    grid = np.linspace(-0.5, 0.5, 7)
+    curves = np.random.default_rng(3).normal(size=(40, 7))
+    holed = curves.copy()
+    holed[::3, 2] = np.nan
+    for mu in (curves, holed):
+        results = [{"local_linear": {"mu_grid": row, "bias_q": np.zeros(len(cfg.quantiles)),
+                                     "mu_at_x": float(i), "m_at_x": 0.0}}
+                   for i, row in enumerate(mu)]
+        band = lljd.mcstudy._aggregate(cfg, results, grid).mc_band["local_linear"]
+        lo, hi = np.nanpercentile(mu, [2.5, 97.5], axis=0)
+        assert band["lo"] == lo.tolist() and band["hi"] == hi.tolist()
+    assert np.all(np.isfinite(band["lo"]))
+
+
 def test_qq_data_normal_sample_passes_ks_screen():
     # 1% critical value for the Kolmogorov distance is about 1.63/sqrt(n)
     crit = 1.63 / np.sqrt(500)
