@@ -22,6 +22,7 @@ from .estimators import EstimatorConfig, default_grid, estimate_curve
 from .inference import attach_bands
 from .io import (
     RunManifest,
+    csv_header,
     emit_report,
     ingest_prices,
     read_columns_csv,
@@ -187,6 +188,19 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
             "cv_flatness": flatness}
 
 
+class _Stages:
+    """Seconds per named stage of a run; each lap runs from the previous one."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.seconds = {}
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = self.seconds.get(name, 0.0) + now - self._last
+        self._last = now
+
+
 def _write_manifest(args, start: float, **diagnostics) -> float:
     """Write the manifest of the command's --out artifact; returns the runtime.
 
@@ -206,15 +220,20 @@ def _write_manifest(args, start: float, **diagnostics) -> float:
     return runtime
 
 
-def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, start: float,
+def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages: _Stages,
                    choice: BandwidthChoice):
     """Shared tail of estimate and empirical: fit both curves at the chosen h,
-    attach bands when --bands is given, write the curve CSV and its manifest."""
+    attach bands when --bands is given, write the curve CSV and its manifest,
+    which records the seconds of each stage."""
     est = estimate_curve(series, grid, replace(cfg, bandwidth=choice.h))
+    stages.lap("fit")
     if args.bands is not None:
         attach_bands(est, series, alpha=args.bands, pilot_h=args.pilot_mult * est.h)
+        stages.lap("bands")
     write_curve_csv(args.out, est)
-    _write_manifest(args, start, bandwidth=_bandwidth_record(choice))
+    stages.lap("write")
+    _write_manifest(args, stages.start, bandwidth=_bandwidth_record(choice),
+                    stages=stages.seconds)
     return est
 
 
@@ -240,7 +259,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_series(args) -> ProxySeries:
-    cols = read_columns_csv(args.infile)
+    """The proxy series of --in. Only the columns used are parsed: xtilde (or
+    else y) and, without --delta, t; any other column may hold anything."""
+    header = csv_header(args.infile)
+    names = [name for name in ("xtilde", "y") if name in header][:1]
+    if not names:
+        raise ValidationError(f"{args.infile}: need an 'xtilde' or 'y' column")
+    if args.delta is None and "t" in header:
+        names.append("t")
+    cols = read_columns_csv(args.infile, names)
     if args.delta is not None:
         delta = _parse_delta(args.delta)
     elif "t" in cols and len(cols["t"]) > 1:
@@ -254,24 +281,25 @@ def _load_series(args) -> ProxySeries:
         raise ValidationError(f"{args.infile}: no time column; pass --delta")
     if "xtilde" in cols:
         return ProxySeries(delta=delta, xt=cols["xtilde"])
-    if "y" in cols:
-        return build_proxy(cols["y"], delta)
-    raise ValidationError(f"{args.infile}: need an 'xtilde' or 'y' column")
+    return build_proxy(cols["y"], delta)
 
 
 def _cmd_estimate(args) -> int:
-    start = time.perf_counter()
+    stages = _Stages()
     series = _load_series(args)
+    stages.lap("ingest")
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel), METHOD_ALIASES[args.method],
                           args.alignment)
     choice = _choose_bandwidth(args.h, series, cfg)
+    stages.lap("bandwidth")
+    if args.cv_out and choice.cv_curve:
+        write_cv_csv(args.cv_out, choice)
+        stages.lap("write")
     if args.grid_lo is not None and args.grid_hi is not None:
         grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
     else:
         grid = default_grid(series, args.grid_n)
-    if args.cv_out and choice.cv_curve:
-        write_cv_csv(args.cv_out, choice)
-    est = _fit_and_write(args, series, grid, cfg, start, choice)
+    est = _fit_and_write(args, series, grid, cfg, stages, choice)
     print(
         f"wrote {args.out} (h={est.h:g}, method={est.method}, "
         f"{est.undefined_count} undefined grid points)"
@@ -336,14 +364,17 @@ def _cmd_mc_study(args) -> int:
 
 
 def _cmd_empirical(args) -> int:
-    start = time.perf_counter()
+    stages = _Stages()
     delta = _parse_delta(args.delta)
     series, info = ingest_prices(args.infile, args.price_col, delta)
+    stages.lap("ingest")
     if args.proxy_out:
         write_proxy_csv(args.proxy_out, series)
+        stages.lap("write")
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel))
     choice = _choose_bandwidth(args.h, series, cfg)
-    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, start, choice)
+    stages.lap("bandwidth")
+    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, stages, choice)
     print(
         f"ingested {info['rows']} prices (delta={delta:g}, uniform steps assumed); "
         f"wrote {args.out} (h={est.h:g})"

@@ -33,10 +33,15 @@ any number of bandwidths, with a leading bandwidth axis. Its callers read:
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
                                     p=0: the Nadaraya-Watson mean T_0 / S_0
     estimate_curves                 both from one p=1 pass: the NW sums are
-                                    its j = 0 sums
+                                    its j = 0 sums. The pass fits three
+                                    responses, drift, second moment and the
+                                    fourth power the bands need, and its S_0
+                                    is the bands' density up to the two
+                                    trailing proxies
     second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
                                     normal equations, solved in one batch
-    density_estimate                p=0: S_0 over every proxy, / (n h)
+    density_estimate                p=0: S_0 over every proxy, / (n h); the
+                                    oracle of the bands' density
     bandwidth.cross_validate        backend 'exact': the p=0/1 fit at the
                                     regressor points, with an exclusion
                                     window, for the whole bandwidth grid in
@@ -85,6 +90,7 @@ __all__ = [
     "default_grid",
     "drift_responses",
     "second_moment_responses",
+    "fourth_moment_responses",
     "ll_weights",
     "fit_responses",
     "estimate_curve",
@@ -136,7 +142,9 @@ class CurveEstimate:
 
     n_eff[k] is the kernel mass at grid[k]; points below the degeneracy floor
     are NaN and counted in undefined_count. m_hat is deliberately not clipped
-    at zero: negative values flag under-smoothed regions.
+    at zero: negative values flag under-smoothed regions. m4_hat is the raw
+    fit of the fourth-power responses, the variance plug-in of the
+    second-moment band.
     """
 
     grid: np.ndarray
@@ -150,6 +158,7 @@ class CurveEstimate:
     undefined_count: int
     kernel: Kernel = GAUSSIAN
     index_alignment: str = "aligned"
+    m4_hat: Optional[np.ndarray] = field(default=None, repr=False)
     bands: Optional["object"] = field(default=None, repr=False)
 
 
@@ -183,6 +192,11 @@ def second_moment_responses(xt: ProxySeries, rescaled: bool = True) -> np.ndarra
     arr = _check_series(xt)
     out = (arr[2:] - arr[1:-1]) ** 2 / xt.delta
     return 1.5 * out if rescaled else out
+
+
+def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
+    arr = _check_series(xt)
+    return (arr[2:] - arr[1:-1]) ** 4 / xt.delta
 
 
 def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner") -> np.ndarray:
@@ -305,21 +319,25 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
     """estimate_curve for each of `methods` (overriding cfg.method), keyed by
     method, from one pass of the kernel sums: the Nadaraya-Watson sums are
     the j = 0 sums of the local linear pass, so every curve has the bits of
-    its own estimate_curve."""
+    its own estimate_curve. The pass also fits the fourth-power responses,
+    which the bands need (m4_hat)."""
     if grid is None:
         grid = default_grid(xt)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     kpts, ppts = term_points(xt, cfg.index_alignment)
-    responses = np.column_stack([drift_responses(xt), second_moment_responses(xt)])
+    responses = np.column_stack(
+        [drift_responses(xt), second_moment_responses(xt), fourth_moment_responses(xt)]
+    )
     degree = 0 if set(methods) == {NADARAYA_WATSON} else 1
     s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth, degree)
     out = {}
     for method in methods:
-        (mu_hat, m_hat), n_eff, ok = _closed_form(s[0], t[0], method, len(kpts))
+        (mu_hat, m_hat, m4_hat), n_eff, ok = _closed_form(s[0], t[0], method, len(kpts))
         out[method] = CurveEstimate(
             grid=grid,
             mu_hat=mu_hat,
             m_hat=m_hat,
+            m4_hat=m4_hat,
             h=cfg.bandwidth,
             n_eff=n_eff,
             delta=xt.delta,

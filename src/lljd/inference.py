@@ -12,6 +12,15 @@ V the kernel variance constant and p_hat the kernel density of the proxies.
 The curvature mu'' comes from a local cubic fit at a pilot bandwidth (second
 derivatives need more smoothing than the curve itself).
 
+The bands add one kernel pass to the curve fit: that local cubic pass, for
+both curvatures. The rest comes from the curve pass at h. Its kernel mass
+n_eff is S_0 over the kernel points xt[0..m-3] (under either alignment), so
+the density adds only the kernel weights of the two trailing proxies:
+p_hat = (n_eff + K_{m-2} + K_{m-1}) / (m h). The fourth-moment plug-in is
+the estimate's m4_hat, a third response column of the same pass.
+`estimators.density_estimate` and `estimators.fit_responses` compute both
+from their own passes and are the oracles of this route.
+
 The second-moment band replaces M_hat/p_hat by a plug-in for the local fourth
 jump moment: second differences of an integrated path attenuate fourth-power
 jump mass by the factor 2/5 (a jump lands uniformly inside the double window
@@ -33,11 +42,9 @@ from .errors import ValidationError
 from .estimators import (
     LOCAL_LINEAR,
     CurveEstimate,
-    EstimatorConfig,
     _check_series,
-    density_estimate,
     drift_responses,
-    fit_responses,
+    fourth_moment_responses,
     second_derivative_fit,
     second_moment_responses,
 )
@@ -77,11 +84,6 @@ class ConfidenceBands:
     undefined_m: int = 0
 
 
-def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
-    arr = _check_series(xt)
-    return (arr[2:] - arr[1:-1]) ** 4 / xt.delta
-
-
 def _normal_critical(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1-alpha/2}."""
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
@@ -95,19 +97,24 @@ def _bands(
     bias_corrected: bool,
     curves: tuple,
 ) -> ConfidenceBands:
-    """Bands for the named curves ("mu", "m"). They share one density pass
-    and one local cubic pass for their curvatures."""
+    """Bands for the named curves ("mu", "m"). Their one kernel pass is the
+    local cubic pass for both curvatures; the density and the fourth-moment
+    plug-in come from the estimate's own pass (see the module docstring)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if est.method != LOCAL_LINEAR:
         raise ValidationError("confidence bands are defined for the local linear fit")
+    if est.m4_hat is None:
+        raise ValidationError("the estimate carries no fourth-moment fit; use estimate_curve")
     if pilot_h is None:
         pilot_h = 2.0 * est.h
     if not (pilot_h > 0 and math.isfinite(pilot_h)):
         raise ValidationError(f"pilot bandwidth must be positive, got {pilot_h}")
     z = _normal_critical(alpha)
     mom = moments(est.kernel)
-    p_hat = density_estimate(xt, est.grid, est.kernel, est.h)
+    arr = _check_series(xt)
+    tail = est.kernel.eval((arr[-2:, None] - est.grid) / est.h)
+    p_hat = (est.n_eff + tail[0] + tail[1]) / (len(arr) * est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
     if bias_corrected:
         responses = {"mu": drift_responses, "m": second_moment_responses}
@@ -126,14 +133,7 @@ def _bands(
         if name == "mu":
             estimate, spread = est.mu_hat, est.m_hat
         else:
-            cfg = EstimatorConfig(
-                bandwidth=est.h,
-                kernel=est.kernel,
-                method=LOCAL_LINEAR,
-                index_alignment=est.index_alignment,
-            )
-            c4_raw, _, _ = fit_responses(xt, fourth_moment_responses(xt), est.grid, cfg)
-            estimate, spread = est.m_hat, FOURTH_MOMENT_SCALE * c4_raw
+            estimate, spread = est.m_hat, FOURTH_MOMENT_SCALE * est.m4_hat
         bias = 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
         ok = (
             np.isfinite(estimate)

@@ -1,11 +1,14 @@
 """CSV ingestion and artifacts, reports and run manifests.
 
-One reader and one writer serve every CSV. `read_columns_csv` parses the
-numeric cells in one `np.loadtxt` call and names the first offending line of
-a malformed file; `write_table` writes named columns with floats in shortest
-exact round-trip form. Data artifacts carry no timestamps: each gets a sibling
-``<name>.manifest.json`` recording the command, parameters, seeds, input
-digests, library version and the only timestamp.
+One reader and one writer serve every CSV. `read_columns_csv` counts the
+file's lines and parses the numeric cells in one `np.loadtxt` call; only when
+that parse fails or yields fewer rows than there are lines does it rescan
+the file to name the first offending line. `write_table` writes named
+columns in blocks of rows, with floats in shortest exact round-trip form, so
+its memory does not grow with the table. Data artifacts carry no
+timestamps: each gets a sibling ``<name>.manifest.json`` recording the
+command, parameters, seeds, input digests, library version and the only
+timestamp.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,8 +39,13 @@ __all__ = [
     "write_curve_csv",
     "write_cv_csv",
     "write_table",
+    "csv_header",
     "read_columns_csv",
 ]
+
+# Rows that write_table formats at a time: its working memory is that many
+# rows of Python strings, however long the table.
+WRITE_BLOCK_ROWS = 1 << 14
 
 
 def fmt_float(x) -> str:
@@ -139,11 +148,18 @@ def write_table(path, columns: dict) -> Path:
     """Write equal-length named columns as a headed CSV, one row per index.
 
     Floats are written with `fmt_float`, anything else (ints, labels) with `str`.
+    Rows are formatted and written WRITE_BLOCK_ROWS at a time.
     """
-    cells = [_cell_text(column) for column in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValidationError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
+    with out.open("w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for r0 in range(0, n_rows, WRITE_BLOCK_ROWS):
+            cells = [_cell_text(c[r0 : r0 + WRITE_BLOCK_ROWS]) for c in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return out
 
 
@@ -174,48 +190,70 @@ def write_cv_csv(path, choice) -> Path:
     return write_table(path, {"h": h, "cv": cv, "degenerate": choice.cv_degenerate})
 
 
-def read_columns_csv(path, columns=None) -> dict:
-    """Read a headed numeric CSV into named float arrays.
-
-    With `columns` None every cell is parsed and every row must have one cell
-    per header name; otherwise only the named columns are parsed and every
-    row must reach them. Errors name the first offending line.
-    """
+def csv_header(path) -> list:
+    """The stripped column names of a headed CSV."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        n_rows = 0
-        for n_rows, line in enumerate(fh, start=1):  # np.loadtxt skips empty lines
-            if not line.replace(",", "").strip():
-                raise ValidationError(f"{path}: blank row at line {n_rows + 1}")
-    header = [h.strip() for h in header]
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    return [h.strip() for h in header]
+
+
+def _count_lines(path) -> int:
+    """Lines in the file, a last line without a newline included."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return lines + (last != b"\n")
+
+
+def read_columns_csv(path, columns=None) -> dict:
+    """Read a headed numeric CSV into named float arrays.
+
+    With `columns` None every cell is parsed and every row must have one cell
+    per header name; otherwise only the named columns are parsed and every
+    row must reach them. A well-formed file is parsed in bulk with no
+    per-line Python work. Errors name the first offending line.
+    """
+    header = csv_header(path)
+    path = Path(path)
     names = header if columns is None else list(columns)
     for name in names:
         if name not in header:
             raise ValidationError(f"{path}: missing column {name!r} (header: {header})")
+    n_rows = _count_lines(path) - 1
     if n_rows == 0:
         return {name: np.empty(0) for name in names}
     usecols = None if columns is None else [header.index(name) for name in names]
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, quotechar='"',
-                          ndmin=2, usecols=usecols)
+        # np.loadtxt skips blank lines, so a blank row shows as a row shortfall
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              quotechar='"', ndmin=2, usecols=usecols)
         if data.shape[1] != len(names):
             raise ValueError(f"rows have {data.shape[1]} cells, expected {len(names)}")
+        if len(data) < n_rows:
+            raise ValueError(f"parsed {len(data)} rows from {n_rows} lines")
     except ValueError as exc:
         raise ValidationError(f"{path}: {_first_bad_cell(path, header, usecols) or exc}") from None
     return dict(zip(names, data.T.copy()))
 
 
 def _first_bad_cell(path, header, usecols):
-    """The first short, long or unparseable row, or None: why a bulk parse failed."""
+    """The first blank, short, long or unparseable row, or None: why a bulk
+    parse failed."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         next(rows)
         for line, row in enumerate(rows, start=2):
+            if not "".join(row).strip():
+                return f"blank row at line {line}"
             if usecols is None and len(row) != len(header):
                 return f"row at line {line} has {len(row)} cells, expected {len(header)}"
             for j in usecols or range(len(header)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -342,9 +343,9 @@ def qq_data(standardized) -> tuple[np.ndarray, float]:
 
     Returns (pairs, ks): pairs[:, 0] are standard normal quantiles at the
     plotting positions (i - 0.5)/n, pairs[:, 1] the sorted sample values.
+    The KS distance has the closed form max over i of
+    max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n).
     """
-    from scipy import stats  # only QQ extracts need it; keeps it off CLI start-up
-
     values = np.asarray(standardized, dtype=float)
     if values.ndim != 1 or len(values) < 20:
         raise ValidationError("need at least 20 values for QQ diagnostics")
@@ -354,8 +355,11 @@ def qq_data(standardized) -> tuple[np.ndarray, float]:
     std = (values - float(np.mean(values))) / sd
     srt = np.sort(std)
     n = len(srt)
-    theo = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
-    ks = float(stats.kstest(std, "norm").statistic)
+    normal = NormalDist()
+    rank = np.arange(1, n + 1)
+    theo = np.array([normal.inv_cdf(p) for p in ((rank - 0.5) / n).tolist()])
+    cdf = np.array([normal.cdf(z) for z in srt.tolist()])
+    ks = float(max(np.max(rank / n - cdf), np.max(cdf - (rank - 1) / n)))
     return np.column_stack([theo, srt]), ks
 
 

@@ -6,15 +6,26 @@ from scipy import stats
 
 from lljd.bandwidth import rule_of_thumb
 from lljd.errors import ValidationError
+from lljd import estimators
 from lljd.estimators import (
     NADARAYA_WATSON,
     EstimatorConfig,
+    density_estimate,
     drift_responses,
     estimate_curve,
+    fit_responses,
     second_derivative_fit,
+    second_moment_responses,
 )
-from lljd.inference import _normal_critical, attach_bands, m_band, mu_band
-from lljd.kernels import GAUSSIAN, bias_constant, moments
+from lljd.inference import (
+    FOURTH_MOMENT_SCALE,
+    _normal_critical,
+    attach_bands,
+    fourth_moment_responses,
+    m_band,
+    mu_band,
+)
+from lljd.kernels import EPANECHNIKOV, GAUSSIAN, bias_constant, moments
 from lljd.proxy import build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
@@ -141,3 +152,75 @@ def test_alpha_validation():
     for bad in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValidationError):
             mu_band(est, pr, alpha=bad)
+
+
+def oracle_bands(est, pr, alpha, pilot_h):
+    """The bands from separate passes: the density and the fourth-moment fit
+    of their own, as the band formula reads in the module docstring."""
+    mom = moments(est.kernel)
+    z = _normal_critical(alpha)
+    p_hat = density_estimate(pr, est.grid, est.kernel, est.h)
+    cfg = EstimatorConfig(est.h, est.kernel, index_alignment=est.index_alignment)
+    c4_raw, _, _ = fit_responses(pr, fourth_moment_responses(pr), est.grid, cfg)
+    rate = np.sqrt(est.n_terms * est.delta * est.h)
+    out = {}
+    for name, resp, estimate, spread in (
+        ("mu", drift_responses(pr), est.mu_hat, est.m_hat),
+        ("m", second_moment_responses(pr), est.m_hat, FOURTH_MOMENT_SCALE * c4_raw),
+    ):
+        c2 = second_derivative_fit(pr, resp, est.grid, est.kernel, pilot_h, est.index_alignment)
+        center = estimate - 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
+        ok = np.isfinite(center) & (p_hat > 1e-10) & np.isfinite(spread) & (spread >= 0.0)
+        half = z * np.sqrt(mom.v * np.where(ok, spread, np.nan) / p_hat) / rate
+        out[f"lo_{name}"], out[f"hi_{name}"] = center - half, center + half
+    return out
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+def test_bands_from_the_curve_pass_match_separate_density_and_fourth_moment_passes(
+    kernel, alignment
+):
+    path = simulate_path(example_model(1), PathConfig(10.0, 1500, seed=8))
+    pr = build_proxy(path.y, path.delta)
+    h = rule_of_thumb(pr).h
+    # the inner grid, and points where some or every kernel weight vanishes
+    grid = np.concatenate([np.linspace(-0.6, 0.6, 41), [-30.0, 30.0]])
+    est = estimate_curve(pr, grid, EstimatorConfig(h, kernel, index_alignment=alignment))
+    cfg = EstimatorConfig(h, kernel, index_alignment=alignment)
+    m4_oracle, _, _ = fit_responses(pr, fourth_moment_responses(pr), grid, cfg)
+    assert_column_agree(est.m4_hat, m4_oracle)
+    bands = attach_bands(est, pr, alpha=0.05, pilot_h=2.0 * h)
+    for name, want in oracle_bands(est, pr, 0.05, 2.0 * h).items():
+        assert_column_agree(getattr(bands, name), want)
+    assert np.isnan(bands.lo_m[-2:]).all() and np.isfinite(bands.lo_m[:-2]).any()
+
+
+def assert_column_agree(got, want):
+    """Same NaN pattern, values within 1e-12 of the column's largest magnitude."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = np.isfinite(want)
+    scale = np.max(np.abs(want[ok]))
+    assert np.max(np.abs(got[ok] - want[ok])) <= 1e-12 * scale
+
+
+def test_bands_add_only_the_local_cubic_kernel_pass(monkeypatch):
+    est, pr = fitted(seed=9, n=400)
+    degrees = []
+    power_sums = estimators._power_sums
+
+    def counted(*args, **kwargs):
+        degrees.append(args[6])
+        return power_sums(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_power_sums", counted)
+    attach_bands(est, pr, alpha=0.05)
+    assert degrees == [3]
+    estimate_curve(pr, est.grid, EstimatorConfig(est.h))
+    assert degrees == [3, 1]
+
+
+def test_band_needs_the_fourth_moment_fit_of_the_estimate():
+    est, pr = fitted(seed=10, n=400)
+    with pytest.raises(ValidationError, match="fourth-moment"):
+        m_band(replace(est, m4_hat=None), pr)

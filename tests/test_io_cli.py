@@ -24,6 +24,7 @@ from lljd.io import (
     write_cv_csv,
     write_path_csv,
     write_proxy_csv,
+    write_table,
 )
 from lljd.mcstudy import McConfig, run_study
 from lljd.proxy import ProxySeries, build_proxy
@@ -58,6 +59,34 @@ def test_ingest_blank_row_reports_line(tmp_path):
             ingest_prices(f, "close", delta=1.0)
         with pytest.raises(ValidationError, match="blank row at line 3"):
             read_columns_csv(f)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("t,close\n0,100\n1,101\n\n", 4),  # a trailing blank line
+    ("t,close\n0,100\n1,101\n   ", 4),  # a whitespace-only last line, no newline
+    ("t,close\n\n", 2),
+    ("t,close\n0,100\n\n1,101", 3),  # the last row, without a newline, still counts
+])
+def test_read_columns_row_shortfall_is_a_blank_row(tmp_path, text, line):
+    # np.loadtxt skips these lines; the reader counts lines and notices
+    f = tmp_path / "p.csv"
+    f.write_text(text)
+    for columns in (None, ["close"]):
+        with pytest.raises(ValidationError, match=f"blank row at line {line}$"):
+            read_columns_csv(f, columns)
+
+
+def test_read_columns_scans_lines_only_when_the_bulk_parse_falls_short(tmp_path, monkeypatch):
+    import lljd.io
+
+    def no_scan(*args):
+        raise AssertionError("a well-formed file was rescanned")
+
+    monkeypatch.setattr(lljd.io, "_first_bad_cell", no_scan)
+    f = write_prices(tmp_path / "p.csv", ["0,100", "1,101.5", "2,99"])
+    assert np.array_equal(read_columns_csv(f)["close"], [100.0, 101.5, 99.0])
+    f.write_text("t,close\n0,100\n1,101.5")  # no newline after the last row
+    assert np.array_equal(read_columns_csv(f, ["t"])["t"], [0.0, 1.0])
 
 
 def test_ingest_missing_column(tmp_path):
@@ -369,6 +398,67 @@ def test_cli_estimate_accepts_proxy_input(tmp_path):
     assert read_columns_csv(curve_csv)["x"].size == 101
 
 
+def test_cli_estimate_parses_only_the_columns_it_uses(tmp_path):
+    # t and y, or t and xtilde: other columns, such as the index i, may hold text
+    path_csv, curve_csv = tmp_path / "path.csv", tmp_path / "curve.csv"
+    assert main(["simulate", "--t", "5", "--n", "300", "--seed", "8", "--out", str(path_csv)]) == 0
+    assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv)]) == 0
+    want = curve_csv.read_bytes()
+    lines = path_csv.read_text().splitlines()
+    labelled = [lines[0]] + [f"obs-{k}," + line.split(",", 1)[1] for k, line in enumerate(lines[1:])]
+    path_csv.write_text("\n".join(labelled) + "\n")
+    assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv)]) == 0
+    assert curve_csv.read_bytes() == want
+
+
+def test_cli_stage_timings_live_only_in_the_manifest(tmp_path):
+    path_csv = tmp_path / "path.csv"
+    main(["simulate", "--t", "5", "--n", "300", "--seed", "8", "--out", str(path_csv)])
+    curves = []
+    for k in range(2):
+        out = tmp_path / f"curve{k}.csv"
+        assert main(["estimate", "--in", str(path_csv), "--bands", "0.05", "--h", "cv",
+                     "--cv-out", str(tmp_path / "cv.csv"), "--out", str(out)]) == 0
+        curves.append(out.read_bytes())
+        stages = json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["stages"]
+        assert set(stages) == {"ingest", "bandwidth", "fit", "bands", "write"}
+        assert all(v >= 0.0 for v in stages.values())
+    assert curves[0] == curves[1]
+    prices = write_prices(tmp_path / "p.csv", [f"{i},{100 + i % 7}" for i in range(300)])
+    out = tmp_path / "emp.csv"
+    assert main(["empirical", "--in", str(prices), "--price-col", "close",
+                 "--out", str(out)]) == 0
+    stages = json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["stages"]
+    assert set(stages) == {"ingest", "bandwidth", "fit", "write"}
+
+
+def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
+    # a fresh interpreter, so the high-water mark is this write's own
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys, numpy as np\n"
+        "from lljd.io import write_path_csv\n"
+        "from lljd.simulate import SamplePath\n"
+        "rng = np.random.default_rng(0)\n"
+        "path = SamplePath(0.001, rng.normal(size=10**6), rng.normal(size=10**6), 0, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "write_path_csv(sys.argv[1], path)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    out = tmp_path / "path.csv"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 32 * 1024  # KiB
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 10**6 + 1
+
+
+def test_write_table_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValidationError, match="differ in length"):
+        write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
 def test_cli_mc_study_table_matches_single_config_run(tmp_path):
     # the table's T=10, n=1000 config, simulated in lanes beside the other
     # eight, reports what the same config run alone reports
@@ -417,7 +507,7 @@ def test_cli_empirical_downward_drift_on_mean_reverting_standin(tmp_path):
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["estimate", "--in", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.csv")]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "input file not found" in capsys.readouterr().err
     assert main(["simulate", "--t", "10", "--n", "100", "--seed", "1", "--jump", "cp",
                  "--size-dist", "cauchy", "--size-scale", "1e9",
                  "--out", str(tmp_path / "boom.csv")]) == 3

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,28 @@ def test_qq_pairs_antisymmetric_for_symmetric_input():
     pairs, _ = qq_data(values)
     assert np.allclose(pairs[:, 1], -pairs[::-1, 1], atol=1e-12)
     assert np.allclose(pairs[:, 0], -pairs[::-1, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 101, 2000])
+def test_qq_data_matches_scipy_quantiles_and_ks_distance(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    for values in (rng.normal(size=n), rng.standard_t(3, n), rng.exponential(size=n)):
+        pairs, ks = qq_data(values)
+        std = (values - values.mean()) / values.std(ddof=1)
+        theo = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+        assert np.allclose(pairs[:, 0], theo, rtol=0.0, atol=1e-12)
+        assert np.array_equal(pairs[:, 1], np.sort(std))
+        assert ks == pytest.approx(stats.kstest(std, "norm").statistic, rel=0.0, abs=1e-12)
+
+
+def test_qq_data_needs_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, numpy as np; from lljd.mcstudy import qq_data; "
+            "qq_data(np.arange(30.0) ** 2); sys.exit('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_qq_data_input_validation():
