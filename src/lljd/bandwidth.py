@@ -42,10 +42,10 @@ stand-ins of the `empirical_cv` benchmark (4,799 terms each, the default
 grid). With the Gaussian kernel the binned CV values are within 1e-7
 relative of exact, with the Epanechnikov kernel within 5e-6; the chosen h and
 the degenerate counts are the same on every stand-in, 65-511 of the 120k
-(h, term) pairs fall back, and CV takes about 0.2 s against about 5 s.
+(h, term) pairs fall back, and CV takes about 0.2 s against about 3 s.
 The binned backend streams one bandwidth at a time in O(n + CV_BINS)
-memory. Aligned indexing with a bundled kernel takes the binned path;
-'as_written' indexing and custom kernels use `exact`.
+memory. Aligned indexing takes the binned path; 'as_written' indexing uses
+`exact`.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .estimators import (
     drift_responses,
     term_points,
 )
-from .kernels import EPANECHNIKOV, GAUSSIAN
 from .proxy import ProxySeries
 
 __all__ = ["BandwidthChoice", "rule_of_thumb", "default_cv_grid", "cross_validate"]
@@ -119,8 +118,6 @@ def default_cv_grid(h_center: float, n_points: int = 25, span: float = 5.0) -> n
     return np.geomspace(h_center / span, h_center * span, n_points)
 
 
-
-
 def cross_validate(
     xt: ProxySeries,
     h_grid,
@@ -137,10 +134,10 @@ def cross_validate(
     response mean instead (a conservative penalty) and are counted.
 
     `backend` is 'binned' (the default) or 'exact'; the module docstring
-    describes both. 'binned' applies to aligned indexing with a bundled
-    kernel and otherwise runs 'exact'; the choice records the backend that
-    ran and how many (h, term) pairs the exact engine scored (all of them
-    under 'exact', the fallback terms under 'binned').
+    describes both. 'binned' applies to aligned indexing and otherwise runs
+    'exact'; the choice records the backend that ran and how many (h, term)
+    pairs the exact engine scored (all of them under 'exact', the fallback
+    terms under 'binned').
 
     Returns the grid argmin; exact ties resolve to the smaller bandwidth. A
     bandwidth at which every term degenerates is undefined; if that happens on
@@ -155,7 +152,7 @@ def cross_validate(
         raise ValidationError(f"unknown CV backend {backend!r}")
     if cfg is None:
         cfg = EstimatorConfig(bandwidth=1.0)
-    if cfg.index_alignment != "aligned" or cfg.kernel not in (GAUSSIAN, EPANECHNIKOV):
+    if cfg.index_alignment != "aligned":
         backend = "exact"
 
     kpts, ppts = term_points(xt, cfg.index_alignment)

@@ -2,7 +2,7 @@
 
 ValidationError marks bad inputs or configuration (CLI exit code 2);
 NumericalError marks runtime numerical failures such as path explosions or
-non-convergent quadrature (CLI exit code 3).
+a kernel moment without a closed form (CLI exit code 3).
 """
 
 

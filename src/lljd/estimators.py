@@ -55,11 +55,22 @@ S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are
 set to zero before anything is summed, so a leave-out fit is exactly the fit
 on the remaining terms. The sums accumulate over tiles of at most
-TILE_ELEMENTS (evaluation point, term) pairs: TILE_ROWS points by all terms
-when that fits, term blocks otherwise. Each tile computes its distances and
-window once and then loops over the bandwidths. A fit therefore needs
-working memory of a few 1 MB tiles, however many terms it has; tiles that
-small stay in cache and are never page-faulted afresh.
+TILE_ELEMENTS (evaluation point, term) pairs, so a fit needs working memory
+of a few 1 MB tiles, however many terms it has. Both kernels are radial,
+K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine builds
+A = [1 | responses]; per tile it takes d, the squared kernel-point distances
+and the window once; then, for each bandwidth,
+
+    w = g(d_k^2 / h^2)    in place; for the Gaussian a scale and an exp
+    S_j, T_j = w @ A      one BLAS product per power j <= p (S_j = w @ 1 above)
+    w *= d                between powers
+
+and it divides the finished sums by z once per call. Against the former
+K((kpts - x) / h) per pair with a row sum per power, the sums agree to 4e-15
+of each column's largest magnitude, the curves of `lljd estimate` and
+`lljd empirical` to 5e-15 and their bands, from local cubic equations of
+condition number up to 1e5, to 1.2e-12. A distance whose square underflows
+(under 1e-154) counts as zero.
 
 `ll_weights` is the single-point weight form of the local linear fit,
 
@@ -73,6 +84,7 @@ responses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -196,7 +208,8 @@ def second_moment_responses(xt: ProxySeries, rescaled: bool = True) -> np.ndarra
 
 def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
     arr = _check_series(xt)
-    return (arr[2:] - arr[1:-1]) ** 4 / xt.delta
+    d2 = (arr[2:] - arr[1:-1]) ** 2
+    return d2 * d2 / xt.delta
 
 
 def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner") -> np.ndarray:
@@ -223,33 +236,41 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
     column r of `responses` [n_terms, R] for j = 0..degree. `window` =
     (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g]."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    n, n_grid = len(kpts), len(grid)
-    s = np.zeros((len(h), n_grid, 2 * degree + 1))
-    t = np.zeros((len(h), n_grid, degree + 1, responses.shape[1]))
+    n, n_grid, n_resp = len(kpts), len(grid), responses.shape[1]
+    # 1/h^2, or where that overflows the largest float: g(0) at d = 0 still
+    scales = [min(1.0 / hk / hk, sys.float_info.max) for hk in np.atleast_1d(h).tolist()]
+    # [S_j | T_j of every response]; for j > degree only S_j
+    acc = np.zeros((len(scales), n_grid, 2 * degree + 1, 1 + n_resp))
     rows = max(1, min(n_grid, TILE_ROWS))
     cols = max(1, min(n, TILE_ELEMENTS // rows))
-    for r0 in range(0, n_grid, rows):
-        x = grid[r0 : r0 + rows, None]
+    # far weights underflow to 0, huge d^2 overflow to g(inf) = 0: right limits
+    with np.errstate(over="ignore", under="ignore"):
         for c0 in range(0, n, cols):
-            d = ppts[None, c0 : c0 + cols] - x
-            dk = d if kpts is ppts else kpts[None, c0 : c0 + cols] - x
-            u = np.empty_like(dk)
-            if window is not None:
-                term = np.arange(c0, c0 + d.shape[1])
-                zr, zc = np.nonzero((window[0][r0 : r0 + rows, None] <= term)
-                                    & (term < window[1][r0 : r0 + rows, None]))
-            for k, hk in enumerate(h):
-                w = kernel.eval(np.divide(dk, hk, out=u))
+            block = slice(c0, c0 + cols)
+            a = np.insert(responses[block], 0, 1.0, axis=1)  # [1 | responses]
+            for r0 in range(0, n_grid, rows):
+                x = grid[r0 : r0 + rows, None]
+                d = ppts[None, block] - x
+                dk = d if kpts is ppts else kpts[None, block] - x
+                d2 = dk * dk
+                w = np.empty_like(d2)
                 if window is not None:
-                    w[zr, zc] = 0.0
-                for j in range(2 * degree + 1):
-                    s[k, r0 : r0 + rows, j] += w.sum(axis=1)
-                    if j <= degree:
-                        t[k, r0 : r0 + rows, j] += w @ responses[c0 : c0 + cols]
-                    if j < 2 * degree:
-                        w *= d
-    return s, t
+                    term = np.arange(c0, c0 + d.shape[1])
+                    zr, zc = np.nonzero((window[0][r0 : r0 + rows, None] <= term)
+                                        & (term < window[1][r0 : r0 + rows, None]))
+                for k, scale in enumerate(scales):
+                    kernel.profile(d2, scale, w)
+                    if window is not None:
+                        w[zr, zc] = 0.0
+                    for j in range(2 * degree + 1):
+                        if j <= degree:
+                            acc[k, r0 : r0 + rows, j] += w @ a
+                        else:
+                            acc[k, r0 : r0 + rows, j, 0] += w @ a[:, 0]
+                        if j < 2 * degree:
+                            w *= d
+    acc /= kernel.norm
+    return acc[..., 0], acc[:, :, : degree + 1, 1:]
 
 
 def _closed_form(s, t, method: str, n_terms: int):

@@ -1,9 +1,17 @@
 """Kernel functions and their moments.
 
-Every estimator weight and every asymptotic constant in the package is built
-from the moments K_i^j = integral of K(u)^i * u^j du. Closed forms are used
-for the bundled kernels and cross-checked against adaptive quadrature; custom
-kernels fall back to quadrature on a truncated support.
+The package has a closed set of two kernels, both radial: K(u) = g(u^2) / z
+with a profile g and a normalizer z,
+
+    gaussian        g(v) = exp(-v / 2)         z = sqrt(2 pi)
+    epanechnikov    g(v) = max(0, 1 - v)       z = 4 / 3
+
+`Kernel.eval` and the kernel-sum engine of `lljd.estimators` both evaluate
+the profile, the engine on squared distances scaled by 1/h^2, in place, and
+dividing by z once per call. Every estimator weight and every asymptotic
+constant in the package is built from the moments K_i^j = integral of
+K(u)^i * u^j du, which are closed forms (checked against quadrature in the
+tests).
 """
 
 from __future__ import annotations
@@ -29,43 +37,41 @@ __all__ = [
     "bias_constant",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_QUAD_TOL = 1e-10
+
+def _gaussian_profile(v, scale, out):
+    # one scale and one exp; scaling by -0.5 is exact, so Kernel.eval has the
+    # bits of exp(-0.5*u*u)/sqrt(2pi)
+    return np.exp(np.multiply(v, -0.5 * scale, out=out), out=out)
 
 
-def _gaussian_eval(u):
-    u = np.asarray(u, dtype=float)
-    # |u| beyond ~1e154 squares to inf; exp(-inf) = 0 is the right limit. One
-    # temporary; scaling by -0.5 is exact, so the bits equal exp(-0.5*u*u)/sqrt(2pi).
-    with np.errstate(over="ignore"):
-        v = np.asarray(u * u)
-    v *= -0.5
-    return np.divide(np.exp(v, out=v), _SQRT_2PI, out=v)
-
-
-def _epanechnikov_eval(u):
-    u = np.asarray(u, dtype=float)
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+def _epanechnikov_profile(v, scale, out):
+    np.multiply(v, -scale, out=out)
+    out += 1.0
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A nonnegative density kernel u -> K(u).
+    """A radial density kernel K(u) = g(u^2) / norm.
 
-    `support` is the truncation radius used for quadrature; None means it is
-    located automatically by scanning outward until K drops below 1e-16.
+    `profile(v, scale, out)` writes g(scale * v) into `out` and returns it;
+    an infinite scale * v gives g(inf) = 0.
     """
 
     id: str
-    eval: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    support: float | None = None
+    profile: Callable[[np.ndarray, float, np.ndarray], np.ndarray] = field(compare=False)
+    norm: float
 
-    def __hash__(self):
-        return hash((self.id, self.eval, self.support))
+    def eval(self, u):
+        u = np.asarray(u, dtype=float)
+        # |u| beyond ~1e154 squares to inf, which the profile takes to g(inf)
+        with np.errstate(over="ignore"):
+            v = np.asarray(u * u)
+        return np.divide(self.profile(v, 1.0, v), self.norm, out=v)
 
 
-GAUSSIAN = Kernel(id="gaussian", eval=_gaussian_eval, support=40.0)
-EPANECHNIKOV = Kernel(id="epanechnikov", eval=_epanechnikov_eval, support=1.0)
+GAUSSIAN = Kernel(id="gaussian", profile=_gaussian_profile, norm=math.sqrt(2.0 * math.pi))
+EPANECHNIKOV = Kernel(id="epanechnikov", profile=_epanechnikov_profile, norm=4.0 / 3.0)
 
 _BY_NAME = {"gaussian": GAUSSIAN, "epanechnikov": EPANECHNIKOV}
 
@@ -101,42 +107,12 @@ def get_kernel(name: str) -> Kernel:
         ) from None
 
 
-def _truncation_radius(k: Kernel) -> float:
-    if k.support is not None:
-        return k.support
-    r = 1.0
-    while r <= 1e8:
-        if float(k.eval(r)) < 1e-16 and float(k.eval(-r)) < 1e-16:
-            return r
-        r *= 2.0
-    raise NumericalError(
-        f"kernel {k.id!r} does not decay below 1e-16 within |u| <= 1e8; "
-        "moments are not computable by truncated quadrature"
-    )
-
-
-def _quad_moment(k: Kernel, i: int, j: int) -> float:
-    from scipy import integrate  # only custom kernels get here
-
-    r = _truncation_radius(k)
-    val, abserr = integrate.quad(
-        lambda u: float(k.eval(u)) ** i * u**j, -r, r, epsabs=1e-12, limit=400
-    )
-    if not math.isfinite(val) or abserr > 1e-8:
-        raise NumericalError(
-            f"quadrature for moment K_{i}^{j} of kernel {k.id!r} did not "
-            f"converge (estimated error {abserr:.2e})"
-        )
-    return val
-
-
 @lru_cache(maxsize=None)
 def kernel_moment(k: Kernel, i: int, j: int) -> float:
     """Moment K_i^j = integral of K(u)^i * u^j du.
 
-    Supported ranges: j <= 3 for i=1 and j <= 2 for i=2. Closed forms are
-    returned for the bundled kernels; anything else goes through adaptive
-    quadrature with absolute tolerance 1e-10.
+    Supported ranges: j <= 3 for i=1 and j <= 2 for i=2. The moments are
+    closed forms of the two bundled kernels; any other kernel has none.
     """
     if i == 1:
         if not 0 <= j <= 3:
@@ -147,9 +123,12 @@ def kernel_moment(k: Kernel, i: int, j: int) -> float:
     else:
         raise ValidationError(f"kernel power i={i} unsupported (expected 1 or 2)")
     closed = _CLOSED_FORMS.get(k.id, {}).get((i, j))
-    if closed is not None:
-        return closed
-    return _quad_moment(k, i, j)
+    if closed is None:
+        raise NumericalError(
+            f"moment K_{i}^{j} of kernel {k.id!r} has no closed form; the "
+            f"bundled kernels are {sorted(_BY_NAME)}"
+        )
+    return closed
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,82 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
     for a, b in zip(tiled, results()):
         assert_agree(a, b)
     assert any(np.isnan(a).any() for a in tiled)
+
+
+def reference_power_sums(kpts, ppts, responses, grid, kernel, h, degree, window=None):
+    """The per-power formulation the engine replaced, in one untiled pass:
+    weights K((kpts - x) / h) from Kernel.eval, each S_j a row sum, each T_j
+    its own product with the responses, and the powers of d by w *= d."""
+    grid, h = np.atleast_1d(grid), np.atleast_1d(h)
+    s = np.zeros((len(h), len(grid), 2 * degree + 1))
+    t = np.zeros((len(h), len(grid), degree + 1, responses.shape[1]))
+    d = ppts[None, :] - grid[:, None]
+    term = np.arange(len(kpts))
+    for k, hk in enumerate(h):
+        w = kernel.eval((kpts[None, :] - grid[:, None]) / hk)
+        if window is not None:
+            w[(window[0][:, None] <= term) & (term < window[1][:, None])] = 0.0
+        for j in range(2 * degree + 1):
+            s[k, :, j] = w.sum(axis=1)
+            if j <= degree:
+                t[k, :, j] = w @ responses
+            if j < 2 * degree:
+                w *= d
+    return s, t
+
+
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
+def test_power_sums_match_the_per_power_reference(monkeypatch, kernel, alignment):
+    rng = np.random.default_rng(21)
+    xt = series(rng.normal(0.0, 1.0, 1002))  # 1000 terms
+    kpts, ppts = term_points(xt, alignment)
+    resp = rng.normal(0.0, 1.0, (1000, 3))
+    # the bulk, the sparse tails and empty neighbourhoods
+    grid = np.concatenate([np.linspace(-3.0, 3.0, 37), [-40.0, -5.0, 5.0, 40.0]])
+    idx = rng.integers(0, 1000, len(grid))
+    window = (idx - 1, idx + 2)
+    hs = np.array([0.05, 0.3, 1.0])
+    for rows, elements in ((16, 1 << 17), (16, 16 * 300), (7, 7 * 128)):
+        monkeypatch.setattr(estimators, "TILE_ROWS", rows)
+        monkeypatch.setattr(estimators, "TILE_ELEMENTS", elements)
+        for degree in (0, 1, 3):
+            for w in (None, window):
+                s, t = _power_sums(kpts, ppts, resp, grid, kernel, hs, degree, w)
+                ref_s, ref_t = reference_power_sums(kpts, ppts, resp, grid, kernel, hs,
+                                                    degree, w)
+                for k in range(len(hs)):
+                    assert_agree(s[k], ref_s[k])
+                    assert_agree(t[k], ref_t[k])
+                methods = (NADARAYA_WATSON, LOCAL_LINEAR) if degree else (NADARAYA_WATSON,)
+                for method in methods:
+                    _, _, ok = estimators._closed_form(s, t, method, len(kpts))
+                    _, _, ref_ok = estimators._closed_form(ref_s, ref_t, method, len(kpts))
+                    assert np.array_equal(ok, ref_ok)
+                    assert np.array_equal((~ok).sum(axis=1), (~ref_ok).sum(axis=1))
+                    assert not ok.all()
+
+
+@pytest.mark.parametrize("h", [1e-300, np.finfo(float).tiny])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
+def test_power_sums_at_a_bandwidth_whose_square_underflows(kernel, h):
+    # h * h underflows to 0 and 1 / h^2 overflows: the weight stays K(0) at
+    # d = 0 and is 0 at every other term, with no floating-point warning
+    pts = np.array([0.0, 0.5, 0.5, 1.0, 1e-3, 2.0])
+    resp = np.arange(6.0)[:, None]
+    grid = np.array([0.5, 1.0, 0.25, 3.0])
+    with np.errstate(all="raise"):
+        s, t = _power_sums(pts, pts, resp, grid, kernel, h, 1)
+    k0 = float(kernel.eval(0.0))
+    at = pts[None, :] == grid[:, None]
+    assert s[0, :, 0] == pytest.approx(at.sum(axis=1) * k0, rel=1e-15, abs=0.0)
+    assert t[0, :, 0, 0] == pytest.approx(at @ resp[:, 0] * k0, rel=1e-15, abs=0.0)
+    assert not s[0, :, 1:].any() and not t[0, :, 1].any()
+    xt = series(np.linspace(0.0, 5.0, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="bandwidth grid too narrow"):
+            cross_validate(xt, np.array([h]), EstimatorConfig(1.0, kernel))
 
 
 def test_cubic_fit_undefined_where_fewer_than_four_regressors_carry_weight():
