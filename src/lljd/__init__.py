@@ -43,7 +43,6 @@ from .estimators import (
     estimate_curve,
     estimate_curves,
     fit_responses,
-    ll_weights,
     second_derivative_fit,
     second_moment_responses,
 )

@@ -7,14 +7,21 @@ grid, with every (regressor point, term) pair evaluated: O(n^2 H) work. It is
 the oracle of the binned backend.
 
 `binned`, the default, follows KernSmooth (Fan & Marron 1994, JCGS 3:35-56;
-Wand 1994, JCGS 3:433-445). The kernel points are binned linearly onto
-CV_BINS equally spaced bins, once with weight 1 and once weighted by the
-responses. For each h the lag kernels kappa_j[m] = K(m D / h) (m D)^j, D the
-bin width, are correlated with both by FFT, which gives S_0..S_2 and
-T_0..T_1 at every bin centre; linear interpolation carries them to the
-regressor points. The deleted terms i-1..i+1 are then subtracted in the same
-binned bilinear form (their bin pairs looked up in kappa_j), so a leave-out
-sum is the binned sum of exactly the terms that remain.
+Wand 1994, JCGS 3:433-445). The kernel points are binned linearly onto M
+equally spaced bins, once with weight 1 and once weighted by the responses.
+For each h the lag kernels kappa_j[m] = K(m D / h) (m D)^j, D the bin width,
+are correlated with both by FFT, which gives S_0..S_2 and T_0..T_1 at every
+bin centre; linear interpolation carries them to the regressor points. The
+deleted terms i-1..i+1 are then subtracted in the same binned bilinear form
+(their bin pairs looked up in kappa_j), so a leave-out sum is the binned sum
+of exactly the terms that remain.
+
+Binning error depends on how many bins one bandwidth spans, so each h gets
+its own M: the fewest bins, a power of two, that put CV_H_BINS bins inside
+h, and at most CV_BINS. The grid ascends, so M never rises along it; the
+points are binned once per distinct M, and the following h reuse the two
+binned spectra and the h-free factors of the deleted-term correction (the
+bin offsets of neighbouring terms and their bilinear weights).
 
 The exact engine rescores, with its own deletion window, every term whose
 binned leave-out fit rests on too little to be trusted to the bins:
@@ -39,13 +46,14 @@ mass test keeps every binned S_0 above 4 K(0) while no S_0 exceeds n K(0).
 
 `scripts/check_cv_backends.py` compares the backends on the 16 five-minute
 stand-ins of the `empirical_cv` benchmark (4,799 terms each, the default
-grid). With the Gaussian kernel the binned CV values are within 1e-7
-relative of exact, with the Epanechnikov kernel within 5e-6; the chosen h and
-the degenerate counts are the same on every stand-in, 65-511 of the 120k
-(h, term) pairs fall back, and CV takes about 0.2 s against about 3 s.
-The binned backend streams one bandwidth at a time in O(n + CV_BINS)
-memory. Aligned indexing takes the binned path; 'as_written' indexing uses
-`exact`.
+grid, where M falls from 2^14 to 2^9 or 2^10). The largest relative
+difference of a binned CV value from exact is 4e-7 (Gaussian, local
+linear), 7e-7 (Gaussian, Nadaraya-Watson), 8e-6 (Epanechnikov, local
+linear) and 4e-6 (Epanechnikov, Nadaraya-Watson); the chosen h and the
+degenerate counts are the same on every stand-in, 65-511 of the 120k (h,
+term) pairs fall back, and CV takes about 0.1 s against about 3 s. The
+binned backend streams one bandwidth at a time in O(n + CV_BINS) memory.
+Aligned indexing takes the binned path; 'as_written' indexing uses `exact`.
 """
 
 from __future__ import annotations
@@ -70,8 +78,10 @@ from .proxy import ProxySeries
 
 __all__ = ["BandwidthChoice", "rule_of_thumb", "default_cv_grid", "cross_validate"]
 
-# Bins of the binned CV sums.
+# The most bins of the binned CV sums, and the bins that each bandwidth's
+# bin count puts inside one h: the fewest, a power of two, up to CV_BINS.
 CV_BINS = 1 << 14
+CV_H_BINS = 128
 # The exact-fallback tests of the module docstring: the least leave-out
 # kernel mass in units of K(0), i.e. of terms at zero distance; R; and the
 # least weighted spread of the leave-out design, in bins.
@@ -92,6 +102,7 @@ class BandwidthChoice:
     cv_degenerate: Optional[tuple] = None  # per-h count of penalised terms
     cv_backend: Optional[str] = None  # binned | exact
     cv_exact_terms: Optional[int] = None  # (h, term) pairs the exact engine scored
+    cv_bins: Optional[tuple] = None  # per-h bin count of binned CV (None: scored exactly)
 
 
 def rule_of_thumb(xt: ProxySeries, t_span: float | None = None) -> BandwidthChoice:
@@ -158,7 +169,7 @@ def cross_validate(
     kpts, ppts = term_points(xt, cfg.index_alignment)
     resp = drift_responses(xt)
     score = _binned_scores if backend == "binned" else _exact_scores
-    sse, degen_counts, exact_terms = score(kpts, ppts, resp, h_grid, cfg)
+    sse, degen_counts, exact_terms, bins = score(kpts, ppts, resp, h_grid, cfg)
     n = len(resp)
     cv_vals = np.where(degen_counts < n, sse / n, np.nan)
 
@@ -174,6 +185,7 @@ def cross_validate(
         cv_degenerate=tuple(int(c) for c in degen_counts),
         cv_backend=backend,
         cv_exact_terms=exact_terms,
+        cv_bins=bins,
     )
 
 
@@ -183,87 +195,124 @@ def _penalised_errors(resp, pred, ok):
 
 
 def _exact_scores(kpts, ppts, resp, h_grid, cfg):
-    """(sum of squared errors [H], degenerate counts [H], exact pairs) from
-    one pass of the kernel-sum engine over the whole grid."""
+    """(sum of squared errors [H], degenerate counts [H], exact pairs, bin
+    counts) from one pass of the kernel-sum engine over the whole grid; it
+    bins nothing, so the bin counts are None."""
     n = len(resp)
     idx = np.arange(n)
     deleted = (idx - 1, idx + 2)  # terms i-1, i, i+1 leave the fit at ppts[i]
     # values [H, 1, n], ok [H, n]
     pred, _, ok = _fit(kpts, ppts, resp[:, None], ppts, cfg, deleted, h_grid)
     err = _penalised_errors(resp, pred[:, 0], ok)
-    return np.array([e @ e for e in err]), (~ok).sum(axis=1), n * len(h_grid)
+    return np.array([e @ e for e in err]), (~ok).sum(axis=1), n * len(h_grid), None
 
 
-def _binned_scores(kpts, ppts, resp, h_grid, cfg):
-    """_exact_scores from binned kernel sums, one bandwidth at a time, with
-    the exact fallback of the module docstring. Aligned indexing: ppts is
-    kpts."""
-    from numpy import fft  # only binned CV needs it; keeps it off CLI start-up
+class _Binning:
+    """The kernel points binned linearly onto m bins of one width: term i puts
+    g[i] = 1 - f[i] on bin b[i] and f[i] on b[i] + 1. Holds what every
+    bandwidth scored on these bins shares: the spectra of the binned unit and
+    response weights, and the h-free factors of the deleted-term correction."""
 
-    n, m = len(resp), CV_BINS
-    degree = 0 if cfg.method == NADARAYA_WATSON else 1
-    # linear binning: term i puts g[i] = 1 - f[i] on bin b[i], f[i] on b[i] + 1
-    width = float(np.ptp(kpts)) / (m - 1) or 1.0  # any width bins a constant sample
-    f = (kpts - kpts.min()) / width
-    b = np.minimum(f.astype(np.intp), m - 2)
-    f -= b
-    g = 1.0 - f
-    # zero-padded to 2m bins, the circular correlation with a lag kernel is
-    # the linear one; entry q of a lag kernel holds lag q, entry 2m - q lag -q
-    size = 2 * m
-    binned = [fft.rfft(np.bincount(b, g * w, size) + np.bincount(b + 1, f * w, size))
-              for w in (1.0, resp)]
-    lag = fft.fftfreq(size, 1.0 / size) * width
+    def __init__(self, kpts, resp, m: int, span: float):
+        from numpy import fft  # only binned CV needs it; keeps it off CLI start-up
 
-    def at_points(w, spectrum):
-        """A binned sum correlated with a lag kernel, at each regressor."""
-        full = fft.irfft(binned[w] * spectrum, size)
-        return g * full[b] + f * full[b + 1]
+        self.m = m
+        self.width = span / (m - 1) or 1.0  # any width bins a constant sample
+        f = (kpts - kpts.min()) / self.width
+        b = np.minimum(f.astype(np.intp), m - 2)
+        f -= b
+        g = 1.0 - f
+        self.b, self.f, self.g = b, f, g
+        self.weights = (np.ones_like(resp), resp)
+        # zero-padded to 2m bins, the circular correlation with a lag kernel
+        # is the linear one; entry q of a lag kernel holds lag q, entry 2m - q
+        # lag -q
+        self.size = 2 * m
+        self.spectra = [
+            fft.rfft(np.bincount(b, g * w, self.size) + np.bincount(b + 1, f * w, self.size))
+            for w in self.weights
+        ]
+        self.lag = fft.fftfreq(self.size, 1.0 / self.size) * self.width
+        # term i at regressor i pairs its two bins at lags 0 and +-1; term
+        # i + 1 at regressor i pairs bins at lags d - 1, d and d + 1 with
+        # these weights, and term i at regressor i + 1 the negatives
+        self.d = b[1:] - b[:-1]
+        self.own = g * g + f * f, g * f
+        self.pair = g[:-1] * g[1:] + f[:-1] * f[1:], g[:-1] * f[1:], f[:-1] * g[1:]
 
-    def deleted(kap, r):
-        """The binned share of terms i-1..i+1 in a sum at regressor i, each
-        term weighted by r (by 1 when r is None). Term i + 1 at regressor i
-        pairs bins at lags d - 1, d and d + 1; term i at i + 1 the negatives."""
-        d = b[1:] - b[:-1]
-        mid, up, down = g[:-1] * g[1:] + f[:-1] * f[1:], g[:-1] * f[1:], f[:-1] * g[1:]
-        ahead = mid * kap[d] + up * kap[d + 1] + down * kap[d - 1]
-        behind = mid * kap[-d] + down * kap[1 - d] + up * kap[-1 - d]
-        out = (g * g + f * f) * kap[0] + g * f * (kap[1] + kap[-1])
-        if r is not None:
-            out *= r
-            ahead *= r[1:]
-            behind *= r[:-1]
-        out[:-1] += ahead
-        out[1:] += behind
-        return out
+    def _near(self, kap):
+        """The binned weights of a lag kernel between regressor i and term
+        i, term i + 1 (at i < n - 1) and term i - 1 (at i > 0)."""
+        d, (mid, up, down) = self.d, self.pair
+        return (self.own[0] * kap[0] + self.own[1] * (kap[1] + kap[-1]),
+                mid * kap[d] + up * kap[d + 1] + down * kap[d - 1],
+                mid * kap[-d] + down * kap[1 - d] + up * kap[-1 - d])
 
-    def binned_sums(h):
+    def _leave_out(self, w: int, spectrum, near):
+        """Binned sum w (0: unit weights, 1: responses) correlated with a lag
+        kernel at each regressor i, less the share of terms i-1..i+1, whose
+        kernel weights `near` holds."""
+        from numpy import fft
+
+        full = fft.irfft(self.spectra[w] * spectrum, self.size)
+        r = self.weights[w]
+        own, ahead, behind = near
+        deleted = own * r
+        deleted[:-1] += ahead * r[1:]
+        deleted[1:] += behind * r[:-1]
+        return self.g * full[self.b] + self.f * full[self.b + 1] - deleted
+
+    def sums(self, h: float, kernel, degree: int, s, t):
         """Fill s and t with the binned leave-out sums at h. Returns the mask
         of terms whose leave-out design is poorly conditioned."""
-        k0 = cfg.kernel.eval(lag / h)
+        from numpy import fft
+
+        k0 = kernel.eval(self.lag / h)
         for j in range(2 * degree + 1):
-            kap = k0 * lag**j
+            kap = k0 * self.lag**j
             spectrum = np.conj(fft.rfft(kap))
-            s[:, j] = at_points(0, spectrum) - deleted(kap, None)
+            near = self._near(kap)
+            s[:, j] = self._leave_out(0, spectrum, near)
             if j <= degree:
-                t[:, j, 0] = at_points(1, spectrum) - deleted(kap, resp)
+                t[:, j, 0] = self._leave_out(1, spectrum, near)
         s0 = s[:, 0]
         poor = s0 <= CV_MIN_MASS * k0[0]
         if degree:
             s0s2 = s0 * s[:, 2]
             det = s0s2 - s[:, 1] ** 2
             poor |= det * CV_FALLBACK_RATIO <= s0s2
-            poor |= det <= (CV_MIN_SPREAD * width * s0) ** 2
+            poor |= det <= (CV_MIN_SPREAD * self.width * s0) ** 2
         return poor
 
+
+def _binned_scores(kpts, ppts, resp, h_grid, cfg):
+    """_exact_scores from binned kernel sums, one bandwidth at a time, with
+    the exact fallback of the module docstring; the bin count at each h is
+    None where the exact engine scored every term. Aligned indexing: ppts is
+    kpts."""
+    n = len(resp)
+    degree = 0 if cfg.method == NADARAYA_WATSON else 1
+    span = float(np.ptp(kpts))
     sse = np.empty(len(h_grid))
     degen = np.empty(len(h_grid), dtype=np.int64)
+    bins = []
     exact_terms = 0
     s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
+    binning = None
+    m = CV_BINS
     for k, h in enumerate(h_grid):
+        # the fewest bins, a power of two, with CV_H_BINS of them inside h;
+        # the grid ascends, so the count only falls
+        while m > 2 and (m // 2 - 1) * h >= CV_H_BINS * span:
+            m //= 2
+        if binning is None or binning.m != m:
+            binning = None  # free the old binning first: one in memory at a time
+            binning = _Binning(kpts, resp, m, span)
         # every term of a bandwidth the bins cannot resolve is scored exactly
-        coarse = h < CV_BINS_PER_H * width
-        redo = np.arange(n) if coarse else np.flatnonzero(binned_sums(h))
+        coarse = h < CV_BINS_PER_H * binning.width
+        bins.append(None if coarse else m)
+        redo = (np.arange(n) if coarse
+                else np.flatnonzero(binning.sums(h, cfg.kernel, degree, s, t)))
         if redo.size:
             exact = _power_sums(kpts, kpts, resp[:, None], kpts[redo], cfg.kernel, h,
                                 degree, (redo - 1, redo + 2))
@@ -272,4 +321,4 @@ def _binned_scores(kpts, ppts, resp, h_grid, cfg):
         (pred,), _, ok = _closed_form(s, t, cfg.method, n)
         err = _penalised_errors(resp, pred, ok)
         sse[k], degen[k] = err @ err, n - np.count_nonzero(ok)
-    return sse, degen, exact_terms
+    return sse, degen, exact_terms, tuple(bins)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from dataclasses import replace
@@ -185,7 +186,7 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
     return {"h": choice.h, "method": choice.method, "cv_grid_edge": edge,
             "cv_degenerate_max": max(choice.cv_degenerate) if cv else None,
             "cv_backend": choice.cv_backend, "cv_exact_terms": choice.cv_exact_terms,
-            "cv_flatness": flatness}
+            "cv_bins": choice.cv_bins, "cv_flatness": flatness}
 
 
 class _Stages:
@@ -250,10 +251,12 @@ def _cmd_simulate(args) -> int:
     model = default_model(jump=jump, x0=args.x0, y0=args.y0)
     cfg = PathConfig(t_span=args.t, n=args.n, seed=args.seed,
                      burn_in=args.burn_in, substeps=args.substeps)
-    start = time.perf_counter()
+    stages = _Stages()
     path = simulate_path(model, cfg)
+    stages.lap("simulate")
     write_path_csv(args.out, path)
-    _write_manifest(args, start)
+    stages.lap("write")
+    _write_manifest(args, stages.start, stages=stages.seconds)
     print(f"wrote {args.out} ({len(path.x)} observations, delta={path.delta:g})")
     return 0
 
@@ -285,6 +288,11 @@ def _load_series(args) -> ProxySeries:
 
 
 def _cmd_estimate(args) -> int:
+    lo, hi = args.grid_lo, args.grid_hi
+    if (lo is None) != (hi is None):
+        raise ValidationError("--grid-lo and --grid-hi must be given together")
+    if lo is not None and not -math.inf < lo < hi < math.inf:
+        raise ValidationError(f"need finite --grid-lo < --grid-hi, got {lo:g} and {hi:g}")
     stages = _Stages()
     series = _load_series(args)
     stages.lap("ingest")
@@ -295,10 +303,7 @@ def _cmd_estimate(args) -> int:
     if args.cv_out and choice.cv_curve:
         write_cv_csv(args.cv_out, choice)
         stages.lap("write")
-    if args.grid_lo is not None and args.grid_hi is not None:
-        grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
-    else:
-        grid = default_grid(series, args.grid_n)
+    grid = default_grid(series, args.grid_n) if lo is None else np.linspace(lo, hi, args.grid_n)
     est = _fit_and_write(args, series, grid, cfg, stages, choice)
     print(
         f"wrote {args.out} (h={est.h:g}, method={est.method}, "
@@ -308,8 +313,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc_study(args) -> int:
-    start = time.perf_counter()
-    methods = tuple(METHOD_ALIASES[m.strip()] for m in args.methods.split(","))
+    stages = _Stages()
+    names = [m.strip() for m in args.methods.split(",")]
+    unknown = [m for m in names if m not in METHOD_ALIASES]
+    if unknown:
+        raise ValidationError(f"unknown --methods {', '.join(map(repr, unknown))}; "
+                              f"expected a comma-separated list of {sorted(METHOD_ALIASES)}")
+    methods = tuple(METHOD_ALIASES[m] for m in names)
     if args.table is not None:
         configs = table_presets(args.table, replicates=args.reps, master_seed=args.seed)
         reports = run_studies([
@@ -332,6 +342,7 @@ def _cmd_mc_study(args) -> int:
                 label=f"example {args.example} T={args.t:g} n={args.n}",
             ))
         ]
+    stages.lap("study")
     payload = {
         "kind": "mc_study_report",
         "configs": [r.to_dict() for r in reports],
@@ -355,7 +366,8 @@ def _cmd_mc_study(args) -> int:
                         {"theoretical": p[0], "sample": p[1]} for p in pairs
                     ]
                     emit_report(rows, "csv", f"{args.csv_prefix}_qq_{idx}_{method}.csv")
-    runtime = _write_manifest(args, start)
+    stages.lap("write")
+    runtime = _write_manifest(args, stages.start, stages=stages.seconds)
     for rep in reports:
         line = ", ".join(f"rmse[{m}]={rep.rmse[m]:.4f}" for m in rep.methods)
         print(f"{rep.label or 'study'}: {line} (skipped {rep.skipped})")
@@ -393,6 +405,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "grid_n", 1) < 1:
+            raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,14 +71,6 @@ of each column's largest magnitude, the curves of `lljd estimate` and
 `lljd empirical` to 5e-15 and their bands, from local cubic equations of
 condition number up to 1e5, to 1.2e-12. A distance whose square underflows
 (under 1e-154) counts as zero.
-
-`ll_weights` is the single-point weight form of the local linear fit,
-
-    w[i] = K_i * (S_2 - d_i * S_1),
-
-and the curve estimate is the weighted mean of responses. This closed form
-equals the intercept of the kernel-weighted least squares line through the
-responses.
 """
 
 from __future__ import annotations
@@ -103,7 +95,6 @@ __all__ = [
     "drift_responses",
     "second_moment_responses",
     "fourth_moment_responses",
-    "ll_weights",
     "fit_responses",
     "estimate_curve",
     "estimate_curves",
@@ -314,19 +305,6 @@ def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
         )
     vals, n_eff, ok = _fit(kpts, ppts, responses[:, None], grid, cfg)
     return vals[0], n_eff, int((~ok).sum())
-
-
-def ll_weights(xt: ProxySeries, x: float, cfg: EstimatorConfig) -> np.ndarray:
-    """Local linear weights at a single evaluation point, one per estimating
-    term. An (almost) all-zero vector signals an empty neighbourhood; callers
-    decide how to treat it."""
-    kpts, ppts = term_points(xt, cfg.index_alignment)
-    h = cfg.bandwidth
-    kv = cfg.kernel.eval((kpts - x) / h)
-    d = ppts - x
-    s1 = float(kv @ d)
-    s2 = float(kv @ (d * d))
-    return kv * (s2 - d * s1)
 
 
 def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate:

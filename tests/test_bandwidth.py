@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lljd import estimators
-from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb
+from lljd.bandwidth import CV_BINS, CV_H_BINS, cross_validate, default_cv_grid, rule_of_thumb
 from lljd.errors import ValidationError
 from lljd.estimators import (
     DEGENERACY_FLOOR,
@@ -299,6 +299,22 @@ def test_binned_cv_agrees_with_exact_on_a_pinned_panel(kernel, method):
     assert fallbacks > 0 and degenerate > 0
 
 
+def test_binned_cv_bins_each_bandwidth_at_its_own_resolution():
+    # each h gets the fewest bins, a power of two up to CV_BINS, that put
+    # CV_H_BINS bins inside it; along the ascending grid the count never rises
+    for xt in binned_panel():
+        span = float(np.ptp(term_points(xt, "aligned")[0]))
+        grid = default_cv_grid(rule_of_thumb(xt).h)
+        bins = cross_validate(xt, grid, EstimatorConfig(1.0)).cv_bins
+        assert len(bins) == len(grid) and None not in bins
+        assert all(a >= b for a, b in zip(bins, bins[1:])) and bins[0] <= CV_BINS
+        for h, m in zip(grid, bins):
+            if m < CV_BINS:
+                assert h * (m - 1) / span >= CV_H_BINS > h * (m // 2 - 1) / span
+        assert len(set(bins)) > 1
+        assert cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact").cv_bins is None
+
+
 def test_binned_cv_keeps_the_degenerate_penalty_pattern():
     # the far outliers of the penalty test: h = 1e-4 is too narrow for the
     # bins and is scored exactly; at the wider h the outliers' leave-out fits
@@ -307,6 +323,7 @@ def test_binned_cv_keeps_the_degenerate_penalty_pattern():
     grid = np.array([1e-4, 0.2, 0.5, 1.0])
     _, binned = assert_backends_agree(xt, grid, EstimatorConfig(1.0))
     assert binned.cv_degenerate[0] == 32 and min(binned.cv_degenerate[1:]) > 0
+    assert binned.cv_bins[0] is None and None not in binned.cv_bins[1:]
     assert np.isnan(binned.cv_curve[0][1])
     # 32 terms at h = 1e-4, then the two outlier terms at each wider h
     assert binned.cv_exact_terms >= 32 + 2 * 3

@@ -18,7 +18,6 @@ from lljd.estimators import (
     drift_responses,
     estimate_curve,
     fit_responses,
-    ll_weights,
     _power_sums,
     second_derivative_fit,
     second_moment_responses,
@@ -33,6 +32,19 @@ from lljd.mcstudy import example_model
 
 def series(values, delta=0.1):
     return ProxySeries(delta=delta, xt=np.asarray(values, dtype=float))
+
+
+def ll_weights(xt, x, cfg):
+    """Local linear weights at a single evaluation point, one per estimating
+    term: w[i] = K_i * (S_2 - d_i * S_1). The curve estimate is the weighted
+    mean of the responses, and this closed form equals the intercept of the
+    kernel-weighted least squares line through them."""
+    kpts, ppts = term_points(xt, cfg.index_alignment)
+    kv = cfg.kernel.eval((kpts - x) / cfg.bandwidth)
+    d = ppts - x
+    s1 = float(kv @ d)
+    s2 = float(kv @ (d * d))
+    return kv * (s2 - d * s1)
 
 
 def scalar_weights_oracle(xt, x, h, alignment):

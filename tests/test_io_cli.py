@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lljd.bandwidth import BandwidthChoice
+from lljd.bandwidth import CV_BINS, BandwidthChoice
 from lljd.cli import main
 from lljd.errors import ValidationError
 from lljd.estimators import CurveEstimate
@@ -363,6 +363,10 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
         assert record["cv_degenerate_max"] == int(cv["degenerate"].max())
         assert record["cv_backend"] == "binned"
         assert 0 <= record["cv_exact_terms"] < pairs
+        # one bin count per grid h, never rising along the ascending grid
+        bins = record["cv_bins"]
+        assert len(bins) == 25 and all(isinstance(m, int) for m in bins)
+        assert bins == sorted(bins, reverse=True) and bins[0] <= CV_BINS
         lo, hi = cv["cv"].min(), cv["cv"].max()
         assert record["cv_flatness"] == pytest.approx((hi - lo) / lo, rel=1e-12)
         logged = [r for r in caplog.records if r.levelname == "WARNING"]
@@ -376,12 +380,13 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
     assert main(estimate) == 0
     record = bandwidth_record()
     assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"],
-            record["cv_backend"], record["cv_exact_terms"], record["cv_flatness"]) == (
-        "rule_of_thumb", None, None, None, None, None)
+            record["cv_backend"], record["cv_exact_terms"], record["cv_bins"],
+            record["cv_flatness"]) == ("rule_of_thumb", None, None, None, None, None, None)
     # as-written indexing is scored by the exact engine, every (h, term) pair
     assert main(estimate + ["--h", "cv", "--alignment", "as_written"]) == 0
     record = bandwidth_record()
-    assert (record["cv_backend"], record["cv_exact_terms"]) == ("exact", pairs)
+    assert (record["cv_backend"], record["cv_exact_terms"], record["cv_bins"]) == (
+        "exact", pairs, None)
 
 
 def test_cli_estimate_accepts_proxy_input(tmp_path):
@@ -411,16 +416,30 @@ def test_cli_estimate_parses_only_the_columns_it_uses(tmp_path):
     assert curve_csv.read_bytes() == want
 
 
+def stages_of(out):
+    return json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["stages"]
+
+
 def test_cli_stage_timings_live_only_in_the_manifest(tmp_path):
-    path_csv = tmp_path / "path.csv"
-    main(["simulate", "--t", "5", "--n", "300", "--seed", "8", "--out", str(path_csv)])
+    # simulate and mc-study: their data artifacts are byte-identical across runs
+    for command, keys in (
+        (["simulate", "--t", "5", "--n", "300", "--seed", "8"], {"simulate", "write"}),
+        (["mc-study", "--reps", "3", "--n", "200", "--grid-n", "21"], {"study", "write"}),
+    ):
+        outs = [tmp_path / f"{command[0]}{k}.out" for k in range(2)]
+        for out in outs:
+            assert main(command + ["--out", str(out)]) == 0
+            stages = stages_of(out)
+            assert set(stages) == keys and all(v >= 0.0 for v in stages.values())
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    path_csv = tmp_path / "simulate0.out"
     curves = []
     for k in range(2):
         out = tmp_path / f"curve{k}.csv"
         assert main(["estimate", "--in", str(path_csv), "--bands", "0.05", "--h", "cv",
                      "--cv-out", str(tmp_path / "cv.csv"), "--out", str(out)]) == 0
         curves.append(out.read_bytes())
-        stages = json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["stages"]
+        stages = stages_of(out)
         assert set(stages) == {"ingest", "bandwidth", "fit", "bands", "write"}
         assert all(v >= 0.0 for v in stages.values())
     assert curves[0] == curves[1]
@@ -428,8 +447,7 @@ def test_cli_stage_timings_live_only_in_the_manifest(tmp_path):
     out = tmp_path / "emp.csv"
     assert main(["empirical", "--in", str(prices), "--price-col", "close",
                  "--out", str(out)]) == 0
-    stages = json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["stages"]
-    assert set(stages) == {"ingest", "bandwidth", "fit", "write"}
+    assert set(stages_of(out)) == {"ingest", "bandwidth", "fit", "write"}
 
 
 def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
@@ -514,6 +532,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     assert main(["estimate", "--in", str(tmp_path / "missing.csv"),
                  "--h", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+    path_csv = tmp_path / "path.csv"
+    assert main(["simulate", "--t", "2", "--n", "150", "--out", str(path_csv)]) == 0
+    prices = write_prices(tmp_path / "p.csv", [f"{i},{100 + i % 7}" for i in range(300)])
+    capsys.readouterr()
+    commands = {
+        "estimate": ["estimate", "--in", str(path_csv)],
+        "empirical": ["empirical", "--in", str(prices), "--price-col", "close"],
+        "mc-study": ["mc-study", "--reps", "2", "--n", "100"],
+    }
+    out = tmp_path / "out.csv"
+    bad = [cmd + ["--grid-n", n] for cmd in commands.values() for n in ("-3", "0")]
+    bad += [commands["mc-study"] + ["--methods", "ll,xx"],
+            commands["estimate"] + ["--grid-lo", "-0.1"],
+            commands["estimate"] + ["--grid-hi", "0.1"],
+            commands["estimate"] + ["--grid-lo", "0.1", "--grid-hi", "-0.1"]]
+    for argv in bad:
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert not out.exists(), argv
 
 
 def test_cli_import_keeps_scipy_unloaded():
