@@ -47,7 +47,7 @@ from .estimators import (
     second_moment_responses,
 )
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb
-from .inference import ConfidenceBands, attach_bands, m_band, mu_band
+from .inference import ConfidenceBands, attach_bands
 from .mcstudy import (
     McConfig,
     McReport,

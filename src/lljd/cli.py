@@ -32,6 +32,7 @@ from .io import (
     write_cv_csv,
     write_path_csv,
     write_proxy_csv,
+    write_table,
 )
 from .kernels import get_kernel
 from .mcstudy import (
@@ -40,7 +41,7 @@ from .mcstudy import (
     example_model,
     qq_data,
     run_studies,
-    run_study,
+    run_study,  # noqa: F401  (kept bound here for perfbench/spans.py)
     table_presets,
 )
 from .proxy import ProxySeries, build_proxy
@@ -322,50 +323,30 @@ def _cmd_mc_study(args) -> int:
     methods = tuple(METHOD_ALIASES[m] for m in names)
     if args.table is not None:
         configs = table_presets(args.table, replicates=args.reps, master_seed=args.seed)
-        reports = run_studies([
-            McConfig(**{**c.__dict__, "methods": methods, "grid_n": args.grid_n,
-                        "range_mode": args.range_mode, "kernel": get_kernel(args.kernel)})
-            for c in configs
-        ])
     else:
-        reports = [
-            run_study(McConfig(
-                model=example_model(args.example),
-                t_span=args.t,
-                n=args.n,
-                replicates=args.reps,
-                master_seed=args.seed,
-                methods=methods,
-                kernel=get_kernel(args.kernel),
-                grid_n=args.grid_n,
-                range_mode=args.range_mode,
-                label=f"example {args.example} T={args.t:g} n={args.n}",
-            ))
-        ]
+        configs = [McConfig(model=example_model(args.example), t_span=args.t, n=args.n,
+                            replicates=args.reps, master_seed=args.seed,
+                            label=f"example {args.example} T={args.t:g} n={args.n}")]
+    reports = run_studies([
+        replace(c, methods=methods, grid_n=args.grid_n, range_mode=args.range_mode,
+                kernel=get_kernel(args.kernel))
+        for c in configs
+    ])
     stages.lap("study")
-    payload = {
-        "kind": "mc_study_report",
-        "configs": [r.to_dict() for r in reports],
-    }
-    emit_report(payload, "json", args.out)
+    emit_report({"kind": "mc_study_report", "configs": [r.to_dict() for r in reports]},
+                args.out)
     if args.csv_prefix:
         for idx, rep in enumerate(reports):
             for method in rep.methods:
                 band = rep.mc_band[method]
-                rows = [
-                    {"x": x, "lo": lo, "hi": hi, "mean": mean}
-                    for x, lo, hi, mean in zip(
-                        band["grid"], band["lo"], band["hi"], band["mean"]
-                    )
-                ]
-                emit_report(rows, "csv", f"{args.csv_prefix}_band_{idx}_{method}.csv")
+                write_table(f"{args.csv_prefix}_band_{idx}_{method}.csv",
+                            {"x": band["grid"], "lo": band["lo"], "hi": band["hi"],
+                             "mean": band["mean"]})
                 std = rep.standardized.get(method)
                 if std is not None and len(std) >= 20:
-                    pairs, ks = qq_data(np.asarray(std))
-                    rows = [
-                        {"theoretical": p[0], "sample": p[1]} for p in pairs
-                    ]
-                    emit_report(rows, "csv", f"{args.csv_prefix}_qq_{idx}_{method}.csv")
+                    pairs, _ = qq_data(np.asarray(std))
+                    write_table(f"{args.csv_prefix}_qq_{idx}_{method}.csv",
+                                {"theoretical": pairs[:, 0], "sample": pairs[:, 1]})
     stages.lap("write")
     runtime = _write_manifest(args, stages.start, stages=stages.seconds)
     for rep in reports:

@@ -1,5 +1,9 @@
 """Pointwise normal confidence bands for the estimated curves.
 
+`attach_bands` is the one entry point: it builds the drift and the
+second-moment band together, stores them on the estimate and returns them.
+With bias_corrected=False both bands are centred on the plain estimates.
+
 The band for the drift at x is centred on the bias-corrected estimate
 
     mu_hat(x) - (h^2/2) * mu''_hat(x) * B
@@ -34,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
 
 import numpy as np
 
@@ -55,8 +58,6 @@ __all__ = [
     "ConfidenceBands",
     "FOURTH_MOMENT_SCALE",
     "fourth_moment_responses",
-    "mu_band",
-    "m_band",
     "attach_bands",
 ]
 
@@ -74,10 +75,10 @@ class ConfidenceBands:
     band is undefined (empty neighbourhood, negative variance plug-in)."""
 
     alpha: float
-    lo_mu: Optional[np.ndarray] = None
-    hi_mu: Optional[np.ndarray] = None
-    lo_m: Optional[np.ndarray] = None
-    hi_m: Optional[np.ndarray] = None
+    lo_mu: np.ndarray
+    hi_mu: np.ndarray
+    lo_m: np.ndarray
+    hi_m: np.ndarray
     bias_corrected: bool = True
     pilot_h: float = float("nan")
     undefined_mu: int = 0
@@ -89,17 +90,17 @@ def _normal_critical(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def _bands(
+def attach_bands(
     est: CurveEstimate,
     xt: ProxySeries,
-    alpha: float,
-    pilot_h: float | None,
-    bias_corrected: bool,
-    curves: tuple,
+    alpha: float = 0.05,
+    pilot_h: float | None = None,
+    bias_corrected: bool = True,
 ) -> ConfidenceBands:
-    """Bands for the named curves ("mu", "m"). Their one kernel pass is the
-    local cubic pass for both curvatures; the density and the fourth-moment
-    plug-in come from the estimate's own pass (see the module docstring)."""
+    """Compute both bands, store them on the estimate, and return them. Their
+    one kernel pass is the local cubic pass for both curvatures; the density
+    and the fourth-moment plug-in come from the estimate's own pass (see the
+    module docstring)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if est.method != LOCAL_LINEAR:
@@ -117,23 +118,21 @@ def _bands(
     p_hat = (est.n_eff + tail[0] + tail[1]) / (len(arr) * est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
     if bias_corrected:
-        responses = {"mu": drift_responses, "m": second_moment_responses}
         curvature = second_derivative_fit(
             xt,
-            [responses[c](xt) for c in curves],
+            [drift_responses(xt), second_moment_responses(xt)],
             est.grid,
             est.kernel,
             pilot_h,
             est.index_alignment,
         )
     else:
-        curvature = np.zeros((len(curves), len(est.grid)))
+        curvature = np.zeros((2, len(est.grid)))
     fields = {}
-    for name, c2 in zip(curves, curvature):
-        if name == "mu":
-            estimate, spread = est.mu_hat, est.m_hat
-        else:
-            estimate, spread = est.m_hat, FOURTH_MOMENT_SCALE * est.m4_hat
+    for name, c2, estimate, spread in (
+        ("mu", curvature[0], est.mu_hat, est.m_hat),
+        ("m", curvature[1], est.m_hat, FOURTH_MOMENT_SCALE * est.m4_hat),
+    ):
         bias = 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
         ok = (
             np.isfinite(estimate)
@@ -148,40 +147,7 @@ def _bands(
         fields[f"lo_{name}"] = np.where(ok, center - half, np.nan)
         fields[f"hi_{name}"] = np.where(ok, center + half, np.nan)
         fields[f"undefined_{name}"] = int((~ok).sum())
-    return ConfidenceBands(
+    est.bands = ConfidenceBands(
         alpha=alpha, bias_corrected=bias_corrected, pilot_h=pilot_h, **fields
     )
-
-
-def mu_band(
-    est: CurveEstimate,
-    xt: ProxySeries,
-    alpha: float = 0.05,
-    pilot_h: float | None = None,
-    bias_corrected: bool = True,
-) -> ConfidenceBands:
-    """Pointwise normal band for the drift curve."""
-    return _bands(est, xt, alpha, pilot_h, bias_corrected, ("mu",))
-
-
-def m_band(
-    est: CurveEstimate,
-    xt: ProxySeries,
-    alpha: float = 0.05,
-    pilot_h: float | None = None,
-    bias_corrected: bool = True,
-) -> ConfidenceBands:
-    """Pointwise normal band for the second-moment curve."""
-    return _bands(est, xt, alpha, pilot_h, bias_corrected, ("m",))
-
-
-def attach_bands(
-    est: CurveEstimate,
-    xt: ProxySeries,
-    alpha: float = 0.05,
-    pilot_h: float | None = None,
-    bias_corrected: bool = True,
-) -> ConfidenceBands:
-    """Compute both bands, store them on the estimate, and return them."""
-    est.bands = _bands(est, xt, alpha, pilot_h, bias_corrected, ("mu", "m"))
     return est.bands

@@ -5,10 +5,11 @@ file's lines and parses the numeric cells in one `np.loadtxt` call; only when
 that parse fails or yields fewer rows than there are lines does it rescan
 the file to name the first offending line. `write_table` writes named
 columns in blocks of rows, with floats in shortest exact round-trip form, so
-its memory does not grow with the table. Data artifacts carry no
-timestamps: each gets a sibling ``<name>.manifest.json`` recording the
-command, parameters, seeds, input digests, library version and the only
-timestamp.
+its memory does not grow with the table; CSV extracts of reports go
+through it too. `emit_report` writes a report dict as strict JSON, the only
+report format. Data artifacts carry no timestamps: each gets a sibling
+``<name>.manifest.json`` recording the command, parameters, seeds, input
+digests, library version and the only timestamp.
 """
 
 from __future__ import annotations
@@ -114,28 +115,14 @@ def _strict_json(value):
     return value
 
 
-def emit_report(results, format: str, path) -> Path:
-    """Write a results payload deterministically.
-
-    JSON: `results` is a dict; a schema_version field is added when absent,
-    keys are sorted and non-finite floats are written as null, so the file is
-    strict JSON. CSV: `results` is a list of dicts with identical keys, in
-    row order.
-    """
+def emit_report(results: dict, path) -> Path:
+    """Write a results dict as deterministic strict JSON: a schema_version
+    field is added when absent, keys are sorted and non-finite floats are
+    written as null."""
     path = Path(path)
-    if format == "json":
-        if not isinstance(results, dict):
-            raise ValidationError("JSON reports take a dict payload")
-        payload = _strict_json(dict(results))
-        payload.setdefault("schema_version", 1)
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        path.write_text(text + "\n")
-        return path
-    if format == "csv":
-        if not isinstance(results, list) or not results:
-            raise ValidationError("CSV reports take a nonempty list of row dicts")
-        return write_table(path, {k: [row[k] for row in results] for k in results[0]})
-    raise ValidationError(f"unknown report format {format!r}")
+    payload = {"schema_version": 1, **_strict_json(results)}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return path
 
 
 def _cell_text(column) -> list:
@@ -178,8 +165,7 @@ def write_curve_csv(path, est) -> Path:
     columns = {"x": est.grid, "mu_hat": est.mu_hat, "m_hat": est.m_hat, "n_eff": est.n_eff}
     if est.bands is not None:
         for name in ("lo_mu", "hi_mu", "lo_m", "hi_m"):
-            band = getattr(est.bands, name)
-            columns[name] = np.full(len(est.grid), np.nan) if band is None else band
+            columns[name] = getattr(est.bands, name)
     return write_table(path, columns)
 
 

@@ -141,19 +141,14 @@ class KernelMoments:
     v: float
 
 
-def variance_constant(k1, k2=None) -> float:
+def variance_constant(k1, k2) -> float:
     """Asymptotic variance constant of the local linear fit.
 
     V = ((K_1^2)^2 K_2^0 + (K_1^1)^2 K_2^2 - 2 K_1^1 K_1^2 K_2^1)
         / (K_1^2 - (K_1^1)^2)^2
 
-    For symmetric kernels this collapses to K_2^0. Accepts either a
-    KernelMoments or the two moment tuples.
+    For symmetric kernels this collapses to K_2^0.
     """
-    if isinstance(k1, KernelMoments):
-        k1, k2 = k1.k1, k1.k2
-    if k2 is None:
-        raise ValidationError("need the squared-kernel moments k2")
     denom = k1[2] - k1[1] ** 2
     if denom == 0.0 or not math.isfinite(denom):
         raise ValidationError("degenerate kernel design: K_1^2 equals (K_1^1)^2")

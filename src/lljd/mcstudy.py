@@ -13,7 +13,7 @@ or with other configs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Callable
 
@@ -115,24 +115,7 @@ class McReport:
 
     def to_dict(self) -> dict:
         """JSON-ready payload."""
-        return {
-            "label": self.label,
-            "t_span": self.t_span,
-            "n": self.n,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "methods": list(self.methods),
-            "quantiles": list(self.quantiles),
-            "eval_x": self.eval_x,
-            "rmse": self.rmse,
-            "rmse_per_replicate": self.rmse_per_replicate,
-            "bias_at_quantiles": self.bias_at_quantiles,
-            "mc_band": self.mc_band,
-            "estimates_at_x": self.estimates_at_x,
-            "standardized": self.standardized,
-            "skipped": self.skipped,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def rmse(est: CurveEstimate, truth: Callable, target: str = "mu") -> float:

@@ -7,6 +7,7 @@ and that proxy sequence is the actual input of every estimator here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,10 @@ class ProxySeries:
 
     delta: float
     xt: np.ndarray
-    source: str = "simulated"
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValidationError(f"delta must be positive and finite, got {self.delta}")
         if self.xt.ndim != 1:
             raise ValidationError("proxy series must be one-dimensional")
 
@@ -38,7 +38,7 @@ class ProxySeries:
         return len(self.xt)
 
 
-def build_proxy(y, delta: float, source: str = "simulated") -> ProxySeries:
+def build_proxy(y, delta: float) -> ProxySeries:
     """Scaled first differences of an integrated series.
 
     Raises ValidationError on non-finite input, reporting the offending index.
@@ -46,13 +46,13 @@ def build_proxy(y, delta: float, source: str = "simulated") -> ProxySeries:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) < 3:
         raise ValidationError("need a one-dimensional series of length >= 3")
-    if delta <= 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValidationError(f"non-finite value in integrated series at index {bad[0]}")
-    xt = np.diff(y) / delta
-    return ProxySeries(delta=delta, xt=xt, source=source)
+    xt = np.diff(y)
+    series = ProxySeries(delta=delta, xt=xt)  # checks delta before the division
+    xt /= delta
+    return series
 
 
 def build_log_proxy(prices, delta: float) -> ProxySeries:
@@ -70,5 +70,4 @@ def build_log_proxy(prices, delta: float) -> ProxySeries:
             f"non-positive or non-finite price at 0-based data row {bad[0]} "
             f"(value {prices[bad[0]]!r})"
         )
-    series = build_proxy(np.log(prices), delta, source="empirical_log")
-    return series
+    return build_proxy(np.log(prices), delta)

@@ -73,13 +73,6 @@ class JumpSizeDist:
             return rng.normal(self.loc, self.scale, n)
         return self.loc + self.scale * rng.standard_cauchy(n)
 
-    @property
-    def second_moment(self) -> float:
-        """E[Z^2]; infinite for Cauchy sizes."""
-        if self.family == "normal":
-            return self.loc**2 + self.scale**2
-        return math.inf
-
 
 @dataclass(frozen=True)
 class NoJumps:

@@ -25,7 +25,7 @@ from lljd.estimators import (
     second_moment_responses,
     term_points,
 )
-from lljd.inference import mu_band
+from lljd.inference import attach_bands
 from lljd.kernels import GAUSSIAN, kernel_moment, moments
 from lljd.mcstudy import McConfig, example_model, qq_data, run_study
 from lljd.proxy import ProxySeries, build_proxy
@@ -252,7 +252,7 @@ def test_criterion_09_drift_band_coverage():
             path = simulate_path(model, PathConfig(10.0, 1000, seed=seed))
             pr = build_proxy(path.y, path.delta)
             est = estimate_curve(pr, np.array([0.0]), EstimatorConfig(rule_of_thumb(pr, 10.0).h))
-            band = mu_band(est, pr, alpha=0.05)
+            band = attach_bands(est, pr, alpha=0.05)
             if np.isfinite(band.lo_mu[0]):
                 total += 1
                 cover += band.lo_mu[0] <= 0.0 <= band.hi_mu[0]

@@ -22,8 +22,6 @@ from lljd.inference import (
     _normal_critical,
     attach_bands,
     fourth_moment_responses,
-    m_band,
-    mu_band,
 )
 from lljd.kernels import EPANECHNIKOV, GAUSSIAN, bias_constant, moments
 from lljd.proxy import build_proxy
@@ -48,8 +46,8 @@ def test_normal_quantile_value():
 
 def test_half_width_scales_exactly_with_observation_budget():
     est, pr = fitted(seed=1)
-    base = mu_band(est, pr, alpha=0.05)
-    more = mu_band(replace(est, n_terms=4 * est.n_terms), pr, alpha=0.05)
+    base = attach_bands(est, pr, alpha=0.05)
+    more = attach_bands(replace(est, n_terms=4 * est.n_terms), pr, alpha=0.05)
     ok = np.isfinite(base.lo_mu) & np.isfinite(more.lo_mu)
     hw_base = (base.hi_mu - base.lo_mu)[ok]
     hw_more = (more.hi_mu - more.lo_mu)[ok]
@@ -61,23 +59,23 @@ def test_half_width_scales_exactly_with_observation_budget():
 def test_bands_are_ordered_and_nested_in_alpha():
     est, pr = fitted(seed=2)
     wide = attach_bands(est, pr, alpha=0.05)
-    narrow = m_band(est, pr, alpha=0.32)
-    narrow_mu = mu_band(est, pr, alpha=0.32)
+    assert est.bands is wide
+    narrow = attach_bands(est, pr, alpha=0.32)
+    assert est.bands is narrow
     for lo, hi in ((wide.lo_mu, wide.hi_mu), (wide.lo_m, wide.hi_m)):
         ok = np.isfinite(lo)
         assert np.all(lo[ok] <= hi[ok])
     ok = np.isfinite(wide.lo_m) & np.isfinite(narrow.lo_m)
     assert np.all(wide.lo_m[ok] <= narrow.lo_m[ok])
     assert np.all(narrow.hi_m[ok] <= wide.hi_m[ok])
-    ok = np.isfinite(wide.lo_mu) & np.isfinite(narrow_mu.lo_mu)
-    assert np.all(wide.lo_mu[ok] <= narrow_mu.lo_mu[ok])
-    assert est.bands is wide
+    ok = np.isfinite(wide.lo_mu) & np.isfinite(narrow.lo_mu)
+    assert np.all(wide.lo_mu[ok] <= narrow.lo_mu[ok])
 
 
 def test_bias_correction_shifts_center_by_exactly_the_curvature_term():
     est, pr = fitted(seed=3)
-    corrected = mu_band(est, pr, alpha=0.05)
-    plain = mu_band(est, pr, alpha=0.05, bias_corrected=False)
+    corrected = attach_bands(est, pr, alpha=0.05)
+    plain = attach_bands(est, pr, alpha=0.05, bias_corrected=False)
     mu2 = second_derivative_fit(
         pr, drift_responses(pr), est.grid, est.kernel, corrected.pilot_h, est.index_alignment
     )
@@ -93,7 +91,7 @@ def test_linear_drift_band_covers_truth_at_center():
     cover = total = 0
     for seed in derive_seeds(71, 60):
         est, pr = fitted(seed=seed, n=1000, grid=np.array([0.0]))
-        band = mu_band(est, pr, alpha=0.05)
+        band = attach_bands(est, pr, alpha=0.05)
         if np.isfinite(band.lo_mu[0]):
             total += 1
             cover += band.lo_mu[0] <= 0.0 <= band.hi_mu[0]
@@ -108,7 +106,7 @@ def test_m_band_covers_diffusion_variance_without_jumps():
     cover = total = 0
     for seed in derive_seeds(404, 200):
         est, pr = fitted(seed=seed, n=10_000, grid=np.array([0.0]))
-        band = m_band(est, pr, alpha=0.05)
+        band = attach_bands(est, pr, alpha=0.05)
         if np.isfinite(band.lo_m[0]):
             total += 1
             cover += band.lo_m[0] <= 0.1 <= band.hi_m[0]
@@ -125,7 +123,7 @@ def test_m_band_covers_total_second_moment_with_vg_jumps():
     cover = total = 0
     for seed in derive_seeds(303, 200):
         est, pr = fitted(seed=seed, n=2500, model=example_model(2), grid=np.array([0.0]))
-        band = m_band(est, pr, alpha=0.05, bias_corrected=False)
+        band = attach_bands(est, pr, alpha=0.05, bias_corrected=False)
         if np.isfinite(band.lo_m[0]):
             total += 1
             cover += band.lo_m[0] <= target <= band.hi_m[0]
@@ -144,14 +142,14 @@ def test_band_requires_local_linear_fit():
     pr = build_proxy(path.y, path.delta)
     est = estimate_curve(pr, None, EstimatorConfig(0.05, method=NADARAYA_WATSON))
     with pytest.raises(ValidationError, match="local linear"):
-        mu_band(est, pr, alpha=0.05)
+        attach_bands(est, pr, alpha=0.05)
 
 
 def test_alpha_validation():
     est, pr = fitted(seed=7, n=400)
     for bad in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValidationError):
-            mu_band(est, pr, alpha=bad)
+            attach_bands(est, pr, alpha=bad)
 
 
 def oracle_bands(est, pr, alpha, pilot_h):
@@ -223,4 +221,4 @@ def test_bands_add_only_the_local_cubic_kernel_pass(monkeypatch):
 def test_band_needs_the_fourth_moment_fit_of_the_estimate():
     est, pr = fitted(seed=10, n=400)
     with pytest.raises(ValidationError, match="fourth-moment"):
-        m_band(replace(est, m4_hat=None), pr)
+        attach_bands(replace(est, m4_hat=None), pr)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ from lljd.io import (
     write_proxy_csv,
     write_table,
 )
-from lljd.mcstudy import McConfig, run_study
+from lljd.mcstudy import McConfig, qq_data, run_study
 from lljd.proxy import ProxySeries, build_proxy
 from lljd.simulate import (
     CompoundPoisson,
@@ -205,7 +206,8 @@ def test_curve_and_cv_csv_exact_text(tmp_path):
         "x,mu_hat,m_hat,n_eff\n-0.5,1.0,0.1,10.0\n0.25,nan,0.125,0.0\n"
     )
     est.bands = ConfidenceBands(alpha=0.05, lo_mu=np.array([0.5, np.nan]),
-                                hi_mu=np.array([1.5, np.nan]))
+                                hi_mu=np.array([1.5, np.nan]), lo_m=np.full(2, np.nan),
+                                hi_m=np.full(2, np.nan))
     assert write_curve_csv(tmp_path / "cb.csv", est).read_text() == (
         "x,mu_hat,m_hat,n_eff,lo_mu,hi_mu,lo_m,hi_m\n"
         "-0.5,1.0,0.1,10.0,0.5,1.5,nan,nan\n"
@@ -220,34 +222,26 @@ def test_curve_and_cv_csv_exact_text(tmp_path):
         write_cv_csv(tmp_path / "none.csv", BandwidthChoice(h=0.2, method="fixed"))
 
 
-def test_emit_report_csv_exact_text_of_numpy_values(tmp_path):
-    rows = [
-        {"x": np.float64(0.1), "lo": np.nan, "n": np.int64(7), "tag": "ll"},
-        {"x": np.float32(0.5), "lo": 1e-7, "n": 0, "tag": "nw"},
-    ]
-    out = emit_report(rows, "csv", tmp_path / "r.csv")
+def test_write_table_exact_text_of_numpy_values(tmp_path):
+    columns = {
+        "x": [np.float64(0.1), np.float32(0.5)],
+        "lo": np.array([np.nan, 1e-7]),
+        "n": [np.int64(7), 0],
+        "tag": ["ll", "nw"],
+    }
+    out = write_table(tmp_path / "r.csv", columns)
     assert out.read_text() == "x,lo,n,tag\n0.1,nan,7,ll\n0.5,1e-07,0,nw\n"
 
 
 def test_emit_report_deterministic_and_exact(tmp_path):
     payload = {"kind": "test", "value": 0.1 + 0.2, "items": [1.5, float(np.pi)]}
-    a = emit_report(payload, "json", tmp_path / "a.json")
-    b = emit_report(payload, "json", tmp_path / "b.json")
+    a = emit_report(payload, tmp_path / "a.json")
+    b = emit_report(payload, tmp_path / "b.json")
     assert a.read_bytes() == b.read_bytes()
     back = json.loads(a.read_text())
     assert back["value"] == 0.1 + 0.2
     assert back["items"][1] == float(np.pi)
     assert back["schema_version"] == 1
-
-
-def test_emit_report_csv_rows(tmp_path):
-    rows = [{"x": 1.5, "n": 3}, {"x": -0.25, "n": 4}]
-    out = emit_report(rows, "csv", tmp_path / "r.csv")
-    assert out.read_text() == "x,n\n1.5,3\n-0.25,4\n"
-    with pytest.raises(ValidationError):
-        emit_report(rows, "xml", tmp_path / "r.xml")
-    with pytest.raises(ValidationError):
-        emit_report([], "csv", tmp_path / "e.csv")
 
 
 def test_curve_csv_headers(tmp_path):
@@ -504,6 +498,54 @@ def test_cli_mc_study_table_preset(tmp_path):
     assert report["configs"][0]["n"] == 1000  # preset pins the sample size
 
 
+def test_cli_mc_study_csv_prefix_extracts_match_the_report(tmp_path):
+    def column_values(values):
+        return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+    for reps in (25, 19):
+        prefix, out = tmp_path / f"r{reps}", tmp_path / f"r{reps}.json"
+        assert main(["mc-study", "--example", "1", "--t", "2", "--n", "200",
+                     "--reps", str(reps), "--seed", "4", "--grid-n", "21",
+                     "--csv-prefix", str(prefix), "--out", str(out)]) == 0
+        cfg = json.loads(out.read_text())["configs"][0]
+        for method in cfg["methods"]:
+            band_csv = Path(f"{prefix}_band_0_{method}.csv")
+            assert band_csv.read_text().splitlines()[0] == "x,lo,hi,mean"
+            cols = read_columns_csv(band_csv)
+            band = cfg["mc_band"][method]
+            for csv_name, key in (("x", "grid"), ("lo", "lo"), ("hi", "hi"),
+                                  ("mean", "mean")):
+                np.testing.assert_array_equal(cols[csv_name], column_values(band[key]))
+            qq_csv = Path(f"{prefix}_qq_0_{method}.csv")
+            if reps < 20:
+                assert not qq_csv.exists()
+                continue
+            assert qq_csv.read_text().splitlines()[0] == "theoretical,sample"
+            cols = read_columns_csv(qq_csv)
+            pairs, _ = qq_data(np.asarray(cfg["standardized"][method]))
+            np.testing.assert_array_equal(cols["theoretical"], pairs[:, 0])
+            np.testing.assert_array_equal(cols["sample"], pairs[:, 1])
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps these names where the CLI binds them; an
+    # unbound one fails its traced runs with an AttributeError
+    spans_py = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    assert spans.WRAPPED
+    for module, attr, _, _ in spans.WRAPPED:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+
+
 def test_cli_empirical_downward_drift_on_mean_reverting_standin(tmp_path):
     # synthetic stand-in for an observed five-minute price series
     path = simulate_path(default_model(), PathConfig(t_span=50.0, n=2400, seed=12))
@@ -547,9 +589,21 @@ def test_cli_exit_codes(tmp_path, capsys):
             commands["estimate"] + ["--grid-lo", "-0.1"],
             commands["estimate"] + ["--grid-hi", "0.1"],
             commands["estimate"] + ["--grid-lo", "0.1", "--grid-hi", "-0.1"]]
-    for argv in bad:
-        assert main(argv + ["--out", str(out)]) == 2, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+    # a bad step is named as such, also where the fit would go through, and
+    # is rejected before anything divides by it
+    bad_delta = [commands["estimate"] + ["--delta", "inf"],
+                 commands["estimate"] + ["--delta", "nan"],
+                 commands["empirical"] + ["--delta", "inf"],
+                 commands["estimate"] + ["--delta", "inf", "--h", "0.05"],
+                 commands["estimate"] + ["--delta", "0"],
+                 commands["empirical"] + ["--delta", "0"]]
+    for argv in bad + bad_delta:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert argv not in bad_delta or "error: delta must be" in err, err
         assert not out.exists(), argv
 
 
@@ -573,8 +627,8 @@ def test_report_with_skipped_replicates_is_strict_json(tmp_path):
     cfg = McConfig(model=model, t_span=10.0, n=50, replicates=30, master_seed=1,
                    methods=("local_linear",), burn_in=20)
     payload = {"configs": [run_study(cfg).to_dict()]}
-    a = emit_report(payload, "json", tmp_path / "a.json")
-    b = emit_report(payload, "json", tmp_path / "b.json")
+    a = emit_report(payload, tmp_path / "a.json")
+    b = emit_report(payload, tmp_path / "b.json")
     assert a.read_bytes() == b.read_bytes()
 
     def reject(name):

@@ -87,11 +87,6 @@ def test_variance_constant_direct_substitution():
     assert variance_constant((1.0, 0.0, 1.0, 0.0), (0.37, 0.0, 0.5)) == pytest.approx(0.37)
 
 
-def test_variance_constant_accepts_moment_table():
-    m = moments(GAUSSIAN)
-    assert variance_constant(m) == m.v
-
-
 def test_variance_constant_asymmetric_hand_value():
     # (1^2*1 + 0.5^2*0.8 - 2*0.5*1*0.2) / (1 - 0.25)^2 = 1.0 / 0.5625
     k1 = (1.0, 0.5, 1.0, 0.0)

@@ -51,7 +51,6 @@ def test_shift_equivariance(values, shift):
 def test_log_proxy_flat_prices():
     pr = build_log_proxy([100.0, 100.0, 100.0], delta=1.0)
     assert np.array_equal(pr.xt, [0.0, 0.0])
-    assert pr.source == "empirical_log"
 
 
 def test_log_proxy_single_return_value():
