@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lljd.bandwidth import rule_of_thumb  # noqa: E402
 from lljd.errors import NumericalError  # noqa: E402
-from lljd.estimators import EstimatorConfig, density_estimate, estimate_curve, fit_responses  # noqa: E402
+from lljd.estimators import EstimatorConfig, estimate_curve, fit_responses  # noqa: E402
 from lljd.inference import FOURTH_MOMENT_SCALE, fourth_moment_responses  # noqa: E402
 from lljd.kernels import GAUSSIAN, moments  # noqa: E402
 from lljd.mcstudy import example_model  # noqa: E402
@@ -59,7 +59,7 @@ def main():
         cfg = EstimatorConfig(h)
         est = estimate_curve(pr, np.array([0.0]), cfg)
         c4_raw, _, _ = fit_responses(pr, fourth_moment_responses(pr), np.array([0.0]), cfg)
-        p0 = density_estimate(pr, np.array([0.0]), GAUSSIAN, h)[0]
+        p0 = GAUSSIAN.eval(pr.xt / h).sum() / (len(pr.xt) * h)
         m_at0.append(est.m_hat[0])
         raw.append(c4_raw[0])
         scale.append(est.n_terms * pr.delta * h * p0)

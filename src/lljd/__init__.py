@@ -38,7 +38,6 @@ from .estimators import (
     CurveEstimate,
     EstimatorConfig,
     default_grid,
-    density_estimate,
     drift_responses,
     estimate_curve,
     estimate_curves,

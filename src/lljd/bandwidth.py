@@ -66,10 +66,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import (
-    NADARAYA_WATSON,
     EstimatorConfig,
     _closed_form,
-    _fit,
+    _degree,
     _power_sums,
     drift_responses,
     term_points,
@@ -201,8 +200,9 @@ def _exact_scores(kpts, ppts, resp, h_grid, cfg):
     n = len(resp)
     idx = np.arange(n)
     deleted = (idx - 1, idx + 2)  # terms i-1, i, i+1 leave the fit at ppts[i]
-    # values [H, 1, n], ok [H, n]
-    pred, _, ok = _fit(kpts, ppts, resp[:, None], ppts, cfg, deleted, h_grid)
+    s, t = _power_sums(kpts, ppts, resp[:, None], ppts, cfg.kernel, h_grid,
+                       _degree(cfg.method), deleted)
+    pred, _, ok = _closed_form(s, t, cfg.method, n)  # pred [H, 1, n], ok [H, n]
     err = _penalised_errors(resp, pred[:, 0], ok)
     return np.array([e @ e for e in err]), (~ok).sum(axis=1), n * len(h_grid), None
 
@@ -291,7 +291,7 @@ def _binned_scores(kpts, ppts, resp, h_grid, cfg):
     None where the exact engine scored every term. Aligned indexing: ppts is
     kpts."""
     n = len(resp)
-    degree = 0 if cfg.method == NADARAYA_WATSON else 1
+    degree = _degree(cfg.method)
     span = float(np.ptp(kpts))
     sse = np.empty(len(h_grid))
     degen = np.empty(len(h_grid), dtype=np.int64)

@@ -154,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
-    """The --h choice; CV fits with the kernel, method and alignment of `cfg`."""
+    """The --h choice; CV fits with the kernel, method and alignment of `cfg`.
+    A number is checked where the fit is configured (EstimatorConfig)."""
     if spec == "auto":
         return rule_of_thumb(series)
     if spec == "cv":
@@ -165,8 +166,6 @@ def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
         raise ValidationError(
             f"--h must be 'auto', 'cv' or a number, got {spec!r}"
         ) from None
-    if h <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
     return BandwidthChoice(h=h, method="fixed")
 
 

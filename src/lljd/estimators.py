@@ -1,5 +1,5 @@
 """Local polynomial estimation from proxy series: local linear and
-Nadaraya-Watson curve fits, local cubic curvature and kernel density.
+Nadaraya-Watson curve fits and local cubic curvature.
 
 The estimating equations pair each response with a kernel weight one index
 back: for proxy entries xt[0..m-1], term t (t = 1..m-2) carries
@@ -27,7 +27,8 @@ d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
     T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
 
 One routine, `_power_sums`, computes them for any number of responses and
-any number of bandwidths, with a leading bandwidth axis. Its callers read:
+any number of bandwidths, with a leading bandwidth axis, and one routine,
+`_closed_form`, turns sums of degree `_degree(methods)` into the fits:
 
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
@@ -40,8 +41,6 @@ any number of bandwidths, with a leading bandwidth axis. Its callers read:
                                     trailing proxies
     second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
                                     normal equations, solved in one batch
-    density_estimate                p=0: S_0 over every proxy, / (n h); the
-                                    oracle of the bands' density
     bandwidth.cross_validate        backend 'exact': the p=0/1 fit at the
                                     regressor points, with an exclusion
                                     window, for the whole bandwidth grid in
@@ -50,6 +49,9 @@ any number of bandwidths, with a leading bandwidth axis. Its callers read:
                                     binned points and calls this engine
                                     only for its few ill-conditioned
                                     leave-out fits
+
+The estimators read the entries of a `ProxySeries` unchecked: it checked
+them when it was built. `term_points` adds a fit's one rule, three entries.
 
 S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are
@@ -65,12 +67,8 @@ and the window once; then, for each bandwidth,
     S_j, T_j = w @ A      one BLAS product per power j <= p (S_j = w @ 1 above)
     w *= d                between powers
 
-and it divides the finished sums by z once per call. Against the former
-K((kpts - x) / h) per pair with a row sum per power, the sums agree to 4e-15
-of each column's largest magnitude, the curves of `lljd estimate` and
-`lljd empirical` to 5e-15 and their bands, from local cubic equations of
-condition number up to 1e5, to 1.2e-12. A distance whose square underflows
-(under 1e-154) counts as zero.
+and it divides the finished sums by z once per call. A distance whose square
+underflows (under 1e-154) counts as zero.
 """
 
 from __future__ import annotations
@@ -98,7 +96,6 @@ __all__ = [
     "fit_responses",
     "estimate_curve",
     "estimate_curves",
-    "density_estimate",
     "second_derivative_fit",
 ]
 
@@ -165,41 +162,30 @@ class CurveEstimate:
     bands: Optional["object"] = field(default=None, repr=False)
 
 
-def _check_series(xt: ProxySeries) -> np.ndarray:
-    arr = np.asarray(xt.xt, dtype=float)
-    if len(arr) < 3:
-        raise ValidationError("proxy series must have length >= 3")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValidationError(f"non-finite proxy entry at index {bad[0]}")
-    return arr
-
-
 def term_points(xt: ProxySeries, index_alignment: str = "aligned"):
     """Kernel points and regressor points of the estimating terms."""
-    arr = _check_series(xt)
+    arr = xt.xt
+    if len(arr) < 3:
+        raise ValidationError("proxy series must have length >= 3")
     kpts = arr[:-2]
     ppts = arr[1:-1] if index_alignment == "as_written" else kpts
     return kpts, ppts
 
 
 def drift_responses(xt: ProxySeries) -> np.ndarray:
-    arr = _check_series(xt)
-    return (arr[2:] - arr[1:-1]) / xt.delta
+    return (xt.xt[2:] - xt.xt[1:-1]) / xt.delta
 
 
 def second_moment_responses(xt: ProxySeries, rescaled: bool = True) -> np.ndarray:
     """Squared-difference responses; `rescaled` applies the 3/2 attenuation
     correction (the estimator proper), otherwise the raw statistic targets
     (2/3) M(x)."""
-    arr = _check_series(xt)
-    out = (arr[2:] - arr[1:-1]) ** 2 / xt.delta
+    out = (xt.xt[2:] - xt.xt[1:-1]) ** 2 / xt.delta
     return 1.5 * out if rescaled else out
 
 
 def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
-    arr = _check_series(xt)
-    d2 = (arr[2:] - arr[1:-1]) ** 2
+    d2 = (xt.xt[2:] - xt.xt[1:-1]) ** 2
     return d2 * d2 / xt.delta
 
 
@@ -209,11 +195,11 @@ def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner"
     'inner' spans the 2.5%..97.5% sample quantiles (extrapolation into empty
     tails is rarely meaningful); 'full' spans min..max for boundary studies.
     """
-    arr = _check_series(xt)
+    term_points(xt)  # a grid is for a series that can be fitted
     if range_mode == "inner":
-        lo, hi = np.quantile(arr, [0.025, 0.975])
+        lo, hi = np.quantile(xt.xt, [0.025, 0.975])
     elif range_mode == "full":
-        lo, hi = arr.min(), arr.max()
+        lo, hi = xt.xt.min(), xt.xt.max()
     else:
         raise ValidationError(f"unknown range mode {range_mode!r}")
     return np.linspace(lo, hi, n_points)
@@ -264,6 +250,11 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
     return acc[..., 0], acc[:, :, : degree + 1, 1:]
 
 
+def _degree(*methods) -> int:
+    """The least local polynomial degree whose power sums fit all `methods`."""
+    return 0 if set(methods) == {NADARAYA_WATSON} else 1
+
+
 def _closed_form(s, t, method: str, n_terms: int):
     """The local linear or Nadaraya-Watson fit from power sums of a degree
     >= its own (the Nadaraya-Watson S_0, T_0 are the j = 0 sums of a local
@@ -282,18 +273,6 @@ def _closed_form(s, t, method: str, n_terms: int):
     return vals.swapaxes(-1, -2), s0, ok
 
 
-def _fit(kpts, ppts, responses, grid, cfg: EstimatorConfig, window=None, h=None):
-    """The configured local linear or Nadaraya-Watson fit of each column of
-    `responses` [n_terms, R]. Returns (values [R, G], n_eff, defined mask);
-    values are NaN where the fit is undefined. A 1-d array `h` of bandwidths
-    replaces cfg.bandwidth and adds a leading bandwidth axis to each result."""
-    degree = 0 if cfg.method == NADARAYA_WATSON else 1
-    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel,
-                       cfg.bandwidth if h is None else h, degree, window)
-    vals, s0, ok = _closed_form(s, t, cfg.method, len(kpts))
-    return (vals, s0, ok) if h is not None else (vals[0], s0[0], ok[0])
-
-
 def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
     """Fit an arbitrary response vector (one entry per estimating term) over a
     grid. Returns (values, n_eff, undefined_count)."""
@@ -303,8 +282,10 @@ def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
         raise ValidationError(
             f"expected {len(kpts)} responses (one per term), got {len(responses)}"
         )
-    vals, n_eff, ok = _fit(kpts, ppts, responses[:, None], grid, cfg)
-    return vals[0], n_eff, int((~ok).sum())
+    s, t = _power_sums(kpts, ppts, responses[:, None], grid, cfg.kernel, cfg.bandwidth,
+                       _degree(cfg.method))
+    (vals,), n_eff, ok = _closed_form(s[0], t[0], cfg.method, len(kpts))
+    return vals, n_eff, int((~ok).sum())
 
 
 def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate:
@@ -327,8 +308,8 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
     responses = np.column_stack(
         [drift_responses(xt), second_moment_responses(xt), fourth_moment_responses(xt)]
     )
-    degree = 0 if set(methods) == {NADARAYA_WATSON} else 1
-    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth, degree)
+    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth,
+                       _degree(*methods))
     out = {}
     for method in methods:
         (mu_hat, m_hat, m4_hat), n_eff, ok = _closed_form(s[0], t[0], method, len(kpts))
@@ -347,15 +328,6 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
             index_alignment=cfg.index_alignment,
         )
     return out
-
-
-def density_estimate(xt: ProxySeries, grid, kernel: Kernel, h: float) -> np.ndarray:
-    """Kernel density of the proxy sample over a grid."""
-    arr = _check_series(xt)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError(f"bandwidth must be positive, got {h}")
-    s, _ = _power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
-    return s[0, :, 0] / (len(arr) * h)
 
 
 def second_derivative_fit(

@@ -21,9 +21,9 @@ both curvatures. The rest comes from the curve pass at h. Its kernel mass
 n_eff is S_0 over the kernel points xt[0..m-3] (under either alignment), so
 the density adds only the kernel weights of the two trailing proxies:
 p_hat = (n_eff + K_{m-2} + K_{m-1}) / (m h). The fourth-moment plug-in is
-the estimate's m4_hat, a third response column of the same pass.
-`estimators.density_estimate` and `estimators.fit_responses` compute both
-from their own passes and are the oracles of this route.
+the estimate's m4_hat, a third response column of the same pass. The tests
+rebuild both from passes of their own, a kernel density over every proxy
+and `estimators.fit_responses`, as the oracles of this route.
 
 The second-moment band replaces M_hat/p_hat by a plug-in for the local fourth
 jump moment: second differences of an integrated path attenuate fourth-power
@@ -45,7 +45,6 @@ from .errors import ValidationError
 from .estimators import (
     LOCAL_LINEAR,
     CurveEstimate,
-    _check_series,
     drift_responses,
     fourth_moment_responses,
     second_derivative_fit,
@@ -113,9 +112,8 @@ def attach_bands(
         raise ValidationError(f"pilot bandwidth must be positive, got {pilot_h}")
     z = _normal_critical(alpha)
     mom = moments(est.kernel)
-    arr = _check_series(xt)
-    tail = est.kernel.eval((arr[-2:, None] - est.grid) / est.h)
-    p_hat = (est.n_eff + tail[0] + tail[1]) / (len(arr) * est.h)
+    tail = est.kernel.eval((xt.xt[-2:, None] - est.grid) / est.h)
+    p_hat = (est.n_eff + tail[0] + tail[1]) / (len(xt.xt) * est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
     if bias_corrected:
         curvature = second_derivative_fit(

@@ -20,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +76,7 @@ class RunManifest:
     def write(self, out_path) -> Path:
         """Write the manifest next to the artifact it describes."""
         path = Path(str(out_path) + ".manifest.json")
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "input_digests": self.input_digests,
-            "timestamp": self.timestamp,
-            "runtime_s": self.runtime_s,
-            "diagnostics": self.diagnostics,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
 
 

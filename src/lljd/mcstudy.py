@@ -55,7 +55,10 @@ __all__ = [
     "table_presets",
 ]
 
-DEFAULT_QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# The sample quantiles of the bias table, and the point of the
+# standardized-estimate diagnostics, of every replicate.
+QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+EVAL_X = 0.0
 METHOD_ALIASES = {"ll": LOCAL_LINEAR, "nw": NADARAYA_WATSON}
 
 # Samples (retained y values, 8 bytes each) that one lane batch keeps: the
@@ -73,10 +76,8 @@ class McConfig:
     master_seed: int
     methods: tuple = (LOCAL_LINEAR, NADARAYA_WATSON)
     kernel: Kernel = GAUSSIAN
-    quantiles: tuple = DEFAULT_QUANTILES
     grid_n: int = 101
     range_mode: str = "inner"
-    eval_x: float = 0.0
     burn_in: int = 200
     substeps: int = 10
     label: str = ""
@@ -84,8 +85,6 @@ class McConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValidationError("need at least one replicate")
-        if any(not 0.0 < q < 1.0 for q in self.quantiles):
-            raise ValidationError("quantiles must lie strictly inside (0, 1)")
         unknown = [m for m in self.methods if m not in METHOD_ALIASES.values()]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}")
@@ -131,8 +130,8 @@ def rmse(est: CurveEstimate, truth: Callable, target: str = "mu") -> float:
 
 def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     h = rule_of_thumb(pr, cfg.t_span).h
-    qpts = np.quantile(pr.xt, cfg.quantiles)
-    pts = np.concatenate([common_grid, qpts, [cfg.eval_x]])
+    qpts = np.quantile(pr.xt, QUANTILES)
+    pts = np.concatenate([common_grid, qpts, [EVAL_X]])
     g = len(common_grid)
     ests = estimate_curves(pr, pts, EstimatorConfig(h, cfg.kernel), cfg.methods)
     out = {}
@@ -140,7 +139,7 @@ def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
         mu, m = est.mu_hat, est.m_hat
         out[method] = {
             "mu_grid": mu[:g],
-            "bias_q": mu[g : g + len(cfg.quantiles)]
+            "bias_q": mu[g : g + len(QUANTILES)]
             - np.asarray(cfg.model.mu(qpts), dtype=float),
             "mu_at_x": float(mu[-1]),
             "m_at_x": float(m[-1]),
@@ -179,7 +178,7 @@ def run_study(cfg: McConfig) -> McReport:
     bandwidth, and evaluate every configured method on the study grid (101
     points over the inner-quantile range, fixed by the first replicate so all
     replicates are comparable), at the replicate's sample quantile points (for
-    the bias table), and at eval_x (for the standardized-estimate
+    the bias table), and at EVAL_X (for the standardized-estimate
     diagnostics). All methods come from one pass of the kernel sums.
 
     The headline RMSE is the root mean square deviation of the pointwise
@@ -269,8 +268,8 @@ def _aggregate(cfg: McConfig, results: list, common_grid: np.ndarray) -> McRepor
         replicates=cfg.replicates,
         master_seed=cfg.master_seed,
         methods=cfg.methods,
-        quantiles=cfg.quantiles,
-        eval_x=cfg.eval_x,
+        quantiles=QUANTILES,
+        eval_x=EVAL_X,
         rmse={},
         rmse_per_replicate={},
         bias_at_quantiles={},

@@ -3,6 +3,7 @@
 The latent state is never observed directly; its integral is. Scaled first
 differences of the integrated series recover an approximation of the state,
 and that proxy sequence is the actual input of every estimator here.
+`ProxySeries` checks the estimators' input contract once, when it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class ProxySeries:
     """Proxy state sequence with its observation step.
 
     xt[i] = (y[i+1] - y[i]) / delta, so xt has one entry fewer than the
-    integrated series it came from.
+    integrated series it came from. A bad delta is reported before a bad entry.
     """
 
     delta: float
@@ -31,11 +32,13 @@ class ProxySeries:
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValidationError(f"delta must be positive and finite, got {self.delta}")
-        if self.xt.ndim != 1:
+        xt = np.asarray(self.xt, dtype=float)
+        if xt.ndim != 1:
             raise ValidationError("proxy series must be one-dimensional")
-
-    def __len__(self) -> int:
-        return len(self.xt)
+        bad = np.flatnonzero(~np.isfinite(xt))
+        if bad.size:
+            raise ValidationError(f"non-finite proxy entry at index {bad[0]}")
+        object.__setattr__(self, "xt", xt)
 
 
 def build_proxy(y, delta: float) -> ProxySeries:
@@ -49,10 +52,11 @@ def build_proxy(y, delta: float) -> ProxySeries:
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValidationError(f"non-finite value in integrated series at index {bad[0]}")
-    xt = np.diff(y)
-    series = ProxySeries(delta=delta, xt=xt)  # checks delta before the division
-    xt /= delta
-    return series
+    # a bad delta or an overflow is named by ProxySeries, not warned about here
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xt = np.diff(y)
+        xt /= delta
+    return ProxySeries(delta=delta, xt=xt)
 
 
 def build_log_proxy(prices, delta: float) -> ProxySeries:

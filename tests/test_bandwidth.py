@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lljd import estimators
+from lljd import bandwidth, estimators
 from lljd.bandwidth import CV_BINS, CV_H_BINS, cross_validate, default_cv_grid, rule_of_thumb
 from lljd.errors import ValidationError
 from lljd.estimators import (
@@ -145,7 +145,8 @@ def test_cv_scores_the_whole_grid_in_one_engine_pass(monkeypatch, n_grid):
         calls.append(args)
         return engine(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "_power_sums", counted)
+    # exact CV calls the engine from lljd.bandwidth
+    monkeypatch.setattr(bandwidth, "_power_sums", counted)
     rng = np.random.default_rng(14)
     xt = series(np.cumsum(rng.normal(0.0, 0.1, 80)))
     choice = cross_validate(xt, np.geomspace(0.05, 1.0, n_grid), EstimatorConfig(1.0),

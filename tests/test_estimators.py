@@ -14,7 +14,6 @@ from lljd.estimators import (
     NADARAYA_WATSON,
     EstimatorConfig,
     default_grid,
-    density_estimate,
     drift_responses,
     estimate_curve,
     fit_responses,
@@ -45,6 +44,15 @@ def ll_weights(xt, x, cfg):
     s1 = float(kv @ d)
     s2 = float(kv @ (d * d))
     return kv * (s2 - d * s1)
+
+
+def density_estimate(xt, grid, kernel, h):
+    """Kernel density of the proxy sample over a grid: S_0 of a degree-0
+    pass over every proxy, / (n h). The oracle of the bands' density, which
+    they take from the kernel mass of the curve pass."""
+    arr = xt.xt
+    s, _ = _power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
+    return s[0, :, 0] / (len(arr) * h)
 
 
 def scalar_weights_oracle(xt, x, h, alignment):

@@ -10,7 +10,6 @@ from lljd import estimators
 from lljd.estimators import (
     NADARAYA_WATSON,
     EstimatorConfig,
-    density_estimate,
     drift_responses,
     estimate_curve,
     fit_responses,
@@ -27,6 +26,7 @@ from lljd.kernels import EPANECHNIKOV, GAUSSIAN, bias_constant, moments
 from lljd.proxy import build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
+from test_estimators import density_estimate
 
 
 def fitted(seed=0, n=800, t_span=10.0, model=None, grid=None):

@@ -572,10 +572,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--size-dist", "cauchy", "--size-scale", "1e9",
                  "--out", str(tmp_path / "boom.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert main(["estimate", "--in", str(tmp_path / "missing.csv"),
-                 "--h", "-1", "--out", str(tmp_path / "x.csv")]) == 2
     path_csv = tmp_path / "path.csv"
     assert main(["simulate", "--t", "2", "--n", "150", "--out", str(path_csv)]) == 0
+    proxies = {}
+    for bad in ("nan", "inf"):
+        proxies[bad] = tmp_path / f"xtilde_{bad}.csv"
+        proxies[bad].write_text(f"t,xtilde\n0.1,0.2\n0.2,{bad}\n0.3,-0.1\n0.4,0.3\n")
     prices = write_prices(tmp_path / "p.csv", [f"{i},{100 + i % 7}" for i in range(300)])
     capsys.readouterr()
     commands = {
@@ -597,13 +599,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                  commands["estimate"] + ["--delta", "inf", "--h", "0.05"],
                  commands["estimate"] + ["--delta", "0"],
                  commands["empirical"] + ["--delta", "0"]]
-    for argv in bad + bad_delta:
+    # a fixed bandwidth is checked where the fit is configured
+    bad_h = [commands["estimate"] + ["--h", h] for h in ("-1", "0", "inf", "nan")]
+    # a non-finite proxy entry is named before anything is computed from it
+    bad_entry = [["estimate", "--in", str(proxies[bad])] for bad in ("nan", "inf")]
+    for argv in bad + bad_delta + bad_h + bad_entry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
         assert argv not in bad_delta or "error: delta must be" in err, err
+        assert argv not in bad_h or "error: bandwidth must be positive" in err, err
+        assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
         assert not out.exists(), argv
 
 
@@ -637,3 +645,14 @@ def test_report_with_skipped_replicates_is_strict_json(tmp_path):
     report = json.loads(a.read_text(), parse_constant=reject)
     per_rep = report["configs"][0]["rmse_per_replicate"]["local_linear"]
     assert per_rep.count(None) == report["configs"][0]["skipped"] == 3
+
+
+@pytest.mark.parametrize("script", sorted(
+    (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_help_runs(script):
+    # each script imports its part of the package at start-up; --help proves
+    # those imports resolve, without running the script's work
+    proc = subprocess.run([sys.executable, "-B", str(script), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

@@ -14,6 +14,7 @@ from lljd.errors import NumericalError, ValidationError
 from lljd.estimators import CurveEstimate, EstimatorConfig, default_grid, estimate_curve
 from lljd.kernels import GAUSSIAN
 from lljd.mcstudy import (
+    QUANTILES,
     McConfig,
     example_model,
     qq_data,
@@ -86,7 +87,7 @@ def test_single_replicate_report_matches_manual_pipeline():
     pr = build_proxy(path.y, path.delta)
     h = rule_of_thumb(pr, 10.0).h
     grid = default_grid(pr)
-    pts = np.concatenate([grid, np.quantile(pr.xt, cfg.quantiles), [0.0]])
+    pts = np.concatenate([grid, np.quantile(pr.xt, QUANTILES), [0.0]])
     # both methods come from one pass of the kernel sums, with the bits of
     # their own estimate_curve
     for method in ("local_linear", "nadaraya_watson"):
@@ -232,7 +233,7 @@ def test_mc_band_percentiles_match_nan_aware_percentiles():
     holed = curves.copy()
     holed[::3, 2] = np.nan
     for mu in (curves, holed):
-        results = [{"local_linear": {"mu_grid": row, "bias_q": np.zeros(len(cfg.quantiles)),
+        results = [{"local_linear": {"mu_grid": row, "bias_q": np.zeros(len(QUANTILES)),
                                      "mu_at_x": float(i), "m_at_x": 0.0}}
                    for i, row in enumerate(mu)]
         band = lljd.mcstudy._aggregate(cfg, results, grid).mc_band["local_linear"]
@@ -316,7 +317,5 @@ def test_config_validation():
     model = example_model(1)
     with pytest.raises(ValidationError):
         McConfig(model=model, t_span=1.0, n=100, replicates=0, master_seed=1)
-    with pytest.raises(ValidationError):
-        McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, quantiles=(0.0, 0.5))
     with pytest.raises(ValidationError):
         McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, methods=("spline",))

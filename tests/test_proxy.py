@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lljd.errors import ValidationError
-from lljd.proxy import build_log_proxy, build_proxy
+from lljd.proxy import ProxySeries, build_log_proxy, build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
 
 
@@ -23,6 +25,30 @@ def test_non_finite_entry_reports_index():
     y = np.array([0.0, 1.0, np.nan, 3.0])
     with pytest.raises(ValidationError, match="index 2"):
         build_proxy(y, delta=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_proxy_entry_is_named_by_its_index(bad):
+    with pytest.raises(ValidationError, match=r"^non-finite proxy entry at index 1$"):
+        ProxySeries(delta=0.1, xt=np.array([0.2, bad, 0.3, bad]))
+
+
+def test_proxy_series_must_be_one_dimensional():
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        ProxySeries(delta=0.1, xt=np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
+def test_bad_delta_is_reported_before_a_bad_entry(delta):
+    with pytest.raises(ValidationError, match="delta must be positive and finite"):
+        ProxySeries(delta=delta, xt=np.array([0.2, np.nan, 0.3]))
+
+
+def test_proxy_that_overflows_is_named_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^non-finite proxy entry at index 1$"):
+            build_proxy([0.0, 1.0, 1e308, 1e308], delta=1e-3)
 
 
 @settings(max_examples=50)
