@@ -30,9 +30,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lljd.bandwidth import rule_of_thumb  # noqa: E402
 from lljd.errors import NumericalError  # noqa: E402
-from lljd.estimators import EstimatorConfig, estimate_curve, fit_responses  # noqa: E402
-from lljd.inference import FOURTH_MOMENT_SCALE, fourth_moment_responses  # noqa: E402
-from lljd.kernels import GAUSSIAN, moments  # noqa: E402
+from lljd.estimators import (  # noqa: E402
+    EstimatorConfig,
+    estimate_curve,
+    fit_responses,
+    fourth_moment_responses,
+)
+from lljd.inference import FOURTH_MOMENT_SCALE  # noqa: E402
+from lljd.kernels import GAUSSIAN  # noqa: E402
 from lljd.mcstudy import example_model  # noqa: E402
 from lljd.proxy import build_proxy  # noqa: E402
 from lljd.simulate import PathConfig, derive_seeds, simulate_paths  # noqa: E402
@@ -47,7 +52,7 @@ def main():
     args = ap.parse_args()
 
     model = example_model(1)
-    v_const = moments(GAUSSIAN).v
+    v_const = GAUSSIAN.roughness
     m_at0, raw, scale = [], [], []
     lanes = [(model, PathConfig(args.t, args.n, seed=seed))
              for seed in derive_seeds(args.seed, args.reps)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the binned and exact cross-validation backends on price stand-ins.
 
-Builds each stand-in as scripts/make_empirical_standin.py does (the
+Builds each stand-in with scripts/make_empirical_standin.py (the
 mean-reverting benchmark model with Variance Gamma jumps at step 1/48, one
 seed per stand-in), takes its log-price proxy as `lljd empirical` does, and
 cross-validates the default grid around the rule of thumb with both
@@ -19,7 +19,6 @@ counts differ, or a CV value is off by more than --rtol relative.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -31,15 +30,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb  # noqa: E402
 from lljd.estimators import LOCAL_LINEAR, NADARAYA_WATSON, EstimatorConfig  # noqa: E402
 from lljd.kernels import EPANECHNIKOV, GAUSSIAN  # noqa: E402
-from lljd.mcstudy import example_model  # noqa: E402
 from lljd.proxy import build_log_proxy  # noqa: E402
-from lljd.simulate import PathConfig, simulate_path  # noqa: E402
+from make_empirical_standin import standin_path  # noqa: E402
 
 
 def standin_proxy(days: float, per_day: int, seed: int):
-    model = dataclasses.replace(example_model(2), x0=0.0, y0=np.log(2000.0))
-    path = simulate_path(model, PathConfig(t_span=days, n=int(round(days * per_day)),
-                                           seed=seed))
+    path = standin_path(days, per_day, seed)
     return build_log_proxy(np.exp(path.y), 1.0 / per_day)
 
 

@@ -13,6 +13,7 @@ writes exp(integrated state) as the price column. The result exercises the
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,6 +26,14 @@ from lljd.mcstudy import example_model  # noqa: E402
 from lljd.simulate import PathConfig, simulate_path  # noqa: E402
 
 
+def standin_path(days: float, per_day: int, seed: int, log_price0: float = np.log(2000.0)):
+    """The simulated path behind a stand-in: example 2's model started at
+    x0 = 0 and log price log_price0, observed per_day times a day."""
+    model = dataclasses.replace(example_model(2), x0=0.0, y0=log_price0)
+    return simulate_path(model, PathConfig(t_span=days, n=int(round(days * per_day)),
+                                           seed=seed))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--days", type=float, default=250.0, help="trading days to simulate")
@@ -34,13 +43,7 @@ def main():
     ap.add_argument("--out", default="prices.csv")
     args = ap.parse_args()
 
-    n = int(round(args.days * args.per_day))
-    model = example_model(2)
-    model = type(model)(
-        mu=model.mu, sigma=model.sigma, jump=model.jump, x0=0.0, y0=args.log_price0,
-        name=model.name,
-    )
-    path = simulate_path(model, PathConfig(t_span=args.days, n=n, seed=args.seed))
+    path = standin_path(args.days, args.per_day, args.seed, args.log_price0)
     prices = np.exp(path.y)
     write_table(args.out, {"t": np.arange(len(prices)) * path.delta, "close": prices})
     print(f"wrote {args.out}: {len(prices)} prices, delta=1/{args.per_day}")

@@ -7,17 +7,7 @@ benchmark the estimators.
 __version__ = "0.1.0"
 
 from .errors import LljdError, NumericalError, ValidationError
-from .kernels import (
-    EPANECHNIKOV,
-    GAUSSIAN,
-    Kernel,
-    KernelMoments,
-    bias_constant,
-    get_kernel,
-    kernel_moment,
-    moments,
-    variance_constant,
-)
+from .kernels import EPANECHNIKOV, GAUSSIAN, Kernel, get_kernel
 from .proxy import ProxySeries, build_log_proxy, build_proxy
 from .simulate import (
     CompoundPoisson,
@@ -52,7 +42,6 @@ from .mcstudy import (
     McReport,
     example_model,
     qq_data,
-    rmse,
     run_studies,
     run_study,
     table_presets,

@@ -114,6 +114,7 @@ def rule_of_thumb(xt: ProxySeries, t_span: float | None = None) -> BandwidthChoi
         t_span = len(xt.xt) * xt.delta
     if t_span <= 0:
         raise ValidationError(f"observation span must be positive, got {t_span}")
+    term_points(xt)  # a series too short to estimate from is named before its spread
     s = float(np.std(xt.xt, ddof=1))
     if s == 0.0 or not math.isfinite(s):
         raise ValidationError("degenerate sample: proxy series has zero variance")

@@ -82,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate an integrated jump-diffusion path")
-    sim.add_argument("--model", default="default", choices=["default"])
     sim.add_argument("--jump", default="none", choices=["none", "cp", "vg"])
     sim.add_argument("--t", type=float, default=10.0, help="observation span")
     sim.add_argument("--n", type=int, default=1000, help="number of observations")

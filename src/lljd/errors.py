@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 ValidationError marks bad inputs or configuration (CLI exit code 2);
-NumericalError marks runtime numerical failures such as path explosions or
-a kernel moment without a closed form (CLI exit code 3).
+NumericalError marks runtime numerical failures such as path explosions
+(CLI exit code 3).
 """
 
 

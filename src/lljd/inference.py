@@ -8,13 +8,13 @@ The band for the drift at x is centred on the bias-corrected estimate
 
     mu_hat(x) - (h^2/2) * mu''_hat(x) * B
 
-with B the kernel bias constant, and has half-width
+with B = `Kernel.second_moment`, the integral of u^2 K, and has half-width
 
     z_{1-alpha/2} * sqrt(V * M_hat(x) / p_hat(x)) / sqrt(n * delta * h),
 
-V the kernel variance constant and p_hat the kernel density of the proxies.
-The curvature mu'' comes from a local cubic fit at a pilot bandwidth (second
-derivatives need more smoothing than the curve itself).
+V = `Kernel.roughness`, the integral of K^2, and p_hat the kernel density
+of the proxies. The curvature mu'' comes from a local cubic fit at a pilot
+bandwidth (second derivatives need more smoothing than the curve itself).
 
 The bands add one kernel pass to the curve fit: that local cubic pass, for
 both curvatures. The rest comes from the curve pass at h. Its kernel mass
@@ -46,17 +46,14 @@ from .estimators import (
     LOCAL_LINEAR,
     CurveEstimate,
     drift_responses,
-    fourth_moment_responses,
     second_derivative_fit,
     second_moment_responses,
 )
-from .kernels import bias_constant, moments
 from .proxy import ProxySeries
 
 __all__ = [
     "ConfidenceBands",
     "FOURTH_MOMENT_SCALE",
-    "fourth_moment_responses",
     "attach_bands",
 ]
 
@@ -111,7 +108,6 @@ def attach_bands(
     if not (pilot_h > 0 and math.isfinite(pilot_h)):
         raise ValidationError(f"pilot bandwidth must be positive, got {pilot_h}")
     z = _normal_critical(alpha)
-    mom = moments(est.kernel)
     tail = est.kernel.eval((xt.xt[-2:, None] - est.grid) / est.h)
     p_hat = (est.n_eff + tail[0] + tail[1]) / (len(xt.xt) * est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
@@ -131,7 +127,7 @@ def attach_bands(
         ("mu", curvature[0], est.mu_hat, est.m_hat),
         ("m", curvature[1], est.m_hat, FOURTH_MOMENT_SCALE * est.m4_hat),
     ):
-        bias = 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
+        bias = 0.5 * est.h**2 * c2 * est.kernel.second_moment
         ok = (
             np.isfinite(estimate)
             & np.isfinite(bias)
@@ -139,7 +135,7 @@ def attach_bands(
             & np.isfinite(spread)
             & (spread >= 0.0)
         )
-        var = np.where(ok, mom.v * spread / np.where(ok, p_hat, 1.0), np.nan)
+        var = np.where(ok, est.kernel.roughness * spread / np.where(ok, p_hat, 1.0), np.nan)
         half = z * np.sqrt(var) / rate
         center = estimate - bias
         fields[f"lo_{name}"] = np.where(ok, center - half, np.nan)

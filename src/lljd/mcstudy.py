@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import LljdError, NumericalError, ValidationError
 from .estimators import (
     LOCAL_LINEAR,
     NADARAYA_WATSON,
-    CurveEstimate,
     EstimatorConfig,
     default_grid,
     estimate_curve,  # noqa: F401  (kept bound here for perfbench/spans.py)
@@ -47,7 +45,6 @@ from .simulate import (
 __all__ = [
     "McConfig",
     "McReport",
-    "rmse",
     "run_study",
     "run_studies",
     "qq_data",
@@ -78,8 +75,6 @@ class McConfig:
     kernel: Kernel = GAUSSIAN
     grid_n: int = 101
     range_mode: str = "inner"
-    burn_in: int = 200
-    substeps: int = 10
     label: str = ""
 
     def __post_init__(self):
@@ -117,17 +112,6 @@ class McReport:
         return asdict(self)
 
 
-def rmse(est: CurveEstimate, truth: Callable, target: str = "mu") -> float:
-    """Root mean square deviation of an estimated curve from a truth function
-    over the defined grid points; undefined points are excluded."""
-    values = est.mu_hat if target == "mu" else est.m_hat
-    ok = np.isfinite(values)
-    if not ok.any():
-        raise NumericalError("RMSE undefined: no defined grid points")
-    diff = values[ok] - np.asarray(truth(est.grid[ok]), dtype=float)
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
 def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     h = rule_of_thumb(pr, cfg.t_span).h
     qpts = np.quantile(pr.xt, QUANTILES)
@@ -149,17 +133,17 @@ def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
 
 def _lane_batches(cfgs: list, lanes: list):
     """Lane batches of (config index, replicate, seed) triples. Lanes that
-    share mu, sigma, x0, y0 and substeps are batched together, longest path
-    first, at most LANE_SAMPLES retained samples (or one lane) per batch. A
-    config's lanes stay consecutive and in replicate order, so its replicate
-    0 is simulated in its first batch."""
+    share mu, sigma, x0 and y0 are batched together, longest path first, at
+    most LANE_SAMPLES retained samples (or one lane) per batch. A config's
+    lanes stay consecutive and in replicate order, so its replicate 0 is
+    simulated in its first batch."""
     groups = {}
     for lane in lanes:
         cfg = cfgs[lane[0]]
-        key = (cfg.model.mu, cfg.model.sigma, cfg.model.x0, cfg.model.y0, cfg.substeps)
+        key = (cfg.model.mu, cfg.model.sigma, cfg.model.x0, cfg.model.y0)
         groups.setdefault(key, []).append(lane)
     for group in groups.values():
-        group.sort(key=lambda lane: -(cfgs[lane[0]].burn_in + cfgs[lane[0]].n))
+        group.sort(key=lambda lane: -cfgs[lane[0]].n)
         batch, samples = [], 0
         for lane in group:
             size = cfgs[lane[0]].n + 2
@@ -224,8 +208,7 @@ def _run_batch(cfgs: list, batch: list, results: list, grids: list, aborted: lis
     config's replicate 0 fixes grids[c], or its failure goes to aborted[c]."""
     paths = simulate_paths(
         [
-            (cfgs[c].model, PathConfig(t_span=cfgs[c].t_span, n=cfgs[c].n, seed=seed,
-                                       burn_in=cfgs[c].burn_in, substeps=cfgs[c].substeps))
+            (cfgs[c].model, PathConfig(t_span=cfgs[c].t_span, n=cfgs[c].n, seed=seed))
             for c, _, seed in batch
         ],
         record_x=False,

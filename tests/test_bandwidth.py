@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ def test_rule_of_thumb_default_span_from_series():
 def test_rule_of_thumb_degenerate_sample():
     with pytest.raises(ValidationError, match="degenerate sample"):
         rule_of_thumb(series(np.ones(10)), 10.0)
+
+
+@pytest.mark.parametrize("values", [[0.5], [0.5, 1.5]], ids=["one", "two"])
+def test_rule_of_thumb_names_a_too_short_series_without_a_warning(values):
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^proxy series must have length >= 3$"):
+            rule_of_thumb(series(values))
 
 
 @settings(max_examples=30)

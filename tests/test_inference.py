@@ -13,16 +13,12 @@ from lljd.estimators import (
     drift_responses,
     estimate_curve,
     fit_responses,
+    fourth_moment_responses,
     second_derivative_fit,
     second_moment_responses,
 )
-from lljd.inference import (
-    FOURTH_MOMENT_SCALE,
-    _normal_critical,
-    attach_bands,
-    fourth_moment_responses,
-)
-from lljd.kernels import EPANECHNIKOV, GAUSSIAN, bias_constant, moments
+from lljd.inference import FOURTH_MOMENT_SCALE, _normal_critical, attach_bands
+from lljd.kernels import EPANECHNIKOV, GAUSSIAN
 from lljd.proxy import build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
@@ -79,7 +75,7 @@ def test_bias_correction_shifts_center_by_exactly_the_curvature_term():
     mu2 = second_derivative_fit(
         pr, drift_responses(pr), est.grid, est.kernel, corrected.pilot_h, est.index_alignment
     )
-    bias = 0.5 * est.h**2 * mu2 * bias_constant(moments(est.kernel).k1)
+    bias = 0.5 * est.h**2 * mu2 * est.kernel.second_moment
     ok = np.isfinite(corrected.lo_mu) & np.isfinite(plain.lo_mu)
     assert np.allclose((plain.lo_mu - corrected.lo_mu)[ok], bias[ok], rtol=1e-10)
     assert np.allclose((plain.hi_mu - corrected.hi_mu)[ok], bias[ok], rtol=1e-10)
@@ -155,7 +151,6 @@ def test_alpha_validation():
 def oracle_bands(est, pr, alpha, pilot_h):
     """The bands from separate passes: the density and the fourth-moment fit
     of their own, as the band formula reads in the module docstring."""
-    mom = moments(est.kernel)
     z = _normal_critical(alpha)
     p_hat = density_estimate(pr, est.grid, est.kernel, est.h)
     cfg = EstimatorConfig(est.h, est.kernel, index_alignment=est.index_alignment)
@@ -167,9 +162,9 @@ def oracle_bands(est, pr, alpha, pilot_h):
         ("m", second_moment_responses(pr), est.m_hat, FOURTH_MOMENT_SCALE * c4_raw),
     ):
         c2 = second_derivative_fit(pr, resp, est.grid, est.kernel, pilot_h, est.index_alignment)
-        center = estimate - 0.5 * est.h**2 * c2 * bias_constant(mom.k1)
+        center = estimate - 0.5 * est.h**2 * c2 * est.kernel.second_moment
         ok = np.isfinite(center) & (p_hat > 1e-10) & np.isfinite(spread) & (spread >= 0.0)
-        half = z * np.sqrt(mom.v * np.where(ok, spread, np.nan) / p_hat) / rate
+        half = z * np.sqrt(est.kernel.roughness * np.where(ok, spread, np.nan) / p_hat) / rate
         out[f"lo_{name}"], out[f"hi_{name}"] = center - half, center + half
     return out
 

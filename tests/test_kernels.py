@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lljd.errors import NumericalError, ValidationError
-from lljd.kernels import (
-    EPANECHNIKOV,
-    GAUSSIAN,
-    Kernel,
-    bias_constant,
-    get_kernel,
-    kernel_moment,
-    moments,
-    variance_constant,
-)
+from lljd.errors import ValidationError
+from lljd.kernels import EPANECHNIKOV, GAUSSIAN, get_kernel
 
 
 # quadrature ranges: the Gaussian underflows to zero before 40, the
@@ -53,68 +44,61 @@ def test_epanechnikov_matches_its_formula_pointwise():
 
 
 def test_gaussian_density_moments():
-    assert kernel_moment(GAUSSIAN, 1, 0) == 1.0
-    assert kernel_moment(GAUSSIAN, 1, 1) == 0.0
-    assert kernel_moment(GAUSSIAN, 1, 2) == 1.0
-    assert kernel_moment(GAUSSIAN, 1, 3) == 0.0
+    # exact values: with B = 1 the Gaussian bias term carries no rounding
+    assert GAUSSIAN.second_moment == 1.0
+    assert GAUSSIAN.roughness == 1.0 / (2.0 * math.sqrt(math.pi))
 
 
 def test_gaussian_squared_moment_against_quadrature_oracle():
     # oracle: adaptive quadrature of the squared density
     oracle = quad_moment(GAUSSIAN, 2, 0, 40.0)
     assert abs(oracle - 1.0 / (2.0 * math.sqrt(math.pi))) < 1e-12
-    assert abs(kernel_moment(GAUSSIAN, 2, 0) - oracle) < 1e-10
-    assert abs(kernel_moment(GAUSSIAN, 2, 0) - 0.2820948) < 1e-6
+    assert abs(GAUSSIAN.roughness - oracle) < 1e-10
+    assert abs(GAUSSIAN.roughness - 0.2820948) < 1e-6
+
+
+# integral of K^i u^j -> its value: unit mass, the two fields, and the odd
+# moments whose vanishing reduces the general local linear constants to them
+INTEGRALS = {
+    (1, 0): lambda k: 1.0,
+    (1, 1): lambda k: 0.0,
+    (1, 2): lambda k: k.second_moment,
+    (1, 3): lambda k: 0.0,
+    (2, 0): lambda k: k.roughness,
+    (2, 1): lambda k: 0.0,
+}
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=lambda k: k.id)
-@pytest.mark.parametrize("i,j", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2)])
+@pytest.mark.parametrize("i,j", list(INTEGRALS))
 def test_closed_forms_agree_with_quadrature(kernel, i, j):
     radius = RADIUS[kernel.id]
-    assert abs(kernel_moment(kernel, i, j) - quad_moment(kernel, i, j, radius)) < 1e-10
+    assert abs(INTEGRALS[i, j](kernel) - quad_moment(kernel, i, j, radius)) < 1e-10
+
+
+def general_constants(kernel):
+    """The local linear bias and variance constants of a kernel that need not
+    be symmetric (Fan & Gijbels 1996, ch. 3), from quadrature moments
+    k1[j] = integral of K u^j and k2[j] = integral of K^2 u^j."""
+    radius = RADIUS[kernel.id]
+    k1 = [quad_moment(kernel, 1, j, radius) for j in range(4)]
+    k2 = [quad_moment(kernel, 2, j, radius) for j in range(3)]
+    denom = k1[2] - k1[1] ** 2
+    b = (k1[2] ** 2 - k1[3] * k1[1]) / denom
+    v = (k1[2] ** 2 * k2[0] + k1[1] ** 2 * k2[2] - 2.0 * k1[1] * k1[2] * k2[1]) / denom**2
+    return b, v
 
 
 def test_variance_constant_symmetric_collapse():
-    m = moments(GAUSSIAN)
-    assert m.v == pytest.approx(m.k2[0], abs=1e-12)
-    assert m.v == pytest.approx(0.2820948, abs=1e-6)
-    m = moments(EPANECHNIKOV)
-    assert m.v == pytest.approx(0.6, abs=1e-12)
-
-
-def test_variance_constant_direct_substitution():
-    # k1[1]=0, k1[2]=1 leaves V equal to the squared-kernel mass
-    assert variance_constant((1.0, 0.0, 1.0, 0.0), (0.37, 0.0, 0.5)) == pytest.approx(0.37)
-
-
-def test_variance_constant_asymmetric_hand_value():
-    # (1^2*1 + 0.5^2*0.8 - 2*0.5*1*0.2) / (1 - 0.25)^2 = 1.0 / 0.5625
-    k1 = (1.0, 0.5, 1.0, 0.0)
-    k2 = (1.0, 0.2, 0.8)
-    direct = (k1[2] ** 2 * k2[0] + k1[1] ** 2 * k2[2] - 2 * k1[1] * k1[2] * k2[1]) / (
-        (k1[2] - k1[1] ** 2) ** 2
-    )
-    assert variance_constant(k1, k2) == pytest.approx(direct, rel=1e-12)
-    assert variance_constant(k1, k2) == pytest.approx(16.0 / 9.0, rel=1e-12)
-
-
-def test_variance_constant_degenerate_design_rejected():
-    with pytest.raises(ValidationError, match="degenerate kernel design"):
-        variance_constant((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0))
+    for kernel in (GAUSSIAN, EPANECHNIKOV):
+        assert abs(general_constants(kernel)[1] - kernel.roughness) < 1e-12
+    assert GAUSSIAN.roughness == pytest.approx(0.2820948, abs=1e-6)
+    assert EPANECHNIKOV.roughness == 0.6
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=lambda k: k.id)
 def test_symmetric_bias_constant_collapses_to_second_moment(kernel):
-    m = moments(kernel)
-    assert abs(bias_constant(m.k1) - m.k1[2]) < 1e-12
-
-
-def test_non_decaying_kernel_reports_moment():
-    # K(u) = 1 / (1 + |u|) is not even integrable: it has no moments
-    fat = Kernel(id="fat", profile=lambda v, scale, out: 1.0 / (1.0 + np.sqrt(scale * v)),
-                 norm=1.0)
-    with pytest.raises(NumericalError, match="moment"):
-        kernel_moment(fat, 1, 0)
+    assert abs(general_constants(kernel)[0] - kernel.second_moment) < 1e-12
 
 
 def test_get_kernel_by_name():
@@ -123,11 +107,3 @@ def test_get_kernel_by_name():
     with pytest.raises(ValidationError):
         get_kernel("box")
 
-
-def test_moment_range_validation():
-    with pytest.raises(ValidationError):
-        kernel_moment(GAUSSIAN, 1, 4)
-    with pytest.raises(ValidationError):
-        kernel_moment(GAUSSIAN, 2, 3)
-    with pytest.raises(ValidationError):
-        kernel_moment(GAUSSIAN, 3, 0)

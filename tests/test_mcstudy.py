@@ -11,14 +11,13 @@ import lljd.mcstudy
 
 from lljd.bandwidth import rule_of_thumb
 from lljd.errors import NumericalError, ValidationError
-from lljd.estimators import CurveEstimate, EstimatorConfig, default_grid, estimate_curve
+from lljd.estimators import EstimatorConfig, default_grid, estimate_curve
 from lljd.kernels import GAUSSIAN
 from lljd.mcstudy import (
     QUANTILES,
     McConfig,
     example_model,
     qq_data,
-    rmse,
     run_studies,
     run_study,
     table_presets,
@@ -33,44 +32,6 @@ from lljd.simulate import (
     simulate_path,
     simulate_paths,
 )
-
-
-def make_estimate(grid, mu_hat):
-    grid = np.asarray(grid, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    return CurveEstimate(
-        grid=grid,
-        mu_hat=mu_hat,
-        m_hat=np.zeros_like(grid),
-        h=0.1,
-        n_eff=np.full(len(grid), 10.0),
-        delta=0.01,
-        n_terms=100,
-        method="local_linear",
-        undefined_count=int(np.isnan(mu_hat).sum()),
-    )
-
-
-def test_rmse_zero_when_estimate_equals_truth():
-    grid = np.linspace(-1, 1, 11)
-    est = make_estimate(grid, -10.0 * grid)
-    assert rmse(est, lambda x: -10.0 * x) == 0.0
-
-
-def test_rmse_constant_offset():
-    grid = np.linspace(-1, 1, 11)
-    est = make_estimate(grid, -10.0 * grid + 0.25)
-    assert rmse(est, lambda x: -10.0 * x) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_rmse_skips_undefined_points():
-    grid = np.linspace(-1, 1, 5)
-    vals = -10.0 * grid
-    vals[0] = np.nan
-    est = make_estimate(grid, vals)
-    assert rmse(est, lambda x: -10.0 * x) == 0.0
-    with pytest.raises(NumericalError):
-        rmse(make_estimate(grid, np.full(5, np.nan)), lambda x: -10.0 * x)
 
 
 def test_single_replicate_report_matches_manual_pipeline():
@@ -127,7 +88,7 @@ def payloads(reports):
 def test_lane_grouping_does_not_change_report(monkeypatch):
     a = McConfig(model=example_model(2), t_span=5.0, n=200, replicates=10, master_seed=13)
     b = McConfig(model=example_model(1), t_span=3.0, n=150, replicates=6, master_seed=4,
-                 burn_in=50, methods=("nadaraya_watson",))
+                 methods=("nadaraya_watson",))
     c = McConfig(model=default_model(x0=0.5), t_span=4.0, n=120, replicates=5, master_seed=8)
     alone = payloads([run_study(a), run_study(b), run_study(c)])
     assert payloads(run_studies([a, b, c])) == alone
@@ -148,7 +109,7 @@ def test_lane_batch_memory_does_not_grow_with_replicates(monkeypatch):
 
     def peak(replicates):
         cfg = McConfig(model=example_model(1), t_span=4.0, n=n, replicates=replicates,
-                       master_seed=6, methods=("local_linear",), grid_n=11, substeps=2)
+                       master_seed=6, methods=("local_linear",), grid_n=11)
         tracemalloc.start()
         run_study(cfg)
         peak = tracemalloc.get_traced_memory()[1]
@@ -162,7 +123,7 @@ def test_lane_batch_memory_does_not_grow_with_replicates(monkeypatch):
 
 def test_study_reports_partial_failures_and_continues():
     model = default_model(
-        jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 3e5))
+        jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 1e5))
     )
     cfg = McConfig(
         model=model,
@@ -171,19 +132,18 @@ def test_study_reports_partial_failures_and_continues():
         replicates=30,
         master_seed=1,
         methods=("local_linear",),
-        burn_in=20,
     )
     report = run_study(cfg)
-    assert report.skipped == 3
-    assert len(report.failures) == 3
+    assert report.skipped == 2
+    assert len(report.failures) == 2
     assert all("explosion" in f for f in report.failures)
     assert np.isfinite(report.rmse["local_linear"])
-    assert sum(np.isnan(report.rmse_per_replicate["local_linear"])) == 3
+    assert sum(np.isnan(report.rmse_per_replicate["local_linear"])) == 2
 
 
 def test_study_aborts_when_too_many_replicates_fail():
     model = default_model(
-        jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 1e6))
+        jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 5e5))
     )
     cfg = McConfig(
         model=model,
@@ -192,7 +152,6 @@ def test_study_aborts_when_too_many_replicates_fail():
         replicates=30,
         master_seed=2,
         methods=("local_linear",),
-        burn_in=20,
     )
     with pytest.raises(NumericalError, match="replicates failed"):
         run_study(cfg)
