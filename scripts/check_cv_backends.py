@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the binned and exact cross-validation backends on price stand-ins.
+"""Compare the binned and exact kernel sums: of cross-validation on price
+stand-ins, and of the curve fit with bands on the benchmark's large paths.
 
 Builds each stand-in with scripts/make_empirical_standin.py (the
 mean-reverting benchmark model with Variance Gamma jumps at step 1/48, one
@@ -14,24 +15,49 @@ any stand-in that failed:
 
     python scripts/check_cv_backends.py --days 100 --seeds 16
 
+Then, for each of the first --entries inputs of the `estimate_large`
+benchmark workload (200k-observation paths, built by perfbench/workloads.py),
+fits the curves with bands as `lljd estimate --h auto --bands 0.05` does,
+once with the binned sums the fit takes at that size and once with the exact
+engine at every grid point. Prints one row per path: the bin counts of the
+curve and the pilot pass, the grid points rescored exactly, the largest
+deviation of each output column as a share of that column's largest
+magnitude, and whether NaN sits in the same places.
+
 Exits with status 1 when, for any pair, a stand-in's chosen h or degenerate
-counts differ, or a CV value is off by more than --rtol relative.
+counts differ, or a CV value is off by more than --rtol relative; or when a
+fit column is off by more than --fit-rtol or its NaN places differ.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # leave no cache files beside the benchmark
 
+import workloads  # noqa: E402
+from lljd import estimators  # noqa: E402
 from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb  # noqa: E402
-from lljd.estimators import LOCAL_LINEAR, NADARAYA_WATSON, EstimatorConfig  # noqa: E402
+from lljd.estimators import (  # noqa: E402
+    LOCAL_LINEAR,
+    NADARAYA_WATSON,
+    EstimatorConfig,
+    default_grid,
+    estimate_curve,
+)
+from lljd.inference import attach_bands  # noqa: E402
+from lljd.io import read_columns_csv  # noqa: E402
 from lljd.kernels import EPANECHNIKOV, GAUSSIAN  # noqa: E402
-from lljd.proxy import build_log_proxy  # noqa: E402
+from lljd.proxy import build_log_proxy, build_proxy  # noqa: E402
 from make_empirical_standin import standin_path  # noqa: E402
+
+FIT_COLUMNS = ("mu_hat", "m_hat", "n_eff", "lo_mu", "hi_mu", "lo_m", "hi_m")
 
 
 def standin_proxy(days: float, per_day: int, seed: int):
@@ -73,6 +99,51 @@ def compare(proxies, cfg, rtol):
     return row, not failed
 
 
+def large_path_proxy(entry: int):
+    """The proxy series `lljd estimate` fits on an `estimate_large` input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (path,) = workloads.WORKLOADS["estimate_large"].make_inputs(entry, Path(tmp))
+        cols = read_columns_csv(path, ["t", "y"])
+    return build_proxy(cols["y"], float(np.diff(cols["t"]).mean()))
+
+
+def fit_with_bands(series, binned: bool):
+    """The output columns of `lljd estimate --h auto --bands 0.05`, and the
+    estimate; binned=False takes exact sums at every grid point."""
+    saved = estimators.BINNED_MIN_TERMS
+    if not binned:
+        estimators.BINNED_MIN_TERMS = sys.maxsize
+    try:
+        est = estimate_curve(series, default_grid(series),
+                             EstimatorConfig(rule_of_thumb(series).h))
+        attach_bands(est, series, alpha=0.05)
+    finally:
+        estimators.BINNED_MIN_TERMS = saved
+    cols = {"mu_hat": est.mu_hat, "m_hat": est.m_hat, "n_eff": est.n_eff}
+    cols.update({name: getattr(est.bands, name) for name in FIT_COLUMNS[3:]})
+    return cols, est
+
+
+def compare_fit(entry: int, rtol: float):
+    """The row of one large path, the largest deviation of each column, and
+    whether it passes."""
+    series = large_path_proxy(entry)
+    got, est = fit_with_bands(series, binned=True)
+    want, _ = fit_with_bands(series, binned=False)
+    devs, same_nan = [], True
+    for name in FIT_COLUMNS:
+        nan = np.isnan(want[name])
+        same_nan &= bool(np.array_equal(nan, np.isnan(got[name])))
+        scale = np.max(np.abs(want[name][~nan]), initial=0.0)
+        dev = np.max(np.abs(got[name][~nan] - want[name][~nan]), initial=0.0)
+        devs.append(dev / scale if scale > 0 else dev)
+    curve, pilot = est.sums, est.bands.pilot_sums
+    row = (f"| {entry} | {est.h:.4g} | {curve['bins']} / {pilot['bins']} "
+           f"| {curve['rescored']} / {pilot['rescored']} | "
+           + " | ".join(f"{d:.1e}" for d in devs) + f" | {'yes' if same_nan else 'NO'} |")
+    return row, devs, same_nan and max(devs) <= rtol
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -80,6 +151,10 @@ def main():
     ap.add_argument("--per-day", type=int, default=48, help="observations per day")
     ap.add_argument("--seeds", type=int, default=16, help="stand-ins, seeded 0..N-1")
     ap.add_argument("--rtol", type=float, default=1e-4)
+    ap.add_argument("--entries", type=int, default=workloads.PANEL_SIZE,
+                    help="estimate_large inputs to fit, 0..N-1")
+    ap.add_argument("--fit-rtol", type=float, default=5e-7,
+                    help="largest fit deviation, as a share of the column's largest magnitude")
     args = ap.parse_args()
 
     proxies = [standin_proxy(args.days, args.per_day, seed) for seed in range(args.seeds)]
@@ -92,6 +167,18 @@ def main():
             row, ok = compare(proxies, EstimatorConfig(1.0, kernel, method), args.rtol)
             print(row, flush=True)
             passed &= ok
+
+    print("\n| entry | h | bins (curve / pilot) | rescored (curve / pilot) | "
+          + " | ".join(FIT_COLUMNS) + " | NaN equal |")
+    print("| --- " * (len(FIT_COLUMNS) + 5) + "|")
+    worst = np.zeros(len(FIT_COLUMNS))
+    for entry in range(args.entries):
+        row, devs, ok = compare_fit(entry, args.fit_rtol)
+        print(row, flush=True)
+        worst = np.maximum(worst, devs)
+        passed &= ok
+    if args.entries:
+        print("| max | | | | " + " | ".join(f"{d:.1e}" for d in worst) + " | |")
     return 0 if passed else 1
 
 

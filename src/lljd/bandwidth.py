@@ -14,7 +14,9 @@ are correlated with both by FFT, which gives S_0..S_2 and T_0..T_1 at every
 bin centre; linear interpolation carries them to the regressor points. The
 deleted terms i-1..i+1 are then subtracted in the same binned bilinear form
 (their bin pairs looked up in kappa_j), so a leave-out sum is the binned sum
-of exactly the terms that remain.
+of exactly the terms that remain. The binning, the bin-count rule below and
+the fallback tests are those of `lljd.estimators`, which bins large fits the
+same way (without FFTs: a fit needs sums at a few grid points only).
 
 Binning error depends on how many bins one bandwidth spans, so each h gets
 its own M: the fewest bins, a power of two, that put CV_H_BINS bins inside
@@ -66,9 +68,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import (
+    CV_BINS,
     EstimatorConfig,
+    _bin_count,
+    _bin_weights,
     _closed_form,
     _degree,
+    _linear_bins,
+    _poorly_binned,
     _power_sums,
     drift_responses,
     term_points,
@@ -77,16 +84,6 @@ from .proxy import ProxySeries
 
 __all__ = ["BandwidthChoice", "rule_of_thumb", "default_cv_grid", "cross_validate"]
 
-# The most bins of the binned CV sums, and the bins that each bandwidth's
-# bin count puts inside one h: the fewest, a power of two, up to CV_BINS.
-CV_BINS = 1 << 14
-CV_H_BINS = 128
-# The exact-fallback tests of the module docstring: the least leave-out
-# kernel mass in units of K(0), i.e. of terms at zero distance; R; and the
-# least weighted spread of the leave-out design, in bins.
-CV_MIN_MASS = 4.0
-CV_FALLBACK_RATIO = 100.0
-CV_MIN_SPREAD = 2.0
 # The least bandwidth, in bins, that the binned sums score; at 32 bins the
 # binning error of a CV value is below 3e-5 relative (Epanechnikov, the
 # stand-ins with 2^10 to 2^14 bins).
@@ -219,20 +216,13 @@ class _Binning:
 
         self.m = m
         self.width = span / (m - 1) or 1.0  # any width bins a constant sample
-        f = (kpts - kpts.min()) / self.width
-        b = np.minimum(f.astype(np.intp), m - 2)
-        f -= b
-        g = 1.0 - f
-        self.b, self.f, self.g = b, f, g
         self.weights = (np.ones_like(resp), resp)
         # zero-padded to 2m bins, the circular correlation with a lag kernel
         # is the linear one; entry q of a lag kernel holds lag q, entry 2m - q
         # lag -q
         self.size = 2 * m
-        self.spectra = [
-            fft.rfft(np.bincount(b, g * w, self.size) + np.bincount(b + 1, f * w, self.size))
-            for w in self.weights
-        ]
+        self.b, self.f, self.g = b, f, g = _linear_bins(kpts, kpts.min(), self.width, m)
+        self.spectra = [fft.rfft(w) for w in _bin_weights(b, f, g, self.weights, self.size)]
         self.lag = fft.fftfreq(self.size, 1.0 / self.size) * self.width
         # term i at regressor i pairs its two bins at lags 0 and +-1; term
         # i + 1 at regressor i pairs bins at lags d - 1, d and d + 1 with
@@ -276,14 +266,7 @@ class _Binning:
             s[:, j] = self._leave_out(0, spectrum, near)
             if j <= degree:
                 t[:, j, 0] = self._leave_out(1, spectrum, near)
-        s0 = s[:, 0]
-        poor = s0 <= CV_MIN_MASS * k0[0]
-        if degree:
-            s0s2 = s0 * s[:, 2]
-            det = s0s2 - s[:, 1] ** 2
-            poor |= det * CV_FALLBACK_RATIO <= s0s2
-            poor |= det <= (CV_MIN_SPREAD * self.width * s0) ** 2
-        return poor
+        return _poorly_binned(s, k0[0], self.width, degree)
 
 
 def _binned_scores(kpts, ppts, resp, h_grid, cfg):
@@ -302,10 +285,7 @@ def _binned_scores(kpts, ppts, resp, h_grid, cfg):
     binning = None
     m = CV_BINS
     for k, h in enumerate(h_grid):
-        # the fewest bins, a power of two, with CV_H_BINS of them inside h;
-        # the grid ascends, so the count only falls
-        while m > 2 and (m // 2 - 1) * h >= CV_H_BINS * span:
-            m //= 2
+        m = _bin_count(h, span, m)  # the grid ascends, so the count only falls
         if binning is None or binning.m != m:
             binning = None  # free the old binning first: one in memory at a time
             binning = _Binning(kpts, resp, m, span)

@@ -224,7 +224,8 @@ def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages
                    choice: BandwidthChoice):
     """Shared tail of estimate and empirical: fit both curves at the chosen h,
     attach bands when --bands is given, write the curve CSV and its manifest,
-    which records the seconds of each stage."""
+    which records the seconds of each stage and how the curve pass and the
+    bands' pilot pass took their kernel sums (null without that pass)."""
     est = estimate_curve(series, grid, replace(cfg, bandwidth=choice.h))
     stages.lap("fit")
     if args.bands is not None:
@@ -232,7 +233,8 @@ def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages
         stages.lap("bands")
     write_curve_csv(args.out, est)
     stages.lap("write")
-    _write_manifest(args, stages.start, bandwidth=_bandwidth_record(choice),
+    fit = {"curve": est.sums, "pilot": est.bands.pilot_sums if est.bands else None}
+    _write_manifest(args, stages.start, bandwidth=_bandwidth_record(choice), fit=fit,
                     stages=stages.seconds)
     return est
 

@@ -69,6 +69,29 @@ and the window once; then, for each bandwidth,
 
 and it divides the finished sums by z once per call. A distance whose square
 underflows (under 1e-154) counts as zero.
+
+A Gaussian fit of one bandwidth at aligned indexing with at least
+BINNED_MIN_TERMS = 2^16 terms takes binned direct sums instead (Wand 1994,
+JCGS 3:433-445); `_fit_sums` picks the path for every fit. It bins the
+kernel points linearly as binned CV does, in term blocks of TILE_ELEMENTS,
+onto the fewest bins M, a power of two, that put CV_H_BINS bins inside h
+(a sample needing more than CV_BINS gets exact sums). Each S_j, T_j is one
+product of the lag tile K((c_b - x)/h) (c_b - x)^j at the bin centres c_b,
+TILE_ELEMENTS // M grid rows at a time, with the binned [1 | responses].
+A term with bin weights g and f = 1 - g puts on its bins the chord of
+phi = K d^j, which exceeds phi by D^2 f g phi'' / 2 (D the bin width).
+The points are therefore binned a second time, weighted by f g; for
+the Gaussian, phi'' combines K d^(j-2), K d^j and K d^(j+2), so two more
+powers of those sums give the excess, and the pass subtracts it. Grid
+points that fail a fallback test of binned CV (`lljd.bandwidth`) get exact
+sums, so NaN sits where the exact fit has it. On the default grid every
+column of fit and bands is within 2.1e-9 of its largest magnitude of the
+exact one (AR(1) proxies of 66k-200k terms, CP and VG paths of 70k-150k;
+the tests hold 5e-7). Over the data's whole range it was within 1.3e-7,
+but for the second-moment band where the fourth-moment fit nearly vanishes
+and its square root amplifies the error (2.8e-6 at one point). The
+Epanechnikov kernel stays exact: its kink at |u| = 1 makes the binning
+error first order (1e-5 at 128 bins per h).
 """
 
 from __future__ import annotations
@@ -119,6 +142,18 @@ CUBIC_RCOND = 1e-12
 TILE_ROWS = 16
 TILE_ELEMENTS = 1 << 17
 
+# Binned sums, of CV and of large fits: the most bins, and the bins that a
+# bandwidth's bin count puts inside one h. Their exact-fallback tests
+# (`lljd.bandwidth`): the least kernel mass in units of K(0), i.e. of terms
+# at zero distance; R; and the least weighted spread of the design, in bins.
+CV_BINS = 1 << 14
+CV_H_BINS = 128
+CV_MIN_MASS = 4.0
+CV_FALLBACK_RATIO = 100.0
+CV_MIN_SPREAD = 2.0
+# The fewest terms of a fit that takes binned sums.
+BINNED_MIN_TERMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -144,7 +179,7 @@ class CurveEstimate:
     are NaN and counted in undefined_count. m_hat is deliberately not clipped
     at zero: negative values flag under-smoothed regions. m4_hat is the raw
     fit of the fourth-power responses, the variance plug-in of the
-    second-moment band.
+    second-moment band. `sums` records how the pass took its sums (`_fit_sums`).
     """
 
     grid: np.ndarray
@@ -160,6 +195,7 @@ class CurveEstimate:
     index_alignment: str = "aligned"
     m4_hat: Optional[np.ndarray] = field(default=None, repr=False)
     bands: Optional["object"] = field(default=None, repr=False)
+    sums: Optional[dict] = field(default=None, repr=False)
 
 
 def term_points(xt: ProxySeries, index_alignment: str = "aligned"):
@@ -250,6 +286,100 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
     return acc[..., 0], acc[:, :, : degree + 1, 1:]
 
 
+def _bin_count(h: float, span: float, m: int = CV_BINS) -> int:
+    """The fewest bins, a power of two up to m, that put CV_H_BINS bins inside
+    h over a sample of range `span`."""
+    while m > 2 and (m // 2 - 1) * h >= CV_H_BINS * span:
+        m //= 2
+    return m
+
+
+def _linear_bins(pts, lo: float, width: float, m: int):
+    """Linear binning onto m bins of `width` from `lo`: point i puts
+    g[i] = 1 - f[i] on bin b[i] and f[i] on bin b[i] + 1. Returns (b, f, g)."""
+    f = (pts - lo) / width
+    b = np.minimum(f.astype(np.intp), m - 2)
+    f -= b
+    return b, f, 1.0 - f
+
+
+def _bin_weights(b, f, g, weights, size: int):
+    """Each of `weights` of linearly binned points, summed onto `size` bins."""
+    return [np.bincount(b, g * w, size) + np.bincount(b + 1, f * w, size) for w in weights]
+
+
+def _poorly_binned(s, k0, width: float, degree: int):
+    """The rows of binned power sums s [rows, 2 degree + 1] that fail a
+    fallback test of `lljd.bandwidth`; k0 = K(0)."""
+    s0 = s[:, 0]
+    poor = s0 <= CV_MIN_MASS * k0
+    if degree:
+        s0s2 = s0 * s[:, 2]
+        det = s0s2 - s[:, 1] ** 2
+        poor |= det * CV_FALLBACK_RATIO <= s0s2
+        poor |= det <= (CV_MIN_SPREAD * width * s0) ** 2
+    return poor
+
+
+def _binned_power_sums(kpts, responses, grid, kernel: Kernel, h: float, degree: int,
+                       m: int, width: float):
+    """_power_sums of one Gaussian bandwidth at aligned indexing, without
+    its bandwidth axis, from bins of `width` (see the module docstring)."""
+    lo = float(kpts.min())
+    binned = 0.0  # binned [1 | responses], then the same weighted by f g
+    for c0 in range(0, len(kpts), TILE_ELEMENTS):
+        block = slice(c0, c0 + TILE_ELEMENTS)
+        b, f, g = _linear_bins(kpts[block], lo, width, m)
+        cols = [1.0, *responses[block].T]
+        sums = _bin_weights(b, f, g, cols, m)
+        fg = f * g
+        f *= fg
+        g *= fg
+        binned += np.column_stack(sums + _bin_weights(b, f, g, cols, m))
+    centres = lo + width * np.arange(m)
+    scale = min(1.0 / h / h, sys.float_info.max)
+    powers = 2 * degree + 3  # two beyond the fit's own, for the correction
+    acc = np.zeros((len(grid), powers, binned.shape[1]))
+    rows = max(1, TILE_ELEMENTS // m)
+    with np.errstate(over="ignore", under="ignore"):
+        for r0 in range(0, len(grid), rows):
+            d = centres - grid[r0 : r0 + rows, None]
+            w = d * d
+            kernel.profile(w, scale, w)
+            for j in range(powers):
+                acc[r0 : r0 + rows, j] += w @ binned
+                w *= d
+    acc /= kernel.norm
+    s, s_fg = np.split(acc, 2, axis=2)
+    # a term's chord exceeds phi = K d^j by D^2 f g phi'' / 2, and here
+    # phi'' = K (d^(j+2) / h^4 - (2j + 1) d^j / h^2 + j (j - 1) d^(j-2))
+    j = np.arange(powers - 2)[:, None]
+    err = (s_fg[:, 2:] * scale - (2 * j + 1) * s_fg[:, :-2]) * scale
+    err[:, 2:] += j[2:] * (j[2:] - 1) * s_fg[:, :-4]
+    s = s[:, :-2] - 0.5 * width * width * err
+    return s[..., 0], s[:, : degree + 1, 1:]
+
+
+def _fit_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int):
+    """The power sums of one fit at bandwidth h, without the bandwidth axis,
+    and how they were taken: the backend, binned or exact, the bin count and
+    the grid points rescored exactly, the last two None when exact."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if kernel is GAUSSIAN and ppts is kpts and len(kpts) >= BINNED_MIN_TERMS:
+        span = float(np.ptp(kpts))
+        m = _bin_count(h, span)
+        width = span / (m - 1) or 1.0
+        if h >= CV_H_BINS * width:
+            s, t = _binned_power_sums(kpts, responses, grid, kernel, h, degree, m, width)
+            redo = np.flatnonzero(_poorly_binned(s, kernel.eval(0.0), width, degree))
+            if redo.size:
+                exact = _power_sums(kpts, kpts, responses, grid[redo], kernel, h, degree)
+                s[redo], t[redo] = exact[0][0], exact[1][0]
+            return s, t, {"backend": "binned", "bins": m, "rescored": int(redo.size)}
+    s, t = _power_sums(kpts, ppts, responses, grid, kernel, h, degree)
+    return s[0], t[0], {"backend": "exact", "bins": None, "rescored": None}
+
+
 def _degree(*methods) -> int:
     """The least local polynomial degree whose power sums fit all `methods`."""
     return 0 if set(methods) == {NADARAYA_WATSON} else 1
@@ -282,9 +412,9 @@ def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
         raise ValidationError(
             f"expected {len(kpts)} responses (one per term), got {len(responses)}"
         )
-    s, t = _power_sums(kpts, ppts, responses[:, None], grid, cfg.kernel, cfg.bandwidth,
-                       _degree(cfg.method))
-    (vals,), n_eff, ok = _closed_form(s[0], t[0], cfg.method, len(kpts))
+    s, t, _ = _fit_sums(kpts, ppts, responses[:, None], grid, cfg.kernel, cfg.bandwidth,
+                        _degree(cfg.method))
+    (vals,), n_eff, ok = _closed_form(s, t, cfg.method, len(kpts))
     return vals, n_eff, int((~ok).sum())
 
 
@@ -308,11 +438,11 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
     responses = np.column_stack(
         [drift_responses(xt), second_moment_responses(xt), fourth_moment_responses(xt)]
     )
-    s, t = _power_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth,
-                       _degree(*methods))
+    s, t, sums = _fit_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth,
+                           _degree(*methods))
     out = {}
     for method in methods:
-        (mu_hat, m_hat, m4_hat), n_eff, ok = _closed_form(s[0], t[0], method, len(kpts))
+        (mu_hat, m_hat, m4_hat), n_eff, ok = _closed_form(s, t, method, len(kpts))
         out[method] = CurveEstimate(
             grid=grid,
             mu_hat=mu_hat,
@@ -326,6 +456,7 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
             undefined_count=int((~ok).sum()),
             kernel=cfg.kernel,
             index_alignment=cfg.index_alignment,
+            sums=sums,
         )
     return out
 
@@ -346,18 +477,22 @@ def second_derivative_fit(
     normally pass a pilot bandwidth larger than their curve h. Grid points
     with an empty neighbourhood or singular design come back NaN.
     """
+    return _local_cubic(xt, responses, grid, kernel, h, index_alignment)[0]
+
+
+def _local_cubic(xt, responses, grid, kernel, h, index_alignment):
+    """second_derivative_fit, and how its kernel sums were taken (`_fit_sums`)."""
     kpts, ppts = term_points(xt, index_alignment)
     responses = np.asarray(responses, dtype=float)
     # sums in u = d/h, where the normal equations are well scaled
     u = kpts / h
-    s, t = _power_sums(
+    s, t, sums = _fit_sums(
         u, u if ppts is kpts else ppts / h, np.atleast_2d(responses).T,
         np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
     )
-    s, t = s[0], t[0]
     mat = s[:, np.add.outer(np.arange(4), np.arange(4))]
     sv = np.linalg.svd(mat, compute_uv=False)
     ok = (s[:, 0] >= DEGENERACY_FLOOR * len(kpts)) & (sv[:, -1] > CUBIC_RCOND * sv[:, 0])
     out = np.full(t.shape[::2], np.nan)
     out[ok] = 2.0 * np.linalg.solve(mat[ok], t[ok])[:, 2] / (h * h)
-    return out.T if responses.ndim > 1 else out[:, 0]
+    return (out.T if responses.ndim > 1 else out[:, 0]), sums

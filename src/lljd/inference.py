@@ -45,8 +45,8 @@ from .errors import ValidationError
 from .estimators import (
     LOCAL_LINEAR,
     CurveEstimate,
+    _local_cubic,
     drift_responses,
-    second_derivative_fit,
     second_moment_responses,
 )
 from .proxy import ProxySeries
@@ -68,7 +68,9 @@ DENSITY_FLOOR = 1e-10
 @dataclass
 class ConfidenceBands:
     """Pointwise bands over the estimate's grid; arrays are NaN where the
-    band is undefined (empty neighbourhood, negative variance plug-in)."""
+    band is undefined (empty neighbourhood, negative variance plug-in).
+    `pilot_sums` records how the local cubic pass took its kernel sums (None
+    without bias correction)."""
 
     alpha: float
     lo_mu: np.ndarray
@@ -79,6 +81,7 @@ class ConfidenceBands:
     pilot_h: float = float("nan")
     undefined_mu: int = 0
     undefined_m: int = 0
+    pilot_sums: dict | None = None
 
 
 def _normal_critical(alpha: float) -> float:
@@ -111,8 +114,9 @@ def attach_bands(
     tail = est.kernel.eval((xt.xt[-2:, None] - est.grid) / est.h)
     p_hat = (est.n_eff + tail[0] + tail[1]) / (len(xt.xt) * est.h)
     rate = np.sqrt(est.n_terms * est.delta * est.h)
+    curvature, pilot_sums = np.zeros((2, len(est.grid))), None
     if bias_corrected:
-        curvature = second_derivative_fit(
+        curvature, pilot_sums = _local_cubic(
             xt,
             [drift_responses(xt), second_moment_responses(xt)],
             est.grid,
@@ -120,8 +124,6 @@ def attach_bands(
             pilot_h,
             est.index_alignment,
         )
-    else:
-        curvature = np.zeros((2, len(est.grid)))
     fields = {}
     for name, c2, estimate, spread in (
         ("mu", curvature[0], est.mu_hat, est.m_hat),
@@ -142,6 +144,7 @@ def attach_bands(
         fields[f"hi_{name}"] = np.where(ok, center + half, np.nan)
         fields[f"undefined_{name}"] = int((~ok).sum())
     est.bands = ConfidenceBands(
-        alpha=alpha, bias_corrected=bias_corrected, pilot_h=pilot_h, **fields
+        alpha=alpha, bias_corrected=bias_corrected, pilot_h=pilot_h, pilot_sums=pilot_sums,
+        **fields
     )
     return est.bands

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lljd import bandwidth, estimators
-from lljd.bandwidth import CV_BINS, CV_H_BINS, cross_validate, default_cv_grid, rule_of_thumb
+from lljd.bandwidth import CV_BINS, cross_validate, default_cv_grid, rule_of_thumb
 from lljd.errors import ValidationError
 from lljd.estimators import (
+    CV_H_BINS,
     DEGENERACY_FLOOR,
     LOCAL_LINEAR,
     NADARAYA_WATSON,

@@ -460,3 +460,120 @@ def test_fit_and_bands_memory_does_not_grow_with_the_sample():
         tracemalloc.stop()
     assert np.isfinite(est.mu_hat).all() and np.isfinite(est.bands.lo_m).all()
     assert peak < 150e6
+
+
+def ar1_proxy(n, seed=13):
+    """An AR(1) proxy of n points, as in the memory test above."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 0.1, n)
+    x = np.empty_like(noise)
+    x[0] = 0.0
+    for i in range(1, len(x)):
+        x[i] = 0.9 * x[i - 1] + noise[i]
+    return series(x, delta=0.01)
+
+
+@pytest.fixture(scope="module")
+def large_proxy():
+    xt = ar1_proxy(70_000)  # 69,998 terms, above BINNED_MIN_TERMS
+    assert len(xt.xt) - 2 >= estimators.BINNED_MIN_TERMS
+    return xt
+
+
+def fit_columns(xt, grid, cfg, bands):
+    est = estimate_curve(xt, grid, cfg)
+    cols = {"mu_hat": est.mu_hat, "m_hat": est.m_hat, "n_eff": est.n_eff}
+    pilot = None
+    if bands:
+        b = attach_bands(est, xt)
+        cols.update(lo_mu=b.lo_mu, hi_mu=b.hi_mu, lo_m=b.lo_m, hi_m=b.hi_m)
+        pilot = b.pilot_sums
+    return cols, est.sums, pilot
+
+
+def exact_columns(monkeypatch, xt, grid, cfg, bands):
+    """fit_columns from the exact engine, `_power_sums`, at every grid point."""
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "BINNED_MIN_TERMS", 1 << 62)
+        cols, sums, pilot = fit_columns(xt, grid, cfg, bands)
+    assert sums["backend"] == "exact" and pilot in (None, sums)
+    return cols
+
+
+def assert_near_exact(got, want, rtol):
+    """Same NaN places; values within rtol of each column's largest magnitude."""
+    for name, col in want.items():
+        assert np.array_equal(np.isnan(got[name]), np.isnan(col)), name
+        ok = ~np.isnan(col)
+        dev = np.max(np.abs(got[name][ok] - col[ok]), initial=0.0)
+        assert dev <= rtol * np.max(np.abs(col[ok])), (name, dev)
+
+
+@pytest.mark.parametrize("method", [LOCAL_LINEAR, NADARAYA_WATSON])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
+def test_large_fit_and_bands_match_the_exact_engine(monkeypatch, large_proxy, kernel, method):
+    xt = large_proxy
+    cfg = EstimatorConfig(rule_of_thumb(xt).h, kernel, method)
+    grid = default_grid(xt)
+    bands = method == LOCAL_LINEAR
+    got, sums, pilot = fit_columns(xt, grid, cfg, bands)
+    want = exact_columns(monkeypatch, xt, grid, cfg, bands)
+    assert_near_exact(got, want, 5e-7)
+    if kernel is GAUSSIAN:
+        # 128 bins inside h and 2h, at most CV_BINS; nothing rescored inside the data
+        assert sums == {"backend": "binned", "bins": 4096, "rescored": 0}
+        assert pilot in (None, {"backend": "binned", "bins": 2048, "rescored": 0})
+    else:
+        # the kink of a compact kernel's profile is off by first order in a
+        # bin: 1e-5 of a column at 128 bins per h, so it keeps exact sums
+        assert sums["backend"] == "exact" and pilot in (None, sums)
+        for name, col in want.items():
+            assert np.array_equal(got[name], col, equal_nan=True), name
+
+
+def test_large_fit_past_the_data_is_undefined_where_the_exact_fit_is(monkeypatch, large_proxy):
+    # Gaussian weights underflow some 6 h past the data, where the exact kernel
+    # mass falls below the degeneracy floor; the binned mass there is not
+    # exact, and the mass test sends those points to the exact engine
+    xt = large_proxy
+    h = rule_of_thumb(xt).h
+    lo, hi = xt.xt.min(), xt.xt.max()
+    grid = np.concatenate([default_grid(xt), np.linspace(hi, hi + 12 * h, 25),
+                           np.linspace(lo - 12 * h, lo, 25)])
+    cfg = EstimatorConfig(h)
+    got, sums, pilot = fit_columns(xt, grid, cfg, True)
+    want = exact_columns(monkeypatch, xt, grid, cfg, True)
+    assert sums["backend"] == pilot["backend"] == "binned"
+    assert sums["rescored"] > 0 and pilot["rescored"] > 0
+    assert np.isnan(want["mu_hat"]).any() and np.isnan(want["lo_mu"]).any()
+    assert_near_exact(got, want, 5e-7)
+
+
+def test_large_fit_as_written_stays_exact(monkeypatch, large_proxy):
+    cfg = EstimatorConfig(rule_of_thumb(large_proxy).h, index_alignment="as_written")
+    grid = default_grid(large_proxy)
+    got, sums, pilot = fit_columns(large_proxy, grid, cfg, True)
+    assert sums == pilot == {"backend": "exact", "bins": None, "rescored": None}
+    want = exact_columns(monkeypatch, large_proxy, grid, cfg, True)
+    for name, col in want.items():
+        assert np.array_equal(got[name], col, equal_nan=True), name
+
+
+@pytest.mark.parametrize("terms", [(1 << 16) - 1, 1 << 16])
+def test_fits_below_the_binning_threshold_are_the_exact_engine_bit_for_bit(terms):
+    xt = ar1_proxy(terms + 2, seed=14)
+    h = rule_of_thumb(xt).h
+    grid = default_grid(xt)
+    est = estimate_curve(xt, grid, EstimatorConfig(h))
+    kpts, ppts = term_points(xt)
+    resp = np.column_stack([drift_responses(xt), second_moment_responses(xt),
+                            estimators.fourth_moment_responses(xt)])
+    s, t = _power_sums(kpts, ppts, resp, grid, GAUSSIAN, h, 1)
+    (mu_hat, m_hat, _), n_eff, _ = estimators._closed_form(s[0], t[0], LOCAL_LINEAR, terms)
+    same = [np.array_equal(a, b, equal_nan=True)
+            for a, b in ((est.mu_hat, mu_hat), (est.m_hat, m_hat), (est.n_eff, n_eff))]
+    if terms < estimators.BINNED_MIN_TERMS:
+        assert est.sums == {"backend": "exact", "bins": None, "rescored": None}
+        assert all(same)
+    else:
+        assert est.sums["backend"] == "binned" and not any(same)

@@ -320,6 +320,29 @@ def test_cli_estimate_pipeline(tmp_path):
     ok = np.isfinite(cols["mu_hat"])
     slope = np.polyfit(cols["x"][ok], cols["mu_hat"][ok], 1)[0]
     assert slope < 0
+    # the manifest records how each kernel pass took its sums: exactly, on
+    # a sample this small, and binned with 2^16 terms or more
+    exact = {"backend": "exact", "bins": None, "rescored": None}
+    assert fit_record(curve_csv) == {"curve": exact, "pilot": exact}
+    assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv)]) == 0
+    assert fit_record(curve_csv) == {"curve": exact, "pilot": None}
+    rng = np.random.default_rng(3)
+    proxy_csv = tmp_path / "proxy.csv"
+    write_proxy_csv(proxy_csv, ProxySeries(0.01, np.cumsum(rng.normal(0.0, 0.01, 70_000))))
+    assert main(["estimate", "--in", str(proxy_csv), "--out", str(curve_csv),
+                 "--bands", "0.05"]) == 0
+    record = fit_record(curve_csv)
+    for name in ("curve", "pilot"):
+        bins, rescored = record[name]["bins"], record[name]["rescored"]
+        assert record[name]["backend"] == "binned"
+        assert isinstance(bins, int) and bins & (bins - 1) == 0 and bins <= CV_BINS
+        assert isinstance(rescored, int) and 0 <= rescored <= 101
+    # the pilot bandwidth is twice h: half the bins put as many inside it
+    assert record["pilot"]["bins"] * 2 == record["curve"]["bins"]
+
+
+def fit_record(out):
+    return json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["fit"]
 
 
 def test_cli_estimate_cv_bandwidth(tmp_path):
@@ -628,6 +651,24 @@ def test_cli_import_keeps_numpy_fft_unloaded():
     code = "import sys, lljd.cli; sys.exit('numpy.fft' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_binned_fit_keeps_numpy_fft_unloaded():
+    # the binned fit sums bins directly; only binned cross-validation uses FFTs
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, numpy as np\n"
+        "from lljd import EstimatorConfig, ProxySeries, attach_bands, estimate_curve\n"
+        "rng = np.random.default_rng(4)\n"
+        "xt = ProxySeries(0.01, np.cumsum(rng.normal(0.0, 0.01, 70_000)))\n"
+        "est = estimate_curve(xt, None, EstimatorConfig(0.05))\n"
+        "attach_bands(est, xt)\n"
+        "assert est.sums['backend'] == est.bands.pilot_sums['backend'] == 'binned'\n"
+        "sys.exit('numpy.fft' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_with_skipped_replicates_is_strict_json(tmp_path):
