@@ -32,8 +32,9 @@ def lljd(*args) -> list:
 
 # The suite: simulated paths with both jump types, estimates with CV, bands
 # and a CV dump, the empirical pipeline on a five-day stand-in, a single MC
-# config with its band and QQ extracts, and a preset table. Each entry is the
-# argument list of one `python` run.
+# config with its band and QQ extracts, and two preset tables, whose lanes
+# take compound Poisson (table 2) and Variance Gamma (table 6) jumps. Each
+# entry is the argument list of one `python` run.
 COMMANDS = [
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "cp",
          "--out", "sim_cp.csv"),
@@ -49,6 +50,7 @@ COMMANDS = [
     lljd("mc-study", "--example", "1", "--t", "2", "--n", "200", "--reps", "25",
          "--seed", "4", "--grid-n", "21", "--csv-prefix", "mc", "--out", "mc.json"),
     lljd("mc-study", "--table", "2", "--reps", "20", "--seed", "7", "--out", "table2.json"),
+    lljd("mc-study", "--table", "6", "--reps", "10", "--seed", "7", "--out", "table6.json"),
 ]
 
 

@@ -23,6 +23,7 @@ from .estimators import EstimatorConfig, default_grid, estimate_curve
 from .inference import attach_bands
 from .io import (
     RunManifest,
+    Stages,
     csv_header,
     emit_report,
     ingest_prices,
@@ -188,19 +189,6 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
             "cv_bins": choice.cv_bins, "cv_flatness": flatness}
 
 
-class _Stages:
-    """Seconds per named stage of a run; each lap runs from the previous one."""
-
-    def __init__(self):
-        self.start = self._last = time.perf_counter()
-        self.seconds = {}
-
-    def lap(self, name: str) -> None:
-        now = time.perf_counter()
-        self.seconds[name] = self.seconds.get(name, 0.0) + now - self._last
-        self._last = now
-
-
 def _write_manifest(args, start: float, **diagnostics) -> float:
     """Write the manifest of the command's --out artifact; returns the runtime.
 
@@ -220,7 +208,7 @@ def _write_manifest(args, start: float, **diagnostics) -> float:
     return runtime
 
 
-def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages: _Stages,
+def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages: Stages,
                    choice: BandwidthChoice):
     """Shared tail of estimate and empirical: fit both curves at the chosen h,
     attach bands when --bands is given, write the curve CSV and its manifest,
@@ -252,7 +240,7 @@ def _cmd_simulate(args) -> int:
     model = default_model(jump=jump, x0=args.x0, y0=args.y0)
     cfg = PathConfig(t_span=args.t, n=args.n, seed=args.seed,
                      burn_in=args.burn_in, substeps=args.substeps)
-    stages = _Stages()
+    stages = Stages()
     path = simulate_path(model, cfg)
     stages.lap("simulate")
     write_path_csv(args.out, path)
@@ -294,7 +282,7 @@ def _cmd_estimate(args) -> int:
         raise ValidationError("--grid-lo and --grid-hi must be given together")
     if lo is not None and not -math.inf < lo < hi < math.inf:
         raise ValidationError(f"need finite --grid-lo < --grid-hi, got {lo:g} and {hi:g}")
-    stages = _Stages()
+    stages = Stages()
     series = _load_series(args)
     stages.lap("ingest")
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel), METHOD_ALIASES[args.method],
@@ -314,7 +302,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc_study(args) -> int:
-    stages = _Stages()
+    stages = Stages()
     names = [m.strip() for m in args.methods.split(",")]
     unknown = [m for m in names if m not in METHOD_ALIASES]
     if unknown:
@@ -331,7 +319,7 @@ def _cmd_mc_study(args) -> int:
         replace(c, methods=methods, grid_n=args.grid_n, range_mode=args.range_mode,
                 kernel=get_kernel(args.kernel))
         for c in configs
-    ])
+    ], stages.seconds)
     stages.lap("study")
     emit_report({"kind": "mc_study_report", "configs": [r.to_dict() for r in reports]},
                 args.out)
@@ -357,7 +345,7 @@ def _cmd_mc_study(args) -> int:
 
 
 def _cmd_empirical(args) -> int:
-    stages = _Stages()
+    stages = Stages()
     delta = _parse_delta(args.delta)
     series, info = ingest_prices(args.infile, args.price_col, delta)
     stages.lap("ingest")

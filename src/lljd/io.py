@@ -33,6 +33,7 @@ __all__ = [
     "fmt_float",
     "sha256_file",
     "RunManifest",
+    "Stages",
     "ingest_prices",
     "emit_report",
     "write_path_csv",
@@ -78,6 +79,20 @@ class RunManifest:
         path = Path(str(out_path) + ".manifest.json")
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
+
+
+class Stages:
+    """Seconds per named stage of a run, added to `seconds` (a new dict by
+    default); each lap runs from the previous one."""
+
+    def __init__(self, seconds: dict | None = None):
+        self.start = self._last = time.perf_counter()
+        self.seconds = {} if seconds is None else seconds
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = self.seconds.get(name, 0.0) + now - self._last
+        self._last = now
 
 
 def ingest_prices(path, price_col: str, delta: float):

@@ -28,6 +28,7 @@ from .estimators import (
     estimate_curve,  # noqa: F401  (kept bound here for perfbench/spans.py)
     estimate_curves,
 )
+from .io import Stages
 from .kernels import GAUSSIAN, Kernel
 from .proxy import ProxySeries, build_proxy
 from .simulate import (
@@ -179,11 +180,13 @@ def run_study(cfg: McConfig) -> McReport:
     return run_studies([cfg])[0]
 
 
-def run_studies(cfgs) -> list[McReport]:
+def run_studies(cfgs, seconds: dict | None = None) -> list[McReport]:
     """run_study of each config, with the replicates of all of them simulated
     together as lanes of simulate_paths (see _lane_batches). Each report is
     byte-identical to run_study of its config alone; the first config that
-    aborts raises its error, as a loop of run_study calls would."""
+    aborts raises its error, as a loop of run_study calls would. The time of
+    each stage is added to `seconds` as "simulate", "fit" and "aggregate"."""
+    stages = Stages(seconds)
     cfgs = list(cfgs)
     lanes = [
         (c, r, seed)
@@ -194,16 +197,17 @@ def run_studies(cfgs) -> list[McReport]:
     grids = [None] * len(cfgs)
     aborted = [None] * len(cfgs)
     for batch in _lane_batches(cfgs, lanes):
-        _run_batch(cfgs, batch, results, grids, aborted)
+        _run_batch(cfgs, batch, results, grids, aborted, stages)
     reports = []
     for cfg, res, grid, exc in zip(cfgs, results, grids, aborted):
         if exc is not None:
             raise exc
         reports.append(_aggregate(cfg, res, grid))
+    stages.lap("aggregate")
     return reports
 
 
-def _run_batch(cfgs: list, batch: list, results: list, grids: list, aborted: list):
+def _run_batch(cfgs, batch, results, grids, aborted, stages: Stages):
     """Simulate one lane batch and fit its replicates into results[c][r]. A
     config's replicate 0 fixes grids[c], or its failure goes to aborted[c]."""
     paths = simulate_paths(
@@ -213,6 +217,7 @@ def _run_batch(cfgs: list, batch: list, results: list, grids: list, aborted: lis
         ],
         record_x=False,
     )
+    stages.lap("simulate")
     for (c, r, _), path in zip(batch, paths):
         cfg = cfgs[c]
         try:
@@ -231,6 +236,7 @@ def _run_batch(cfgs: list, batch: list, results: list, grids: list, aborted: lis
                 results[c][r] = _replicate(cfg, pr, grids[c])
             except LljdError as exc:
                 results[c][r] = ("failed", f"{type(exc).__name__}: {exc}")
+    stages.lap("fit")
 
 
 def _aggregate(cfg: McConfig, results: list, common_grid: np.ndarray) -> McReport:

@@ -10,11 +10,12 @@ Gamma process (infinite activity), or absent. X is advanced by Euler steps on
 a refined internal grid; Y is advanced by the left-point rule on the same
 grid, matching the left-limit form of the state equation.
 
-One Euler loop serves every path: simulate_paths advances many lanes (one
-path each) in lockstep as numpy vectors, and simulate_path is its one-lane
-case, whose state stays in Python floats. Each lane draws its random streams
-block by block, in the order one upfront draw would take them, so a lane's
-path is the same bits alone or beside any other lanes.
+simulate_paths advances many lanes (one path each) in lockstep as numpy
+vectors, a block of steps at a time, with y from one cumulative sum and one
+bounds test per block; a per-step loop replays a block in which a lane left
+the bounds, and simulate_path runs that loop on Python floats. Each lane
+draws its random streams block by block, in the order one upfront draw would
+take them, so a lane's path is the same bits alone or beside other lanes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ EXPLOSION_BOUND = 1e8
 # time. Both bound the working memory of a call, however long its paths are.
 BLOCK_VALUES = 1 << 15
 DISCARD_BLOCK = 1 << 14
-_BOUND_SQUARED = EXPLOSION_BOUND * EXPLOSION_BOUND
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,10 @@ def _placed_after(rng, draw, count: int):
 
 def _lane_streams(jump: JumpSpec, dt: float, seed: int, steps: int):
     """The random streams of one lane: a generator of its diffusion normals
-    (unscaled), and jumps(out), which adds the next len(out) jump increments
-    to `out`, a row of zeros; jumps is None for a lane without jumps.
+    (unscaled), and its jumps: None for a lane without jumps, the sparse
+    (at, inc) of _cp_jumps over all `steps` for compound Poisson, or, for
+    Variance Gamma, jumps(out), which adds the next len(out) jump increments
+    to `out`, a column of zeros.
 
     The draws are those of one generator seeded with `seed` that takes, in
     order, all `steps` diffusion normals, then the jump component: all jump
@@ -252,16 +254,7 @@ def _lane_streams(jump: JumpSpec, dt: float, seed: int, steps: int):
         raise ValidationError(f"unknown jump specification {jump!r}")
     after = _placed_after(rng, np.random.Generator.standard_normal, steps)
     if isinstance(jump, CompoundPoisson):
-        at, inc = _cp_jumps(jump.lam, jump.size, dt, after, steps)
-        done = lo = 0
-
-        def jumps(out):
-            nonlocal done, lo
-            hi = at.searchsorted(done + len(out))
-            out[at[lo:hi] - done] = inc[lo:hi]
-            done, lo = done + len(out), hi
-
-        return rng, jumps
+        return rng, _cp_jumps(jump.lam, jump.size, dt, after, steps)
     c, eta, b = jump.c, jump.eta, jump.b
     gauss = _placed_after(after, lambda g, k: g.gamma(dt / b, b, k), steps)
 
@@ -275,11 +268,10 @@ def _euler(x, y, dt, z, j, m, mu, sigma, xs, ys, escaped):
     """Euler steps of one block, m per observation: z[k] and j[k] are step
     k's scaled normal and jump increment, and the state after observation o
     goes to xs[o] and ys[o]. The state is Python floats for one lane and
-    arrays, advanced in place, for several. After a step that may have left
-    the bounds, escaped(x, o, k) handles it (k steps into the block) and
-    returns the state to go on from; lanes are screened by their sum of
-    squares, which exceeds the squared bound (or is NaN) whenever one of them
-    is out."""
+    arrays, advanced in place, for several. After every step of several
+    lanes, and after a step that left the bounds for one, escaped(x, o, k)
+    handles it (k steps into the block) and returns the state to go on from.
+    """
     lanes = not isinstance(x, float)
     k = 0
     for o in range(len(xs)):
@@ -287,8 +279,7 @@ def _euler(x, y, dt, z, j, m, mu, sigma, xs, ys, escaped):
             y += x * dt
             x += mu(x) * dt + sigma(x) * z[k] + j[k]
             k += 1
-            if not (x @ x <= _BOUND_SQUARED if lanes
-                    else -EXPLOSION_BOUND <= x <= EXPLOSION_BOUND):
+            if lanes or not -EXPLOSION_BOUND <= x <= EXPLOSION_BOUND:
                 x = escaped(x, o, k)
         xs[o] = x
         ys[o] = y
@@ -305,9 +296,15 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     each lane draws its own streams block by block (see _lane_streams).
 
     Lanes run longest first, so a finished lane drops out of the active
-    prefix. Returns one entry per lane, in the order given: its SamplePath
-    (x is None unless record_x), or the NumericalError of a lane whose state
-    left [-1e8, 1e8] or became non-finite; the other lanes carry on.
+    prefix. A block's draws are laid out step-major, its compound Poisson
+    jumps scattered in one assignment from all lanes' jumps merged in step
+    order. Each step writes the lanes' next state to a row of a block buffer
+    X; y follows from one cumulative sum of X * dt, which adds in step order
+    as y += x * dt does, and one test of X screens the bounds. A block in
+    which a lane left them is stepped again from its start by _euler, which
+    screens every step. Returns one entry per lane, in the order given: its
+    SamplePath (x is None unless record_x), or the NumericalError of a lane
+    whose state left [-1e8, 1e8] or became non-finite; the others carry on.
     """
     lanes = list(lanes)
     if not lanes:
@@ -320,9 +317,15 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     cfgs = [lanes[i][1] for i in order]
     n_obs = [c.burn_in + c.n + 2 for c in cfgs]
     dts = [c.delta / m for c in cfgs]
-    scales = np.sqrt(dts)[:, None]
+    scales = np.sqrt(dts)
     streams = [_lane_streams(lanes[i][0].jump, dt, c.seed, (n - 1) * m)
                for i, c, dt, n in zip(order, cfgs, dts, n_obs)]
+    sparse = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))] + [
+        (jumps[0], np.full(len(jumps[0]), p), jumps[1])
+        for p, (_, jumps) in enumerate(streams) if isinstance(jumps, tuple)]
+    at, lane, inc = map(np.concatenate, zip(*sparse))
+    by_step = np.argsort(at, kind="stable")
+    at, lane, inc = at[by_step], lane[by_step], inc[by_step]
     ys = [np.empty(c.n + 2) for c in cfgs]
     xs = [np.empty(c.n + 2) for c in cfgs] if record_x else None
     for p, c in enumerate(cfgs):
@@ -335,7 +338,10 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     y = float(first.y0) if one else np.full(len(lanes), float(first.y0))
     dt = dts[0] if one else np.array(dts)
     failed = {}
-    o0, a = 1, len(lanes)
+    o0, a, done = 1, len(lanes), 0
+    # a block holds at most max(BLOCK_VALUES, a * m) values per stream: the
+    # lane-major normals (then the screen and y), z, j and X reuse four rows
+    buf = np.empty((4, max(BLOCK_VALUES, a * m) + a))
 
     def escaped(x, o, k):
         where = f"state explosion at observation {o0 + o} (substep {(o0 - 1) * m + k})"
@@ -354,22 +360,43 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
             while n_obs[a - 1] <= o0:
                 a -= 1
             o1 = min(o0 + max(1, BLOCK_VALUES // (a * m)), n_obs[a - 1])
-            z, j = np.empty((a, (o1 - o0) * m)), np.zeros((a, (o1 - o0) * m))
-            for (rng, jumps), zp, jp in zip(streams, z, j):
+            s0, steps = (o0 - 1) * m, (o1 - o0) * m
+            size = steps * a
+            lz, X = buf[0, :size].reshape(a, steps), buf[3, : size + a].reshape(steps + 1, a)
+            w, z, j = (b[:size].reshape(steps, a) for b in buf[:3])
+            j[:] = 0.0
+            for p, ((rng, jumps), zp) in enumerate(zip(streams, lz)):
                 rng.standard_normal(out=zp)
-                if jumps is not None:
-                    jumps(jp)
-            z *= scales[:a]
-            xb, yb = np.empty((o1 - o0, a)), np.empty((o1 - o0, a))
+                if callable(jumps):
+                    jumps(j[:, p])
+            np.multiply(lz.T, scales[:a], out=z)
+            k, done = done, at.searchsorted(s0 + steps)
+            j[at[k:done] - s0, lane[k:done]] = inc[k:done]
             if one:
+                xb, yb = np.empty((2, o1 - o0, 1))
                 try:
-                    x, y = _euler(x, y, dt, z[0].tolist(), j[0].tolist(), m,
+                    x, y = _euler(x, y, dt, z[:, 0].tolist(), j[:, 0].tolist(), m,
                                   first.mu, first.sigma, xb[:, 0], yb[:, 0], escaped)
                 except NumericalError as exc:
                     failed[0] = exc
                     break
             else:
-                _euler(x[:a], y[:a], dt[:a], z.T, j.T, m, first.mu, first.sigma, xb, yb, escaped)
+                h = dt[:a]
+                X[0] = x[:a]
+                for xk, x1, zk, jk in zip(X[:-1], X[1:], z, j):
+                    t = first.mu(xk) * h
+                    t += first.sigma(xk) * zk
+                    t += jk
+                    np.add(xk, t, out=x1)
+                if np.abs(X[1:], out=w).max() <= EXPLOSION_BOUND:
+                    P = np.multiply(X[:-1], h, out=w)
+                    P[0] += y[:a]
+                    np.cumsum(P, axis=0, out=P)
+                    x[:a], y[:a] = X[-1], P[-1]
+                    xb, yb = X[m::m], P[m - 1 :: m]
+                else:
+                    xb, yb = np.empty((2, o1 - o0, a))
+                    _euler(x[:a], y[:a], h, z, j, m, first.mu, first.sigma, xb, yb, escaped)
             for p, c in enumerate(cfgs[:a]):
                 lo = max(o0, c.burn_in)
                 if lo < o1:

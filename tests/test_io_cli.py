@@ -441,13 +441,17 @@ def test_cli_stage_timings_live_only_in_the_manifest(tmp_path):
     # simulate and mc-study: their data artifacts are byte-identical across runs
     for command, keys in (
         (["simulate", "--t", "5", "--n", "300", "--seed", "8"], {"simulate", "write"}),
-        (["mc-study", "--reps", "3", "--n", "200", "--grid-n", "21"], {"study", "write"}),
+        (["mc-study", "--reps", "3", "--n", "200", "--grid-n", "21"],
+         {"simulate", "fit", "aggregate", "study", "write"}),
     ):
         outs = [tmp_path / f"{command[0]}{k}.out" for k in range(2)]
         for out in outs:
             assert main(command + ["--out", str(out)]) == 0
             stages = stages_of(out)
             assert set(stages) == keys and all(v >= 0.0 for v in stages.values())
+            if "study" in stages:  # the study's own stages are laps inside it
+                inside = stages["simulate"] + stages["fit"] + stages["aggregate"]
+                assert 0.0 < inside <= stages["study"]
         assert outs[0].read_bytes() == outs[1].read_bytes()
     path_csv = tmp_path / "simulate0.out"
     curves = []

@@ -255,6 +255,61 @@ def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
             assert np.array_equal(together.x, single.x) and np.array_equal(together.y, single.y)
 
 
+def test_an_excursion_inside_one_block_fails_its_lane_alone(monkeypatch):
+    # mu = -500x at dt = 0.002 takes the state back to its noise every step,
+    # so a huge Cauchy jump leaves [-1e8, 1e8] for one step only: a screen of
+    # each block's last state would miss it. Blocks of 24 lanes hold 80 steps.
+    monkeypatch.setattr(lljd.simulate, "BLOCK_VALUES", 2000)
+    mu, sigma = (lambda x: -500.0 * x), (lambda x: 0.1)
+    boom = ModelSpec(mu=mu, sigma=sigma,
+                     jump=CompoundPoisson(50.0, JumpSizeDist("cauchy", 0.0, 3e5)))
+    calm = ModelSpec(mu=mu, sigma=sigma,
+                     jump=CompoundPoisson(50.0, JumpSizeDist("normal", 0.0, 1e5)))
+    lanes = [(boom if s % 3 else calm, PathConfig(t_span=2.0, n=100, seed=s, burn_in=0))
+             for s in derive_seeds(2, 24)]
+    assert lanes[0][1].delta / 10 == pytest.approx(0.002)
+    alone, oracle = [], []
+    for spec, cfg in lanes:
+        for results, run in ((alone, simulate_path), (oracle, upfront_path)):
+            try:
+                results.append(run(spec, cfg))
+            except NumericalError as exc:
+                results.append(exc)
+    failed = [str(a) for a in alone if isinstance(a, NumericalError)]
+    assert len(failed) >= 2
+    assert all(int(f.split("substep ")[1].split(")")[0]) % 80 for f in failed)
+    for together, single, want in zip(simulate_paths(lanes), alone, oracle):
+        if isinstance(single, NumericalError):
+            assert isinstance(together, NumericalError) and isinstance(want, NumericalError)
+            assert str(together) == str(single) == str(want)
+        else:
+            assert np.array_equal(together.x, single.x) and np.array_equal(together.y, single.y)
+            assert np.array_equal(together.x, want[0]) and np.array_equal(together.y, want[1])
+
+
+def test_lane_block_memory_does_not_grow_with_the_paths():
+    import tracemalloc
+
+    # the working memory beside the retained y arrays is the block buffers,
+    # the sparse jumps and the lanes' generators, whatever the path length
+    vg = default_model(jump=VarianceGamma(-0.2, 0.2, 0.23))
+    cp = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 0.036)))
+
+    def excess(n):
+        lanes = [(vg if k % 2 else cp, PathConfig(t_span=n / 100, n=n - k, seed=k))
+                 for k in range(24)]
+        tracemalloc.start()
+        paths = simulate_paths(lanes, record_x=False)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak - sum(p.y.nbytes for p in paths)
+
+    excess(50)  # first-call imports and caches
+    short, long = excess(300), excess(1200)
+    bound = 48 * lljd.simulate.BLOCK_VALUES  # 1.5 MB: six blocks of float64
+    assert short < bound and long < bound
+
+
 def test_lanes_must_share_the_state_equation():
     cfg = PathConfig(t_span=1.0, n=10, seed=1)
     with pytest.raises(ValidationError, match="share"):
