@@ -30,16 +30,19 @@ def lljd(*args) -> list:
     return ["-m", "lljd", *args]
 
 
-# The suite: simulated paths with both jump types, estimates with CV, bands
-# and a CV dump, the empirical pipeline on a five-day stand-in, a single MC
-# config with its band and QQ extracts, and two preset tables, whose lanes
-# take compound Poisson (table 2) and Variance Gamma (table 6) jumps. Each
-# entry is the argument list of one `python` run.
+# The suite: simulated paths with both jump types, one of them long enough
+# (52,010 steps) to carry x and y across two blocks of one lane, estimates
+# with CV, bands and a CV dump, the empirical pipeline on a five-day
+# stand-in, a single MC config with its band and QQ extracts, and two preset
+# tables, whose lanes take compound Poisson (table 2) and Variance Gamma
+# (table 6) jumps. Each entry is the argument list of one `python` run.
 COMMANDS = [
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "cp",
          "--out", "sim_cp.csv"),
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "vg",
          "--out", "sim_vg.csv"),
+    lljd("simulate", "--t", "50", "--n", "5000", "--seed", "3", "--jump", "cp",
+         "--out", "sim_long.csv"),
     lljd("estimate", "--in", "sim_cp.csv", "--h", "cv", "--bands", "0.05",
          "--cv-out", "cv.csv", "--out", "curve_cp.csv"),
     lljd("estimate", "--in", "sim_vg.csv", "--bands", "0.05", "--out", "curve_vg.csv"),

@@ -10,12 +10,13 @@ Gamma process (infinite activity), or absent. X is advanced by Euler steps on
 a refined internal grid; Y is advanced by the left-point rule on the same
 grid, matching the left-limit form of the state equation.
 
-simulate_paths advances many lanes (one path each) in lockstep as numpy
-vectors, a block of steps at a time, with y from one cumulative sum and one
-bounds test per block; a per-step loop replays a block in which a lane left
-the bounds, and simulate_path runs that loop on Python floats. Each lane
-draws its random streams block by block, in the order one upfront draw would
-take them, so a lane's path is the same bits alone or beside other lanes.
+simulate_paths advances many lanes (one path each) a block of steps at a
+time: it fills a buffer with every step's state, as numpy vectors or on
+Python floats while one lane is active, then screens the buffer for states
+out of bounds and takes y from one cumulative sum; simulate_path is its
+one-lane case. Each lane draws its random streams block by block, in the
+order one upfront draw would take them, so a lane's path is the same bits
+alone or beside other lanes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class JumpSizeDist:
             raise ValidationError(f"unknown jump size family {self.family!r}")
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise ValidationError(f"jump size scale must be positive, got {self.scale}")
+        if not math.isfinite(self.loc):
+            raise ValidationError(f"jump size location must be finite, got {self.loc}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "normal":
@@ -101,8 +104,10 @@ class VarianceGamma:
     def __post_init__(self):
         if self.b <= 0 or not math.isfinite(self.b):
             raise ValidationError(f"Gamma variance parameter b must be > 0, got {self.b}")
-        if self.eta < 0:
+        if not 0 <= self.eta < math.inf:
             raise ValidationError(f"subordinated volatility eta must be >= 0, got {self.eta}")
+        if not math.isfinite(self.c):
+            raise ValidationError(f"subordinated drift c must be finite, got {self.c}")
 
 
 JumpSpec = Union[NoJumps, CompoundPoisson, VarianceGamma]
@@ -112,12 +117,12 @@ JumpSpec = Union[NoJumps, CompoundPoisson, VarianceGamma]
 class ModelSpec:
     """Drift, diffusion and jump specification of the latent state.
 
-    mu and sigma are called on a Python float (one lane) and on a float64
-    array of lane states (simulate_paths), and must give the same bits in
-    both forms, so that a lane reproduces its one-lane path. For a square
-    root that means math.sqrt on floats and np.sqrt on arrays: a float's
-    ** 0.5 calls pow, which can differ from the correctly rounded root in
-    the last bit.
+    mu and sigma are called on a Python float while one lane is active and
+    on a float64 array of lane states otherwise, and must give the same bits
+    in both forms, so that a lane's path does not depend on its neighbours.
+    For a square root that means math.sqrt on floats and np.sqrt on arrays:
+    a float's ** 0.5 calls pow, which can differ from the correctly rounded
+    root in the last bit.
     """
 
     mu: Callable
@@ -125,7 +130,10 @@ class ModelSpec:
     jump: JumpSpec = field(default_factory=NoJumps)
     x0: float = 0.0
     y0: float = 0.0
-    name: str = "custom"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValidationError(f"x0 and y0 must be finite, got x0={self.x0}, y0={self.y0}")
 
 
 def _mean_reverting_mu(x):
@@ -139,9 +147,7 @@ def _smile_sigma(x):
 
 def default_model(jump: JumpSpec = NoJumps(), x0: float = 0.0, y0: float = 0.0) -> ModelSpec:
     """Mean-reverting benchmark model: mu(x) = -10x, sigma(x) = sqrt(0.1 + 0.1 x^2)."""
-    return ModelSpec(
-        mu=_mean_reverting_mu, sigma=_smile_sigma, jump=jump, x0=x0, y0=y0, name="default"
-    )
+    return ModelSpec(mu=_mean_reverting_mu, sigma=_smile_sigma, jump=jump, x0=x0, y0=y0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,6 @@ class SamplePath:
     x: Optional[np.ndarray]
     y: np.ndarray
     seed: int
-    substeps: int
 
 
 def _cp_jumps(lam: float, size: JumpSizeDist, dt: float, rng, k: int):
@@ -264,30 +269,21 @@ def _lane_streams(jump: JumpSpec, dt: float, seed: int, steps: int):
     return rng, jumps
 
 
-def _euler(x, y, dt, z, j, m, mu, sigma, xs, ys, escaped):
-    """Euler steps of one block, m per observation: z[k] and j[k] are step
-    k's scaled normal and jump increment, and the state after observation o
-    goes to xs[o] and ys[o]. The state is Python floats for one lane and
-    arrays, advanced in place, for several. After every step of several
-    lanes, and after a step that left the bounds for one, escaped(x, o, k)
-    handles it (k steps into the block) and returns the state to go on from.
-    """
-    lanes = not isinstance(x, float)
-    k = 0
-    for o in range(len(xs)):
-        for _ in range(m):
-            y += x * dt
-            x += mu(x) * dt + sigma(x) * z[k] + j[k]
-            k += 1
-            if lanes or not -EXPLOSION_BOUND <= x <= EXPLOSION_BOUND:
-                x = escaped(x, o, k)
-        xs[o] = x
-        ys[o] = y
-    return x, y
+def _float_steps(X, dt, z, j, mu, sigma):
+    """Euler steps of one lane on Python floats from X[0]: step k's state
+    goes to X[k + 1], and the steps stop after the first state outside the
+    bounds, leaving the later rows as they were."""
+    x, xs = float(X[0]), []
+    for zk, jk in zip(z, j):
+        x += mu(x) * dt + sigma(x) * zk + jk
+        xs.append(x)
+        if not -EXPLOSION_BOUND <= x <= EXPLOSION_BOUND:
+            break
+    X[1 : len(xs) + 1] = xs
 
 
 def simulate_paths(lanes, record_x: bool = True) -> list:
-    """Euler paths of many lanes, advanced in lockstep as numpy vectors.
+    """Euler paths of many lanes, advanced in lockstep a block at a time.
 
     A lane is a (ModelSpec, PathConfig) pair. The lanes of one call share mu,
     sigma, x0, y0 and substeps; jumps, span, n, burn-in and seed are their
@@ -298,13 +294,15 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     Lanes run longest first, so a finished lane drops out of the active
     prefix. A block's draws are laid out step-major, its compound Poisson
     jumps scattered in one assignment from all lanes' jumps merged in step
-    order. Each step writes the lanes' next state to a row of a block buffer
-    X; y follows from one cumulative sum of X * dt, which adds in step order
-    as y += x * dt does, and one test of X screens the bounds. A block in
-    which a lane left them is stepped again from its start by _euler, which
-    screens every step. Returns one entry per lane, in the order given: its
-    SamplePath (x is None unless record_x), or the NumericalError of a lane
-    whose state left [-1e8, 1e8] or became non-finite; the others carry on.
+    order. The steps fill a buffer X with a row of lane states per step, as
+    numpy vectors or, while one lane is active, on Python floats: numpy calls
+    on one-element arrays cost far more than the step. Then one test of X
+    screens the bounds, a lane that left them fails at its first row outside
+    and goes on from 0, and y follows from one cumulative sum of X * dt,
+    which adds in step order as y += x * dt does. Returns one entry per lane,
+    in the order given: its SamplePath (x is None unless record_x), or the
+    NumericalError of a lane whose state left [-1e8, 1e8] or became
+    non-finite; the others carry on until every active lane has failed.
     """
     lanes = list(lanes)
     if not lanes:
@@ -333,32 +331,20 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
             ys[p][0] = first.y0
             if record_x:
                 xs[p][0] = first.x0
-    one = len(lanes) == 1
-    x = float(first.x0) if one else np.full(len(lanes), float(first.x0))
-    y = float(first.y0) if one else np.full(len(lanes), float(first.y0))
-    dt = dts[0] if one else np.array(dts)
+    x = np.full(len(lanes), float(first.x0))
+    y = np.full(len(lanes), float(first.y0))
     failed = {}
     o0, a, done = 1, len(lanes), 0
     # a block holds at most max(BLOCK_VALUES, a * m) values per stream: the
     # lane-major normals (then the screen and y), z, j and X reuse four rows
     buf = np.empty((4, max(BLOCK_VALUES, a * m) + a))
 
-    def escaped(x, o, k):
-        where = f"state explosion at observation {o0 + o} (substep {(o0 - 1) * m + k})"
-        if one:
-            raise NumericalError(f"{where}: x = {x!r}")
-        out = ~(np.abs(x) <= EXPLOSION_BOUND)
-        if not out.any():
-            return x
-        for p in np.flatnonzero(out).tolist():
-            failed.setdefault(p, NumericalError(f"{where}: x = {float(x[p])!r}"))
-        x[out] = 0.0  # a failed lane goes on from 0, so its arithmetic stays finite
-        return x
-
     with np.errstate(all="ignore"):
         while o0 < n_obs[0]:
             while n_obs[a - 1] <= o0:
                 a -= 1
+            if all(p in failed for p in range(a)):
+                break
             o1 = min(o0 + max(1, BLOCK_VALUES // (a * m)), n_obs[a - 1])
             s0, steps = (o0 - 1) * m, (o1 - o0) * m
             size = steps * a
@@ -372,43 +358,42 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
             np.multiply(lz.T, scales[:a], out=z)
             k, done = done, at.searchsorted(s0 + steps)
             j[at[k:done] - s0, lane[k:done]] = inc[k:done]
-            if one:
-                xb, yb = np.empty((2, o1 - o0, 1))
-                try:
-                    x, y = _euler(x, y, dt, z[:, 0].tolist(), j[:, 0].tolist(), m,
-                                  first.mu, first.sigma, xb[:, 0], yb[:, 0], escaped)
-                except NumericalError as exc:
-                    failed[0] = exc
-                    break
-            else:
-                h = dt[:a]
-                X[0] = x[:a]
+            X[0], dt = x[:a], np.array(dts[:a])
+            if a == 1:
+                # a memoryview yields Python floats without a list of the block
+                _float_steps(X[:, 0], dts[0], memoryview(z[:, 0]), memoryview(j[:, 0]),
+                             first.mu, first.sigma)
+            else:  # the float operations of _float_steps, in order, on lane vectors
                 for xk, x1, zk, jk in zip(X[:-1], X[1:], z, j):
-                    t = first.mu(xk) * h
+                    t = first.mu(xk) * dt
                     t += first.sigma(xk) * zk
                     t += jk
                     np.add(xk, t, out=x1)
-                if np.abs(X[1:], out=w).max() <= EXPLOSION_BOUND:
-                    P = np.multiply(X[:-1], h, out=w)
-                    P[0] += y[:a]
-                    np.cumsum(P, axis=0, out=P)
-                    x[:a], y[:a] = X[-1], P[-1]
-                    xb, yb = X[m::m], P[m - 1 :: m]
-                else:
-                    xb, yb = np.empty((2, o1 - o0, a))
-                    _euler(x[:a], y[:a], h, z, j, m, first.mu, first.sigma, xb, yb, escaped)
+            left = []
+            if not np.abs(X[1:], out=w).max() <= EXPLOSION_BOUND:
+                outside = ~(w <= EXPLOSION_BOUND)
+                left = np.flatnonzero(outside.any(axis=0)).tolist()
+                for p, k in zip(left, outside.argmax(axis=0)[left].tolist()):
+                    failed.setdefault(p, NumericalError(
+                        f"state explosion at observation {o0 + k // m} "
+                        f"(substep {s0 + k + 1}): x = {float(X[k + 1, p])!r}"))
+            P = np.multiply(X[:-1], dt, out=w)
+            P[0] += y[:a]
+            np.cumsum(P, axis=0, out=P)
+            x[:a], y[:a] = X[-1], P[-1]
+            x[left] = 0.0
             for p, c in enumerate(cfgs[:a]):
                 lo = max(o0, c.burn_in)
                 if lo < o1:
-                    ys[p][lo - c.burn_in : o1 - c.burn_in] = yb[lo - o0 :, p]
+                    ys[p][lo - c.burn_in : o1 - c.burn_in] = P[m - 1 :: m][lo - o0 :, p]
                     if record_x:
-                        xs[p][lo - c.burn_in : o1 - c.burn_in] = xb[lo - o0 :, p]
+                        xs[p][lo - c.burn_in : o1 - c.burn_in] = X[m::m][lo - o0 :, p]
             o0 = o1
 
     out = [None] * len(lanes)
     for p, (i, c) in enumerate(zip(order, cfgs)):
         out[i] = failed.get(p) or SamplePath(
-            delta=c.delta, x=xs[p] if record_x else None, y=ys[p], seed=c.seed, substeps=m
+            delta=c.delta, x=xs[p] if record_x else None, y=ys[p], seed=c.seed
         )
     return out
 

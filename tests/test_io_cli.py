@@ -187,7 +187,7 @@ def test_cli_empirical_reads_only_the_price_column(tmp_path):
 
 def test_path_and_proxy_csv_exact_text(tmp_path):
     sample = SamplePath(delta=0.1, x=np.array([0.5, -1.25, 1e-20, 2.0 / 3.0]),
-                        y=np.array([0.0, 0.05, -0.075, 1e300]), seed=1, substeps=1)
+                        y=np.array([0.0, 0.05, -0.075, 1e300]), seed=1)
     assert write_path_csv(tmp_path / "p.csv", sample).read_text() == (
         "i,t,x,y\n0,0.0,0.5,0.0\n1,0.1,-1.25,0.05\n2,0.2,1e-20,-0.075\n"
         "3,0.30000000000000004,0.6666666666666666,1e+300\n"
@@ -479,7 +479,7 @@ def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
         "from lljd.io import write_path_csv\n"
         "from lljd.simulate import SamplePath\n"
         "rng = np.random.default_rng(0)\n"
-        "path = SamplePath(0.001, rng.normal(size=10**6), rng.normal(size=10**6), 0, 1)\n"
+        "path = SamplePath(0.001, rng.normal(size=10**6), rng.normal(size=10**6), 0)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "write_path_csv(sys.argv[1], path)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
@@ -630,7 +630,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_h = [commands["estimate"] + ["--h", h] for h in ("-1", "0", "inf", "nan")]
     # a non-finite proxy entry is named before anything is computed from it
     bad_entry = [["estimate", "--in", str(proxies[bad])] for bad in ("nan", "inf")]
-    for argv in bad + bad_delta + bad_h + bad_entry:
+    # a non-finite model parameter is an input error, not a state explosion,
+    # and the message names the parameter
+    simulate = ["simulate", "--t", "2", "--n", "150"]
+    bad_model = {"eta": simulate + ["--jump", "vg", "--vg-eta", "nan"],
+                 "drift c": simulate + ["--jump", "vg", "--vg-c", "inf"],
+                 "location": simulate + ["--jump", "cp", "--size-loc", "nan"],
+                 "x0": simulate + ["--x0", "nan"]}
+    for argv in bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2, argv
@@ -639,6 +646,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv not in bad_delta or "error: delta must be" in err, err
         assert argv not in bad_h or "error: bandwidth must be positive" in err, err
         assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
+        assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
         assert not out.exists(), argv
 
 

@@ -83,6 +83,17 @@ def test_jump_spec_validation():
         JumpSizeDist("uniform", 0.0, 1.0)
     with pytest.raises(ValidationError):
         VarianceGamma(c=0.0, eta=0.1, b=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="eta"):
+            VarianceGamma(c=0.0, eta=bad, b=0.23)
+        with pytest.raises(ValidationError, match="drift c"):
+            VarianceGamma(c=bad, eta=0.1, b=0.23)
+        with pytest.raises(ValidationError, match="location"):
+            JumpSizeDist("normal", bad, 1.0)
+        with pytest.raises(ValidationError, match="x0"):
+            default_model(x0=bad)
+        with pytest.raises(ValidationError, match="y0"):
+            default_model(y0=-bad)
 
 
 def test_degenerate_dynamics_give_exact_linear_integral():
@@ -237,9 +248,13 @@ def test_lanes_match_single_lane_paths_and_the_upfront_oracle(monkeypatch):
 def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
     boom = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 3e5)))
     calm = default_model(jump=CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 0.036)))
+    late = default_model(jump=CompoundPoisson(0.5, JumpSizeDist("cauchy", 0.0, 3e5)))
     lanes = [(boom, PathConfig(t_span=10.0, n=50, seed=s, burn_in=20))
              for s in derive_seeds(1, 30)]
     lanes += [(calm, PathConfig(t_span=10.0, n=n, seed=n, burn_in=20)) for n in (50, 80)]
+    # the longest lane leaves the bounds after every other lane has finished,
+    # so it fails on the one-lane float steps of simulate_paths
+    lanes += [(late, PathConfig(t_span=100.0, n=500, seed=6, burn_in=20))]
     alone = []
     for spec, cfg in lanes:
         try:
@@ -247,12 +262,36 @@ def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
         except NumericalError as exc:
             alone.append(exc)
     failed = [str(a) for a in alone if isinstance(a, NumericalError)]
-    assert len(failed) == 3 and all("explosion at observation" in f for f in failed)
+    assert len(failed) == 4 and all("explosion at observation" in f for f in failed)
+    assert int(failed[-1].split("observation ")[1].split(" ")[0]) > 80 + 20 + 2
+    with pytest.raises(NumericalError) as want:
+        upfront_path(*lanes[-1])
+    assert str(want.value) == failed[-1]
     for together, single in zip(simulate_paths(lanes), alone):
         if isinstance(single, NumericalError):
             assert isinstance(together, NumericalError) and str(together) == str(single)
         else:
             assert np.array_equal(together.x, single.x) and np.array_equal(together.y, single.y)
+
+
+def test_a_call_stops_once_every_lane_has_failed(monkeypatch):
+    # blocks of 10 observations, 100 steps, for three lanes of 5,002
+    monkeypatch.setattr(lljd.simulate, "BLOCK_VALUES", 300)
+    calls = []
+
+    def mu(x):
+        calls.append(1)
+        return 1e6 * (1.0 + x * x)
+
+    spec = ModelSpec(mu=mu, sigma=lambda x: 0.0)
+    lanes = [(spec, PathConfig(t_span=10.0, n=5000, seed=s, burn_in=0)) for s in range(3)]
+    paths = simulate_paths(lanes)
+    assert all(isinstance(p, NumericalError) for p in paths)
+    assert len(calls) == 100
+    calls.clear()
+    with pytest.raises(NumericalError, match=r"\(substep 3\)"):
+        simulate_path(*lanes[0])
+    assert len(calls) == 3
 
 
 def test_an_excursion_inside_one_block_fails_its_lane_alone(monkeypatch):
