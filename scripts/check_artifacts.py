@@ -32,7 +32,8 @@ def lljd(*args) -> list:
 
 # The suite: simulated paths with both jump types, one of them long enough
 # (52,010 steps) to carry x and y across two blocks of one lane, estimates
-# with CV, bands and a CV dump, the empirical pipeline on a five-day
+# with CV, bands and a CV dump (binned CV at aligned indexing, exact CV at
+# as-written indexing), the empirical pipeline on a five-day
 # stand-in, a single MC config with its band and QQ extracts, and two preset
 # tables, whose lanes take compound Poisson (table 2) and Variance Gamma
 # (table 6) jumps. Each entry is the argument list of one `python` run.
@@ -45,6 +46,8 @@ COMMANDS = [
          "--out", "sim_long.csv"),
     lljd("estimate", "--in", "sim_cp.csv", "--h", "cv", "--bands", "0.05",
          "--cv-out", "cv.csv", "--out", "curve_cp.csv"),
+    lljd("estimate", "--in", "sim_cp.csv", "--alignment", "as_written", "--h", "cv",
+         "--cv-out", "cv_aw.csv", "--out", "curve_aw.csv"),
     lljd("estimate", "--in", "sim_vg.csv", "--bands", "0.05", "--out", "curve_vg.csv"),
     [str(ROOT / "scripts" / "make_empirical_standin.py"),
      "--days", "5", "--seed", "2015", "--out", "prices.csv"],

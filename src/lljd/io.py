@@ -30,7 +30,6 @@ from .errors import ValidationError
 from .proxy import ProxySeries, build_log_proxy
 
 __all__ = [
-    "fmt_float",
     "sha256_file",
     "RunManifest",
     "Stages",
@@ -48,11 +47,6 @@ __all__ = [
 # Rows that write_table formats at a time: its working memory is that many
 # rows of Python strings, however long the table.
 WRITE_BLOCK_ROWS = 1 << 14
-
-
-def fmt_float(x) -> str:
-    """Shortest decimal form that parses back to exactly the same float."""
-    return repr(float(x))
 
 
 def sha256_file(path) -> str:
@@ -130,27 +124,26 @@ def emit_report(results: dict, path) -> Path:
     return path
 
 
-def _cell_text(column) -> list:
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return [fmt_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in column]
-
-
 def write_table(path, columns: dict) -> Path:
     """Write equal-length named columns as a headed CSV, one row per index.
 
-    Floats are written with `fmt_float`, anything else (ints, labels) with `str`.
-    Rows are formatted and written WRITE_BLOCK_ROWS at a time.
+    Each column is formatted by its type: a float column with `repr`, the
+    shortest decimal form that parses back to exactly the same float, any
+    other (ints, labels) with `str`. Rows are formatted and written
+    WRITE_BLOCK_ROWS at a time.
     """
-    lengths = {len(column) for column in columns.values()}
+    arrays = [np.asarray(column) for column in columns.values()]
+    lengths = {len(column) for column in arrays}
     if len(lengths) > 1:
         raise ValidationError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    text = [repr if column.dtype.kind == "f" else str for column in arrays]
     out = Path(path)
     with out.open("w") as fh:
         fh.write(",".join(columns) + "\n")
         for r0 in range(0, n_rows, WRITE_BLOCK_ROWS):
-            cells = [_cell_text(c[r0 : r0 + WRITE_BLOCK_ROWS]) for c in columns.values()]
+            cells = [map(fmt, c[r0 : r0 + WRITE_BLOCK_ROWS].tolist())
+                     for fmt, c in zip(text, arrays)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return out
 

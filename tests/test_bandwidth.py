@@ -54,6 +54,12 @@ def test_rule_of_thumb_default_span_from_series():
     assert rule_of_thumb(xt).h == rule_of_thumb(xt, 50 * 0.2).h
 
 
+@pytest.mark.parametrize("t_span", [0.0, -1.0, math.nan, math.inf])
+def test_rule_of_thumb_rejects_a_span_that_is_not_finite_and_positive(t_span):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        rule_of_thumb(series([0.0, 1.0, 2.0]), t_span)
+
+
 def test_rule_of_thumb_degenerate_sample():
     with pytest.raises(ValidationError, match="degenerate sample"):
         rule_of_thumb(series(np.ones(10)), 10.0)
@@ -263,6 +269,15 @@ def test_cv_grid_validation():
         cross_validate(xt, np.array([0.5, 0.1]), EstimatorConfig(1.0))
     with pytest.raises(ValidationError):
         cross_validate(xt, np.array([-0.5, 0.1]), EstimatorConfig(1.0))
+    # a non-finite entry is rejected, not scored as undefined or chosen
+    for grid in ([0.05, math.inf], [0.05, math.nan], [math.nan, 0.5], [math.nan] * 3):
+        with pytest.raises(ValidationError, match="must be finite, positive"):
+            cross_validate(xt, np.array(grid), EstimatorConfig(1.0))
+    # and so is a default grid around a non-finite or non-positive pilot
+    for h_center, span in ((math.nan, 5.0), (math.inf, 5.0), (0.0, 5.0), (0.5, math.inf),
+                           (0.5, math.nan), (0.5, 1.0)):
+        with pytest.raises(ValidationError, match="finite positive pilot"):
+            default_cv_grid(h_center, span=span)
 
 
 def test_default_cv_grid_brackets_pilot():
@@ -308,6 +323,37 @@ def test_binned_cv_agrees_with_exact_on_a_pinned_panel(kernel, method):
         degenerate += sum(exact.cv_degenerate)
     # the panel reaches the fallback and the degenerate penalty
     assert fallbacks > 0 and degenerate > 0
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
+def test_binned_leave_out_sums_drop_exactly_the_deleted_terms(kernel):
+    # a hand-built series with ties, a wide gap and points in the first and
+    # last bins: at each regressor i the binned leave-out sums must be the
+    # binned sums of the terms k outside {i-1, i, i+1}, each term taken in the
+    # bilinear form of its two bins against the two bins of regressor i
+    xt = series([0.0, 0.3, 0.3, 1.7, 0.9, 2.5, 2.5, 0.05, 3.0, 1.1, 1.15, 0.3, 2.2,
+                 2.9, 0.6, 1.7, 3.0, 0.0, 1.4, 2.45, 0.75, 0.3])
+    kpts, _ = term_points(xt)
+    resp = drift_responses(xt)
+    n = len(resp)
+    binning = bandwidth._Binning(kpts, resp, 64, float(np.ptp(kpts)))
+    h = 6.0 * binning.width
+    s, t = np.empty((n, 3)), np.empty((n, 2, 1))
+    binning.sums(h, kernel, 1, s, t)
+    b, f, width = binning.b, binning.f, binning.width
+    want_s, want_t = np.zeros((n, 3)), np.zeros((n, 2, 1))
+    for i in range(n):
+        for k in range(n):
+            if k in (i - 1, i, i + 1):
+                continue
+            for a, wa in ((b[i], 1.0 - f[i]), (b[i] + 1, f[i])):
+                for c, wc in ((b[k], 1.0 - f[k]), (b[k] + 1, f[k])):
+                    u = (c - a) * width
+                    kv = wa * wc * float(kernel.eval(u / h))
+                    want_s[i] += kv * u ** np.arange(3)
+                    want_t[i, :, 0] += kv * u ** np.arange(2) * resp[k]
+    for got, want in ((s, want_s), (t, want_t)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
 
 def test_binned_cv_bins_each_bandwidth_at_its_own_resolution():

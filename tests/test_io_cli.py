@@ -357,6 +357,36 @@ def test_cli_estimate_cv_bandwidth(tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("command, option, value, param", [
+    ("estimate", "--method", "nw", ("method", "nw")),
+    ("estimate", "--kernel", "epanechnikov", ("kernel", "epanechnikov")),
+    ("estimate --bands", "--pilot-mult", "3", ("pilot_mult", 3.0)),
+    ("mc-study", "--range", "full", ("range_mode", "full")),
+    ("simulate", "--substeps", "4", ("substeps", 4)),
+    ("simulate", "--burn-in", "50", ("burn_in", 50)),
+])
+def test_cli_option_is_recorded_and_changes_the_output(tmp_path, command, option, value,
+                                                       param):
+    path_csv = tmp_path / "path.csv"
+    assert main(["simulate", "--t", "5", "--n", "300", "--seed", "8", "--out", str(path_csv)]) == 0
+    # --pilot-mult sets the pilot bandwidth of the bands, and NW has none
+    base = {
+        "estimate": ["estimate", "--in", str(path_csv)],
+        "estimate --bands": ["estimate", "--in", str(path_csv), "--bands", "0.05"],
+        "mc-study": ["mc-study", "--t", "2", "--n", "200", "--reps", "4", "--seed", "4",
+                     "--grid-n", "21"],
+        "simulate": ["simulate", "--t", "2", "--n", "100", "--seed", "3", "--jump", "cp"],
+    }[command]
+    default, given = tmp_path / "default.out", tmp_path / "given.out"
+    assert main(base + ["--out", str(default)]) == 0
+    assert main(base + [option, value, "--out", str(given)]) == 0
+    name, want = param
+    params = [json.loads(Path(f"{out}.manifest.json").read_text())["params"]
+              for out in (default, given)]
+    assert params[1][name] == want != params[0][name]
+    assert given.read_bytes() != default.read_bytes()
+
+
 def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
     path_csv, curve_csv = tmp_path / "path.csv", tmp_path / "curve.csv"
     estimate = ["estimate", "--in", str(path_csv), "--out", str(curve_csv)]
