@@ -34,9 +34,11 @@ def lljd(*args) -> list:
 # (52,010 steps) to carry x and y across two blocks of one lane, estimates
 # with CV, bands and a CV dump (binned CV at aligned indexing, exact CV at
 # as-written indexing), the empirical pipeline on a five-day
-# stand-in, a single MC config with its band and QQ extracts, and two preset
-# tables, whose lanes take compound Poisson (table 2) and Variance Gamma
-# (table 6) jumps. Each entry is the argument list of one `python` run.
+# stand-in, a single MC config with its band and QQ extracts, and three preset
+# tables, whose lanes take compound Poisson (tables 2 and 3) and Variance
+# Gamma (table 6) jumps. The lanes of a replicate share its seed; table 3's
+# 25 replicates take two lane batches. Each entry is the argument list of one
+# `python` run.
 COMMANDS = [
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "cp",
          "--out", "sim_cp.csv"),
@@ -56,6 +58,7 @@ COMMANDS = [
     lljd("mc-study", "--example", "1", "--t", "2", "--n", "200", "--reps", "25",
          "--seed", "4", "--grid-n", "21", "--csv-prefix", "mc", "--out", "mc.json"),
     lljd("mc-study", "--table", "2", "--reps", "20", "--seed", "7", "--out", "table2.json"),
+    lljd("mc-study", "--table", "3", "--reps", "25", "--seed", "7", "--out", "table3.json"),
     lljd("mc-study", "--table", "6", "--reps", "10", "--seed", "7", "--out", "table6.json"),
 ]
 

@@ -209,11 +209,11 @@ def _write_manifest(args, start: float, **diagnostics) -> float:
 
 
 def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages: Stages,
-                   choice: BandwidthChoice):
+                   choice: BandwidthChoice, **diagnostics):
     """Shared tail of estimate and empirical: fit both curves at the chosen h,
     attach bands when --bands is given, write the curve CSV and its manifest,
-    which records the seconds of each stage and how the curve pass and the
-    bands' pilot pass took their kernel sums (null without that pass)."""
+    which records the seconds of each stage, how the curve pass and the bands'
+    pilot pass took their kernel sums (null without that pass) and `diagnostics`."""
     est = estimate_curve(series, grid, replace(cfg, bandwidth=choice.h))
     stages.lap("fit")
     if args.bands is not None:
@@ -223,7 +223,7 @@ def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages
     stages.lap("write")
     fit = {"curve": est.sums, "pilot": est.bands.pilot_sums if est.bands else None}
     _write_manifest(args, stages.start, bandwidth=_bandwidth_record(choice), fit=fit,
-                    stages=stages.seconds)
+                    stages=stages.seconds, **diagnostics)
     return est
 
 
@@ -355,7 +355,8 @@ def _cmd_empirical(args) -> int:
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel))
     choice = _choose_bandwidth(args.h, series, cfg)
     stages.lap("bandwidth")
-    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, stages, choice)
+    est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, stages, choice,
+                         ingest=info)
     print(
         f"ingested {info['rows']} prices (delta={delta:g}, uniform steps assumed); "
         f"wrote {args.out} (h={est.h:g})"

@@ -13,7 +13,8 @@ or with other configs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import groupby
 from statistics import NormalDist
 
 import numpy as np
@@ -109,8 +110,8 @@ class McReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """JSON-ready payload."""
-        return asdict(self)
+        """JSON-ready payload; it shares the report's containers."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
@@ -134,25 +135,27 @@ def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
 
 def _lane_batches(cfgs: list, lanes: list):
     """Lane batches of (config index, replicate, seed) triples. Lanes that
-    share mu, sigma, x0 and y0 are batched together, longest path first, at
-    most LANE_SAMPLES retained samples (or one lane) per batch. A config's
-    lanes stay consecutive and in replicate order, so its replicate 0 is
-    simulated in its first batch."""
+    share mu, sigma, x0 and y0 are batched together in replicate order, at
+    most LANE_SAMPLES retained samples (or one lane) per batch. A seed's lanes
+    are split only if they alone exceed it, so simulate_paths draws its
+    normals once, and a config's replicate 0 is in its first batch."""
     groups = {}
-    for lane in lanes:
+    for lane in sorted(lanes, key=lambda lane: lane[1:]):
         cfg = cfgs[lane[0]]
         key = (cfg.model.mu, cfg.model.sigma, cfg.model.x0, cfg.model.y0)
         groups.setdefault(key, []).append(lane)
     for group in groups.values():
-        group.sort(key=lambda lane: -cfgs[lane[0]].n)
         batch, samples = [], 0
-        for lane in group:
-            size = cfgs[lane[0]].n + 2
-            if batch and samples + size > LANE_SAMPLES:
-                yield batch
-                batch, samples = [], 0
-            batch.append(lane)
-            samples += size
+        for _, same in groupby(group, key=lambda lane: lane[1:]):
+            same = list(same)
+            sizes = [cfgs[c].n + 2 for c, _, _ in same]
+            # the seed's first lane opens a batch if all of them do not fit
+            for lane, size, need in zip(same, sizes, [sum(sizes)] + sizes[1:]):
+                if batch and samples + need > LANE_SAMPLES:
+                    yield batch
+                    batch, samples = [], 0
+                batch.append(lane)
+                samples += size
         yield batch
 
 
@@ -218,8 +221,9 @@ def _run_batch(cfgs, batch, results, grids, aborted, stages: Stages):
         record_x=False,
     )
     stages.lap("simulate")
-    for (c, r, _), path in zip(batch, paths):
-        cfg = cfgs[c]
+    paths.reverse()
+    for c, r, _ in batch:
+        cfg, path = cfgs[c], paths.pop()  # a path is freed once it is fitted
         try:
             if isinstance(path, LljdError):
                 raise path

@@ -16,7 +16,8 @@ Python floats while one lane is active, then screens the buffer for states
 out of bounds and takes y from one cumulative sum; simulate_path is its
 one-lane case. Each lane draws its random streams block by block, in the
 order one upfront draw would take them, so a lane's path is the same bits
-alone or beside other lanes.
+alone or beside other lanes. Lanes that share a seed share its stream of
+diffusion normals, drawn once per block for all of them.
 """
 
 from __future__ import annotations
@@ -218,32 +219,38 @@ def _vg_increments(c: float, eta: float, b: float, dt: float, rng, k: int,
     return c * dg + eta * np.sqrt(dg) * z
 
 
-def _placed_after(rng, draw, count: int):
-    """A generator that continues where `draw(rng, count)` would leave `rng`,
-    which itself is not advanced: a copy draws and discards `count` values of
-    `draw` in blocks of DISCARD_BLOCK."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    twin = np.random.Generator(bits)
-    for k0 in range(0, count, DISCARD_BLOCK):
-        draw(twin, min(DISCARD_BLOCK, count - k0))
-    return twin
+def _placed_after(rng, draw, counts):
+    """Generators that continue where `draw(rng, count)` would leave `rng`,
+    which itself is not advanced, one per count of the ascending `counts`: a
+    copy draws and discards values of `draw` in blocks of DISCARD_BLOCK, and
+    is copied at each count."""
+    twins = [rng]
+    for done, count in zip([0, *counts], counts):
+        bits = type(rng.bit_generator)()
+        bits.state = twins[-1].bit_generator.state
+        twins.append(np.random.Generator(bits))
+        for k0 in range(done, count, DISCARD_BLOCK):
+            draw(twins[-1], min(DISCARD_BLOCK, count - k0))
+    return twins[1:]
 
 
-def _lane_streams(jump: JumpSpec, dt: float, seed: int, steps: int):
-    """The random streams of one lane: a generator of its diffusion normals
-    (unscaled), and its jumps: None for a lane without jumps, the sparse
-    (at, inc) of _cp_jumps over all `steps` for compound Poisson, or, for
-    Variance Gamma, jumps(out), which adds the next len(out) jump increments
-    to `out`, a column of zeros.
+def _lane_streams(lanes):
+    """The random streams of lanes given as (jump, dt, steps, seed) tuples.
+    Returns (normals, jumps). normals pairs each seed's generator of unscaled
+    diffusion normals with the lanes that share it, in the order given, each
+    taking the first `steps`. jumps holds each lane's: None for a lane
+    without jumps, the sparse (at, inc) of _cp_jumps over all `steps` for
+    compound Poisson, or, for Variance Gamma, jumps(out), which adds the next
+    len(out) jump increments to `out`, a column of zeros.
 
-    The draws are those of one generator seeded with `seed` that takes, in
-    order, all `steps` diffusion normals, then the jump component: all jump
-    counts and then all sizes (compound Poisson), or all Gamma clock
+    A lane's draws are those of one generator seeded with its seed that
+    takes, in order, all `steps` diffusion normals, then the jump component:
+    all jump counts and then all sizes (compound Poisson), or all Gamma clock
     increments and then all their normals (Variance Gamma). Each phase that
     is drawn block by block gets its own generator, placed at the start of
-    the phase. A compound Poisson lane draws its sparse jumps up front: they
-    cost memory per jump, not per step.
+    the phase: one discard pass over a seed's normals places the jump
+    generators of all its lanes. A compound Poisson lane draws its sparse
+    jumps up front: they cost memory per jump, not per step.
 
     The Variance Gamma component is compensated (its unconditional drift c
     per unit time is removed) so that mu stays the drift of the state; the
@@ -252,21 +259,33 @@ def _lane_streams(jump: JumpSpec, dt: float, seed: int, steps: int):
     which the compensator vanishes; sizes with nonzero mean shift the
     effective drift by lam*E[Z].
     """
-    rng = np.random.default_rng(seed)
-    if isinstance(jump, NoJumps) or (isinstance(jump, CompoundPoisson) and jump.lam == 0.0):
-        return rng, None
-    if not isinstance(jump, (CompoundPoisson, VarianceGamma)):
-        raise ValidationError(f"unknown jump specification {jump!r}")
-    after = _placed_after(rng, np.random.Generator.standard_normal, steps)
+    seeds, jumps = {}, [None] * len(lanes)
+    for p, (jump, _, _, seed) in enumerate(lanes):
+        if not isinstance(jump, (NoJumps, CompoundPoisson, VarianceGamma)):
+            raise ValidationError(f"unknown jump specification {jump!r}")
+        seeds.setdefault(seed, []).append(p)
+    for seed, same in seeds.items():
+        rng = np.random.default_rng(seed)
+        jumpy = sorted((lanes[p][2], p) for p in same
+                       if isinstance(lanes[p][0], VarianceGamma) or getattr(lanes[p][0], "lam", 0))
+        placed = _placed_after(rng, np.random.Generator.standard_normal, [s for s, _ in jumpy])
+        for (steps, p), after in zip(jumpy, placed):
+            jumps[p] = _lane_jumps(*lanes[p][:2], after, steps)
+        seeds[seed] = rng, same
+    return list(seeds.values()), jumps
+
+
+def _lane_jumps(jump, dt: float, rng, steps: int):
+    """The jumps of a lane (see _lane_streams), drawn from `rng`."""
     if isinstance(jump, CompoundPoisson):
-        return rng, _cp_jumps(jump.lam, jump.size, dt, after, steps)
+        return _cp_jumps(jump.lam, jump.size, dt, rng, steps)
     c, eta, b = jump.c, jump.eta, jump.b
-    gauss = _placed_after(after, lambda g, k: g.gamma(dt / b, b, k), steps)
+    (gauss,) = _placed_after(rng, lambda g, k: g.gamma(dt / b, b, k), [steps])
 
     def jumps(out):
-        out += _vg_increments(c, eta, b, dt, after, len(out), gauss) - c * dt
+        out += _vg_increments(c, eta, b, dt, rng, len(out), gauss) - c * dt
 
-    return rng, jumps
+    return jumps
 
 
 def _float_steps(X, dt, z, j, mu, sigma):
@@ -289,7 +308,9 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     sigma, x0, y0 and substeps; jumps, span, n, burn-in and seed are their
     own. Every lane's path is bit-identical to simulate_path of that lane,
     whatever the other lanes and their order: the steps are elementwise and
-    each lane draws its own streams block by block (see _lane_streams).
+    each lane draws its own streams block by block (see _lane_streams). The
+    lanes of a seed take the same normals: its longest lane draws them, and
+    its other active lanes copy them before the scale by their own sqrt(dt).
 
     Lanes run longest first, so a finished lane drops out of the active
     prefix. A block's draws are laid out step-major, its compound Poisson
@@ -316,11 +337,11 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     n_obs = [c.burn_in + c.n + 2 for c in cfgs]
     dts = [c.delta / m for c in cfgs]
     scales = np.sqrt(dts)
-    streams = [_lane_streams(lanes[i][0].jump, dt, c.seed, (n - 1) * m)
-               for i, c, dt, n in zip(order, cfgs, dts, n_obs)]
+    normals, jumps = _lane_streams([(lanes[i][0].jump, dt, (n - 1) * m, c.seed)
+                                    for i, c, dt, n in zip(order, cfgs, dts, n_obs)])
     sparse = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))] + [
-        (jumps[0], np.full(len(jumps[0]), p), jumps[1])
-        for p, (_, jumps) in enumerate(streams) if isinstance(jumps, tuple)]
+        (jp[0], np.full(len(jp[0]), p), jp[1])
+        for p, jp in enumerate(jumps) if isinstance(jp, tuple)]
     at, lane, inc = map(np.concatenate, zip(*sparse))
     by_step = np.argsort(at, kind="stable")
     at, lane, inc = at[by_step], lane[by_step], inc[by_step]
@@ -351,10 +372,13 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
             lz, X = buf[0, :size].reshape(a, steps), buf[3, : size + a].reshape(steps + 1, a)
             w, z, j = (b[:size].reshape(steps, a) for b in buf[:3])
             j[:] = 0.0
-            for p, ((rng, jumps), zp) in enumerate(zip(streams, lz)):
-                rng.standard_normal(out=zp)
-                if callable(jumps):
-                    jumps(j[:, p])
+            for rng, (p, *same) in normals:
+                if p < a:  # the seed's longest lane draws, its other active lanes copy
+                    rng.standard_normal(out=lz[p])
+                    lz[[q for q in same if q < a]] = lz[p]
+            for p, jp in enumerate(jumps[:a]):
+                if callable(jp):
+                    jp(j[:, p])
             np.multiply(lz.T, scales[:a], out=z)
             k, done = done, at.searchsorted(s0 + steps)
             j[at[k:done] - s0, lane[k:done]] = inc[k:done]

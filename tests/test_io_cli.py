@@ -185,6 +185,18 @@ def test_cli_empirical_reads_only_the_price_column(tmp_path):
     assert read_columns_csv(curve)["x"].size == 101
 
 
+def test_cli_empirical_manifest_records_the_ingest(tmp_path):
+    path = simulate_path(default_model(), PathConfig(t_span=5.0, n=240, seed=3))
+    rows = [f"{i},{float(p)!r}" for i, p in enumerate(np.exp(path.y))]
+    f = write_prices(tmp_path / "p.csv", rows)
+    curve = tmp_path / "curve.csv"
+    assert main(["empirical", "--in", str(f), "--price-col", "close", "--delta", "1/96",
+                 "--out", str(curve)]) == 0
+    manifest = json.loads(Path(f"{curve}.manifest.json").read_text())
+    assert manifest["diagnostics"]["ingest"] == {
+        "rows": 242, "dropped": 0, "delta": 1 / 96, "gaps_treated_as_uniform_steps": True}
+
+
 def test_path_and_proxy_csv_exact_text(tmp_path):
     sample = SamplePath(delta=0.1, x=np.array([0.5, -1.25, 1e-20, 2.0 / 3.0]),
                         y=np.array([0.0, 0.05, -0.075, 1e300]), seed=1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,57 @@ def test_lane_grouping_does_not_change_report(monkeypatch):
     # batches of at most two lanes of a, so a config spans several batches
     monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", 2 * (a.n + 2))
     assert payloads(run_studies([a, b, c])) == alone
+
+
+def batches_of(cfgs):
+    lanes = [(c, r, seed) for c, cfg in enumerate(cfgs)
+             for r, seed in enumerate(derive_seeds(cfg.master_seed, cfg.replicates))]
+    return lanes, list(lljd.mcstudy._lane_batches(cfgs, lanes))
+
+
+def test_lane_batches_keep_a_seeds_lanes_together_within_the_bound(monkeypatch):
+    # replicate r of the nine table-2 configs is one seed, whose lanes hold
+    # 12,018 samples; a tenth config has seeds of its own, 302 samples a lane
+    cfgs = table_presets(2, replicates=7, master_seed=3) + [
+        McConfig(model=example_model(1), t_span=5.0, n=300, replicates=4, master_seed=8)]
+    for bound in (3 * 12_018, 30_000, 2_000):
+        monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", bound)
+        lanes, batches = batches_of(cfgs)
+        assert sorted(lane for batch in batches for lane in batch) == sorted(lanes)
+        batch_of_seed, first_batch = {}, {}
+        for k, batch in enumerate(batches):
+            assert sum(cfgs[c].n + 2 for c, _, _ in batch) <= bound or len(batch) == 1
+            for c, r, seed in batch:
+                batch_of_seed.setdefault(seed, set()).add(k)
+                first_batch.setdefault(c, (k, r))
+        # every config's replicate 0 is simulated first, in the first batch
+        # whenever replicate 0 of all configs fits in one
+        assert all(r == 0 for _, r in first_batch.values())
+        if bound >= 12_018 + 302:
+            assert all(len(ks) == 1 for ks in batch_of_seed.values())
+            assert {k for k, _ in first_batch.values()} == {0}
+    assert max(len(ks) for ks in batch_of_seed.values()) > 1  # a split inside a seed
+
+
+def test_each_seed_places_its_jump_streams_in_one_pass(monkeypatch):
+    # replicate r of three CP, three VG and one jump-free config share a seed:
+    # one discard pass over the seed's normals places all six jump streams,
+    # and each VG lane places its clock's normals by a pass of its own
+    calls = []
+    placed_after = lljd.simulate._placed_after
+
+    def counting(rng, draw, counts):
+        calls.append((draw, list(counts)))
+        return placed_after(rng, draw, counts)
+
+    monkeypatch.setattr(lljd.simulate, "_placed_after", counting)
+    cfgs = table_presets(2, 3, 5)[:3] + table_presets(6, 3, 5)[3:6] + [
+        McConfig(model=default_model(), t_span=10.0, n=500, replicates=3, master_seed=5)]
+    run_studies([replace(c, methods=("local_linear",), grid_n=11) for c in cfgs])
+    normals = [counts for draw, counts in calls if draw is np.random.Generator.standard_normal]
+    assert len(normals) == 3 and all(len(counts) == 6 for counts in normals)
+    assert all(counts == sorted(counts) for counts in normals)
+    assert len(calls) == 3 + 3 * 3
 
 
 def test_lane_batch_memory_does_not_grow_with_replicates(monkeypatch):

@@ -219,6 +219,15 @@ def mixed_lanes():
         (default_model(jump=VarianceGamma(-0.2, 0.2, 0.23)),
          PathConfig(t_span=6.0, n=389, seed=5, burn_in=200)),
         (default_model(jump=cp), PathConfig(t_span=1.0, n=2, seed=6, burn_in=0)),
+        # lanes that share seed 7: one stream of diffusion normals, drawn by
+        # the longest of them, and jump generators placed by one pass over
+        # it, two of them at the same step count
+        (default_model(), PathConfig(t_span=2.5, n=180, seed=7, burn_in=3)),
+        (default_model(jump=cp), PathConfig(t_span=7.0, n=301, seed=7, burn_in=0)),
+        (default_model(jump=cauchy), PathConfig(t_span=4.0, n=97, seed=7, burn_in=40)),
+        (default_model(jump=VarianceGamma(-0.2, 0.2, 0.23)),
+         PathConfig(t_span=5.0, n=250, seed=7, burn_in=120)),
+        (default_model(jump=cp), PathConfig(t_span=3.0, n=330, seed=7, burn_in=40)),
     ]
 
 
@@ -252,6 +261,9 @@ def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
     lanes = [(boom, PathConfig(t_span=10.0, n=50, seed=s, burn_in=20))
              for s in derive_seeds(1, 30)]
     lanes += [(calm, PathConfig(t_span=10.0, n=n, seed=n, burn_in=20)) for n in (50, 80)]
+    # a calm lane that shares its seed with the exploding lane 14 draws the
+    # seed's normals, which the exploding lane copies, before and after it fails
+    lanes += [(calm, PathConfig(t_span=20.0, n=90, seed=lanes[14][1].seed, burn_in=20))]
     # the longest lane leaves the bounds after every other lane has finished,
     # so it fails on the one-lane float steps of simulate_paths
     lanes += [(late, PathConfig(t_span=100.0, n=500, seed=6, burn_in=20))]
@@ -263,6 +275,9 @@ def test_exploding_lane_fails_alone_and_leaves_its_neighbours_unchanged():
             alone.append(exc)
     failed = [str(a) for a in alone if isinstance(a, NumericalError)]
     assert len(failed) == 4 and all("explosion at observation" in f for f in failed)
+    assert isinstance(alone[14], NumericalError) and "observation 15 " in str(alone[14])
+    x, y = upfront_path(*lanes[-2])
+    assert np.array_equal(alone[-2].x, x) and np.array_equal(alone[-2].y, y)
     assert int(failed[-1].split("observation ")[1].split(" ")[0]) > 80 + 20 + 2
     with pytest.raises(NumericalError) as want:
         upfront_path(*lanes[-1])
