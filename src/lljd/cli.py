@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb
 from .errors import NumericalError, ValidationError
-from .estimators import EstimatorConfig, default_grid, estimate_curve
+from .estimators import RANGE_MODES, EstimatorConfig, default_grid, estimate_curve
 from .inference import attach_bands
 from .io import (
     RunManifest,
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--methods", default="ll,nw")
     mc.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
     mc.add_argument("--grid-n", type=int, default=101)
-    mc.add_argument("--range", dest="range_mode", default="inner", choices=["inner", "full"])
+    mc.add_argument("--range", dest="range_mode", default="inner", choices=RANGE_MODES)
     mc.add_argument("--csv-prefix", default=None,
                     help="also write per-config band and QQ CSV extracts")
     mc.add_argument("--out", required=True)

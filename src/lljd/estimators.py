@@ -27,8 +27,10 @@ d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
     T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
 
 One routine, `_power_sums`, computes them for any number of responses and
-any number of bandwidths, with a leading bandwidth axis, and one routine,
-`_closed_form`, turns sums of degree `_degree(methods)` into the fits:
+any number of bandwidths, with a leading bandwidth axis. It tiles and sums
+the kernel weights of every direct sum: exact and binned fits (below), exact
+CV and the CV fallback. One routine, `_closed_form`, turns sums of degree
+`_degree(methods)` into the fits:
 
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
@@ -75,14 +77,15 @@ BINNED_MIN_TERMS = 2^16 terms takes binned direct sums instead (Wand 1994,
 JCGS 3:433-445); `_fit_sums` picks the path for every fit. It bins the
 kernel points linearly as binned CV does, in term blocks of TILE_ELEMENTS,
 onto the fewest bins M, a power of two, that put CV_H_BINS bins inside h
-(a sample needing more than CV_BINS gets exact sums). Each S_j, T_j is one
-product of the lag tile K((c_b - x)/h) (c_b - x)^j at the bin centres c_b,
-TILE_ELEMENTS // M grid rows at a time, with the binned [1 | responses].
-A term with bin weights g and f = 1 - g puts on its bins the chord of
-phi = K d^j, which exceeds phi by D^2 f g phi'' / 2 (D the bin width).
-The points are therefore binned a second time, weighted by f g; for
-the Gaussian, phi'' combines K d^(j-2), K d^j and K d^(j+2), so two more
-powers of those sums give the excess, and the pass subtracts it. Grid
+(a sample needing more than CV_BINS gets exact sums). One `_power_sums` call
+takes the M bin centres c_b as its terms and the binned [1 | responses] as
+its responses, so each S_j, T_j sums K((c_b - x)/h) (c_b - x)^j over the bins
+in the tiles of every other sum. A term with bin weights g and f = 1 - g
+puts on its bins the chord of phi = K d^j, which exceeds phi by
+D^2 f g phi'' / 2 (D the bin width). The points are therefore binned a second
+time, weighted by f g, as more columns of that call; for the Gaussian, phi''
+combines K d^(j-2), K d^j and K d^(j+2), so the call sums two more powers
+(`powers`) to give the excess, and the pass subtracts it. Grid
 points that fail a fallback test of binned CV (`lljd.bandwidth`) get exact
 sums, so NaN sits where the exact fit has it. On the default grid every
 column of fit and bands is within 2.1e-9 of its largest magnitude of the
@@ -124,6 +127,7 @@ __all__ = [
 
 LOCAL_LINEAR = "local_linear"
 NADARAYA_WATSON = "nadaraya_watson"
+RANGE_MODES = ("inner", "full")  # the spans of `default_grid`
 
 # A grid point is treated as undefined when the kernel mass there falls below
 # this fraction of the term count; avoids 0/0 amplification in empty regions.
@@ -232,28 +236,28 @@ def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner"
     tails is rarely meaningful); 'full' spans min..max for boundary studies.
     """
     term_points(xt)  # a grid is for a series that can be fitted
-    if range_mode == "inner":
-        lo, hi = np.quantile(xt.xt, [0.025, 0.975])
-    elif range_mode == "full":
-        lo, hi = xt.xt.min(), xt.xt.max()
-    else:
+    if range_mode not in RANGE_MODES:
         raise ValidationError(f"unknown range mode {range_mode!r}")
+    lo, hi = (np.quantile(xt.xt, [0.025, 0.975]) if range_mode == "inner"
+              else (xt.xt.min(), xt.xt.max()))
     return np.linspace(lo, hi, n_points)
 
 
 def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
-                window=None):
+                window=None, powers=None):
     """Weighted power sums of the degree-`degree` local polynomial fit (see
     the module docstring) at each bandwidth of the 1-d array `h`:
     s[k, g, j] = S_j at h[k] for j = 0..2*degree and t[k, g, j, r] = T_j of
     column r of `responses` [n_terms, R] for j = 0..degree. `window` =
-    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g]."""
+    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g], and
+    `powers` (default 2 * degree + 1) is how many S_j, j = 0.., it sums."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     n, n_grid, n_resp = len(kpts), len(grid), responses.shape[1]
+    powers = 2 * degree + 1 if powers is None else powers
     # 1/h^2, or where that overflows the largest float: g(0) at d = 0 still
     scales = [min(1.0 / hk / hk, sys.float_info.max) for hk in np.atleast_1d(h).tolist()]
     # [S_j | T_j of every response]; for j > degree only S_j
-    acc = np.zeros((len(scales), n_grid, 2 * degree + 1, 1 + n_resp))
+    acc = np.zeros((len(scales), n_grid, powers, 1 + n_resp))
     rows = max(1, min(n_grid, TILE_ROWS))
     cols = max(1, min(n, TILE_ELEMENTS // rows))
     # far weights underflow to 0, huge d^2 overflow to g(inf) = 0: right limits
@@ -275,12 +279,12 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
                     kernel.profile(d2, scale, w)
                     if window is not None:
                         w[zr, zc] = 0.0
-                    for j in range(2 * degree + 1):
+                    for j in range(powers):
                         if j <= degree:
                             acc[k, r0 : r0 + rows, j] += w @ a
                         else:
                             acc[k, r0 : r0 + rows, j, 0] += w @ a[:, 0]
-                        if j < 2 * degree:
+                        if j < powers - 1:
                             w *= d
     acc /= kernel.norm
     return acc[..., 0], acc[:, :, : degree + 1, 1:]
@@ -339,18 +343,9 @@ def _binned_power_sums(kpts, responses, grid, kernel: Kernel, h: float, degree: 
     centres = lo + width * np.arange(m)
     scale = min(1.0 / h / h, sys.float_info.max)
     powers = 2 * degree + 3  # two beyond the fit's own, for the correction
-    acc = np.zeros((len(grid), powers, binned.shape[1]))
-    rows = max(1, TILE_ELEMENTS // m)
-    with np.errstate(over="ignore", under="ignore"):
-        for r0 in range(0, len(grid), rows):
-            d = centres - grid[r0 : r0 + rows, None]
-            w = d * d
-            kernel.profile(w, scale, w)
-            for j in range(powers):
-                acc[r0 : r0 + rows, j] += w @ binned
-                w *= d
-    acc /= kernel.norm
-    s, s_fg = np.split(acc, 2, axis=2)
+    # the bin centres are the terms, and each binned column a response
+    _, t = _power_sums(centres, centres, binned, grid, kernel, h, powers - 1, powers=powers)
+    s, s_fg = np.split(t[0], 2, axis=2)
     # a term's chord exceeds phi = K d^j by D^2 f g phi'' / 2, and here
     # phi'' = K (d^(j+2) / h^4 - (2j + 1) d^j / h^2 + j (j - 1) d^(j-2))
     j = np.arange(powers - 2)[:, None]

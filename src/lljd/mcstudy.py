@@ -24,6 +24,7 @@ from .errors import LljdError, NumericalError, ValidationError
 from .estimators import (
     LOCAL_LINEAR,
     NADARAYA_WATSON,
+    RANGE_MODES,
     EstimatorConfig,
     default_grid,
     estimate_curve,  # noqa: F401  (kept bound here for perfbench/spans.py)
@@ -85,6 +86,10 @@ class McConfig:
         unknown = [m for m in self.methods if m not in METHOD_ALIASES.values()]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}")
+        if self.grid_n < 1:
+            raise ValidationError(f"grid_n must be at least 1, got {self.grid_n}")
+        if self.range_mode not in RANGE_MODES:
+            raise ValidationError(f"unknown range mode {self.range_mode!r}")
 
 
 @dataclass

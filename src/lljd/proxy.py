@@ -72,6 +72,6 @@ def build_log_proxy(prices, delta: float) -> ProxySeries:
     if bad.size:
         raise ValidationError(
             f"non-positive or non-finite price at 0-based data row {bad[0]} "
-            f"(value {prices[bad[0]]!r})"
+            f"(value {float(prices[bad[0]])})"
         )
     return build_proxy(np.log(prices), delta)

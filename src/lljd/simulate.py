@@ -49,11 +49,10 @@ EXPLOSION_BOUND = 1e8
 
 # The lanes draw their random streams in blocks of whole observations that
 # hold at most BLOCK_VALUES draws per stream across the active lanes (one
-# observation if that is more), and a generator is placed at the start of a
-# later draw phase by discarding the earlier phases DISCARD_BLOCK values at a
-# time. Both bound the working memory of a call, however long its paths are.
+# observation if that is more); compound Poisson counts, and the discards that
+# place a generator at a later draw phase, go BLOCK_VALUES values at a time.
+# Draws do not depend on the chunk, which bounds a call's working memory.
 BLOCK_VALUES = 1 << 15
-DISCARD_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,12 @@ def _cp_jumps(lam: float, size: JumpSizeDist, dt: float, rng, k: int):
     """Compound Poisson jumps over k consecutive intervals of length dt, kept
     sparse: (indices, increments) of the intervals with at least one jump.
 
-    Draw order is pinned (all counts, drawn DISCARD_BLOCK at a time, then all
+    Draw order is pinned (all counts, drawn BLOCK_VALUES at a time, then all
     sizes) so paths are reproducible.
     """
     at, counts = [], []
-    for k0 in range(0, k, DISCARD_BLOCK):
-        block = rng.poisson(lam * dt, min(DISCARD_BLOCK, k - k0))
+    for k0 in range(0, k, BLOCK_VALUES):
+        block = rng.poisson(lam * dt, min(BLOCK_VALUES, k - k0))
         nz = np.flatnonzero(block)
         at.append(nz + k0)
         counts.append(block[nz])
@@ -222,15 +221,15 @@ def _vg_increments(c: float, eta: float, b: float, dt: float, rng, k: int,
 def _placed_after(rng, draw, counts):
     """Generators that continue where `draw(rng, count)` would leave `rng`,
     which itself is not advanced, one per count of the ascending `counts`: a
-    copy draws and discards values of `draw` in blocks of DISCARD_BLOCK, and
+    copy draws and discards values of `draw` in blocks of BLOCK_VALUES, and
     is copied at each count."""
     twins = [rng]
     for done, count in zip([0, *counts], counts):
         bits = type(rng.bit_generator)()
         bits.state = twins[-1].bit_generator.state
         twins.append(np.random.Generator(bits))
-        for k0 in range(done, count, DISCARD_BLOCK):
-            draw(twins[-1], min(DISCARD_BLOCK, count - k0))
+        for k0 in range(done, count, BLOCK_VALUES):
+            draw(twins[-1], min(BLOCK_VALUES, count - k0))
     return twins[1:]
 
 

@@ -531,15 +531,20 @@ def test_large_fit_and_bands_match_the_exact_engine(monkeypatch, large_proxy, ke
             assert np.array_equal(got[name], col, equal_nan=True), name
 
 
+def past_the_data_grid(xt, h):
+    """The default grid, and 25 points on each side out to 12 h past the data."""
+    lo, hi = xt.xt.min(), xt.xt.max()
+    return np.concatenate([default_grid(xt), np.linspace(hi, hi + 12 * h, 25),
+                           np.linspace(lo - 12 * h, lo, 25)])
+
+
 def test_large_fit_past_the_data_is_undefined_where_the_exact_fit_is(monkeypatch, large_proxy):
     # Gaussian weights underflow some 6 h past the data, where the exact kernel
     # mass falls below the degeneracy floor; the binned mass there is not
     # exact, and the mass test sends those points to the exact engine
     xt = large_proxy
     h = rule_of_thumb(xt).h
-    lo, hi = xt.xt.min(), xt.xt.max()
-    grid = np.concatenate([default_grid(xt), np.linspace(hi, hi + 12 * h, 25),
-                           np.linspace(lo - 12 * h, lo, 25)])
+    grid = past_the_data_grid(xt, h)
     cfg = EstimatorConfig(h)
     got, sums, pilot = fit_columns(xt, grid, cfg, True)
     want = exact_columns(monkeypatch, xt, grid, cfg, True)
@@ -547,6 +552,29 @@ def test_large_fit_past_the_data_is_undefined_where_the_exact_fit_is(monkeypatch
     assert sums["rescored"] > 0 and pilot["rescored"] > 0
     assert np.isnan(want["mu_hat"]).any() and np.isnan(want["lo_mu"]).any()
     assert_near_exact(got, want, 5e-7)
+
+
+def test_binned_fits_take_their_sums_from_the_tile_engine(monkeypatch, large_proxy):
+    # each binned pass hands its bin centres to `_power_sums` as the terms,
+    # then its poorly binned grid points to one exact call over the terms
+    calls = []
+    engine = estimators._power_sums
+
+    def spy(kpts, ppts, responses, grid, *args, **kwargs):
+        calls.append((len(kpts), len(grid), ppts is kpts))
+        return engine(kpts, ppts, responses, grid, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_power_sums", spy)
+    xt = large_proxy
+    h = rule_of_thumb(xt).h
+    grid = past_the_data_grid(xt, h)
+    _, sums, pilot = fit_columns(xt, grid, EstimatorConfig(h), True)
+    want = []
+    for p in (sums, pilot):
+        assert p["backend"] == "binned" and p["rescored"] > 0
+        want += [(p["bins"], len(grid), True), (len(xt.xt) - 2, p["rescored"], True)]
+    assert (sums["bins"], pilot["bins"]) == (4096, 2048)
+    assert calls == want
 
 
 def test_large_fit_as_written_stays_exact(monkeypatch, large_proxy):

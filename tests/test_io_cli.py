@@ -104,7 +104,7 @@ def test_ingest_unparseable_cell(tmp_path):
 
 def test_ingest_nonpositive_price(tmp_path):
     f = write_prices(tmp_path / "p.csv", ["0,100", "1,-3", "2,101"])
-    with pytest.raises(ValidationError, match="non-positive.* data row 1 "):
+    with pytest.raises(ValidationError, match=r"non-positive.* data row 1 \(value -3\.0\)$"):
         ingest_prices(f, "close", delta=1.0)
 
 

@@ -330,3 +330,14 @@ def test_config_validation():
         McConfig(model=model, t_span=1.0, n=100, replicates=0, master_seed=1)
     with pytest.raises(ValidationError):
         McConfig(model=model, t_span=1.0, n=100, replicates=1, master_seed=1, methods=("spline",))
+
+
+def test_config_rejects_an_empty_grid_and_an_unknown_range_before_simulating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lljd.mcstudy, "simulate_paths", lambda *a, **k: calls.append(a))
+    cfg = McConfig(model=example_model(1), t_span=1.0, n=100, replicates=2, master_seed=1)
+    for bad, match in (({"grid_n": 0}, "grid_n"), ({"grid_n": -3}, "grid_n"),
+                       ({"range_mode": "edge"}, "range mode 'edge'")):
+        with pytest.raises(ValidationError, match=match):
+            run_study(replace(cfg, **bad))
+    assert calls == []

@@ -235,9 +235,8 @@ def test_lanes_match_single_lane_paths_and_the_upfront_oracle(monkeypatch):
     lanes = mixed_lanes()
     oracle = [upfront_path(spec, cfg) for spec, cfg in lanes]
     # blocks of 7 observations (one lane) or one and two (several lanes), and
-    # discards of 999 draws, divide no step count
+    # count draws and discards of 75 values, divide no step count
     monkeypatch.setattr(lljd.simulate, "BLOCK_VALUES", 75)
-    monkeypatch.setattr(lljd.simulate, "DISCARD_BLOCK", 999)
     for (spec, cfg), (x, y) in zip(lanes, oracle):
         path = simulate_path(spec, cfg)
         assert np.array_equal(path.x, x) and np.array_equal(path.y, y)
