@@ -32,9 +32,9 @@ def lljd(*args) -> list:
 
 # The suite: simulated paths with both jump types, one of them long enough
 # (52,010 steps) to carry x and y across two blocks of one lane, estimates
-# with CV, bands and a CV dump (binned CV at aligned indexing, exact CV at
-# as-written indexing), a fit with bands of 70,000 terms, the one curve fit that
-# takes binned sums (`BINNED_MIN_TERMS`), the empirical pipeline on a five-day
+# with CV, bands and a CV dump at both index alignments, fits with bands of
+# 70,000 terms at both alignments, the curve fits large enough to take binned
+# sums (`BINNED_MIN_TERMS`), the empirical pipeline on a five-day
 # stand-in, a single MC config with its band and QQ extracts, and three preset
 # tables, whose lanes take compound Poisson (tables 2 and 3) and Variance
 # Gamma (table 6) jumps. The lanes of a replicate share its seed; table 3's
@@ -55,6 +55,8 @@ COMMANDS = [
          "--cv-out", "cv_aw.csv", "--out", "curve_aw.csv"),
     lljd("estimate", "--in", "sim_vg.csv", "--bands", "0.05", "--out", "curve_vg.csv"),
     lljd("estimate", "--in", "sim_big.csv", "--bands", "0.05", "--out", "curve_big.csv"),
+    lljd("estimate", "--in", "sim_big.csv", "--alignment", "as_written", "--bands", "0.05",
+         "--out", "curve_big_aw.csv"),
     [str(ROOT / "scripts" / "make_empirical_standin.py"),
      "--days", "5", "--seed", "2015", "--out", "prices.csv"],
     lljd("empirical", "--in", "prices.csv", "--price-col", "close", "--bands", "0.05",

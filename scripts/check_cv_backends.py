@@ -15,6 +15,9 @@ any stand-in that failed:
 
     python scripts/check_cv_backends.py --days 100 --seeds 16
 
+--alignment (aligned by default, or as_written) sets the index alignment of
+every CV and fit below.
+
 Then, for each of the first --entries inputs of the `estimate_large`
 benchmark workload (200k-observation paths, built by perfbench/workloads.py),
 fits the curves with bands as `lljd estimate --h auto --bands 0.05` does,
@@ -107,7 +110,7 @@ def large_path_proxy(entry: int):
     return build_proxy(cols["y"], float(np.diff(cols["t"]).mean()))
 
 
-def fit_with_bands(series, binned: bool):
+def fit_with_bands(series, binned: bool, alignment: str):
     """The output columns of `lljd estimate --h auto --bands 0.05`, and the
     estimate; binned=False takes exact sums at every grid point."""
     saved = estimators.BINNED_MIN_TERMS
@@ -115,7 +118,8 @@ def fit_with_bands(series, binned: bool):
         estimators.BINNED_MIN_TERMS = sys.maxsize
     try:
         est = estimate_curve(series, default_grid(series),
-                             EstimatorConfig(rule_of_thumb(series).h))
+                             EstimatorConfig(rule_of_thumb(series).h,
+                                             index_alignment=alignment))
         attach_bands(est, series, alpha=0.05)
     finally:
         estimators.BINNED_MIN_TERMS = saved
@@ -124,12 +128,12 @@ def fit_with_bands(series, binned: bool):
     return cols, est
 
 
-def compare_fit(entry: int, rtol: float):
+def compare_fit(entry: int, rtol: float, alignment: str):
     """The row of one large path, the largest deviation of each column, and
     whether it passes."""
     series = large_path_proxy(entry)
-    got, est = fit_with_bands(series, binned=True)
-    want, _ = fit_with_bands(series, binned=False)
+    got, est = fit_with_bands(series, True, alignment)
+    want, _ = fit_with_bands(series, False, alignment)
     devs, same_nan = [], True
     for name in FIT_COLUMNS:
         nan = np.isnan(want[name])
@@ -155,6 +159,8 @@ def main():
                     help="estimate_large inputs to fit, 0..N-1")
     ap.add_argument("--fit-rtol", type=float, default=5e-7,
                     help="largest fit deviation, as a share of the column's largest magnitude")
+    ap.add_argument("--alignment", default="aligned", choices=["aligned", "as_written"],
+                    help="index alignment of every CV and fit")
     args = ap.parse_args()
 
     proxies = [standin_proxy(args.days, args.per_day, seed) for seed in range(args.seeds)]
@@ -164,7 +170,8 @@ def main():
     passed = True
     for kernel in (GAUSSIAN, EPANECHNIKOV):
         for method in (LOCAL_LINEAR, NADARAYA_WATSON):
-            row, ok = compare(proxies, EstimatorConfig(1.0, kernel, method), args.rtol)
+            cfg = EstimatorConfig(1.0, kernel, method, args.alignment)
+            row, ok = compare(proxies, cfg, args.rtol)
             print(row, flush=True)
             passed &= ok
 
@@ -173,7 +180,7 @@ def main():
     print("| --- " * (len(FIT_COLUMNS) + 5) + "|")
     worst = np.zeros(len(FIT_COLUMNS))
     for entry in range(args.entries):
-        row, devs, ok = compare_fit(entry, args.fit_rtol)
+        row, devs, ok = compare_fit(entry, args.fit_rtol, args.alignment)
         print(row, flush=True)
         worst = np.maximum(worst, devs)
         passed &= ok

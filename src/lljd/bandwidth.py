@@ -12,18 +12,19 @@ engine of `lljd.estimators`, with every (regressor point, term) pair
 evaluated: O(n^2 H) work. It is the oracle of the binned source.
 
 `binned`, the default, follows KernSmooth (Fan & Marron 1994, JCGS 3:35-56;
-Wand 1994, JCGS 3:433-445). The kernel points are binned linearly onto M
-equally spaced bins, once with weight 1 and once weighted by the responses.
-For each h the lag kernels kappa_j[m] = K(m D / h) (m D)^j, D the bin width,
-are correlated with both by FFT, which gives S_0..S_2 and T_0..T_1 at every
-bin centre; linear interpolation carries them to the regressor points. The
-deleted terms are then subtracted in the same binned bilinear form: term
-k = i + o at regressor i, d bins apart, pairs bins at lags d, d + 1 and
-d - 1 with weights g_i g_k + f_i f_k, g_i f_k and f_i g_k, so a leave-out sum
-is the binned sum of exactly the terms that remain. The binning, the
-bin-count rule below and the fallback tests are those of `lljd.estimators`,
-which bins large fits the same way (without FFTs: a fit needs sums at a few
-grid points only).
+Wand 1994, JCGS 3:433-445). The kernel and regressor points are binned
+linearly onto M equally spaced bins over one range, the kernel points once
+per weight column of `lljd.estimators._columns`. For each h the lag kernels
+kappa_q[m] = K(m D / h) (m D)^q, D the bin width, are correlated with each
+column up to its top power by FFT, which gives its sums at every bin centre;
+linear interpolation carries them to the regressor points. The deleted terms
+are then subtracted in the same binned bilinear form: term k = i + o at
+regressor i, its kernel point d bins from the regressor, pairs bins at lags
+d, d + 1 and d - 1 with weights g_i g_k + f_i f_k, g_i f_k and f_i g_k, so a
+leave-out sum is the binned sum of exactly the terms that remain. `_combine`
+turns the column sums into S_0..S_2 and T_0..T_1. The binning, the bin-count
+rule below and the fallback tests are those of `lljd.estimators`, which bins
+large fits the same way (without FFTs: a fit needs sums at few grid points).
 
 Binning error depends on how many bins one bandwidth spans, so each h gets
 its own M: the fewest bins, a power of two, that put CV_H_BINS bins inside
@@ -61,7 +62,6 @@ linear) and 4e-6 (Epanechnikov, Nadaraya-Watson); the chosen h and the
 degenerate counts are the same on every stand-in, 65-511 of the 120k (h,
 term) pairs fall back, and CV takes about 0.1 s against about 3 s. The
 binned backend streams one bandwidth at a time in O(n + CV_BINS) memory.
-Aligned indexing takes the binned path; 'as_written' indexing uses `exact`.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ from .estimators import (
     _bin_count,
     _bin_weights,
     _closed_form,
+    _columns,
+    _combine,
     _degree,
     _linear_bins,
     _poorly_binned,
@@ -152,10 +154,9 @@ def cross_validate(
     penalty) and are counted.
 
     `backend` is 'binned' (the default) or 'exact': where the loop over the
-    grid takes its leave-out sums (module docstring). 'binned' applies to
-    aligned indexing and otherwise runs 'exact'; the choice records the
-    backend that ran and how many (h, term) pairs the exact engine scored
-    (all of them under 'exact', the fallback terms under 'binned').
+    grid takes its leave-out sums (module docstring). The choice records the
+    backend and how many (h, term) pairs the exact engine scored (all of them
+    under 'exact', the fallback terms under 'binned').
 
     Returns the grid argmin; exact ties resolve to the smaller bandwidth. A
     bandwidth at which every term degenerates is undefined; if that happens on
@@ -170,8 +171,6 @@ def cross_validate(
         raise ValidationError(f"unknown CV backend {backend!r}")
     if cfg is None:
         cfg = EstimatorConfig(bandwidth=1.0)
-    if cfg.index_alignment != "aligned":
-        backend = "exact"
 
     kpts, ppts = term_points(xt, cfg.index_alignment)
     resp = drift_responses(xt)
@@ -180,9 +179,10 @@ def cross_validate(
     if backend == "exact":
         grid_sums = _power_sums(kpts, ppts, resp[:, None], ppts, cfg.kernel, h_grid,
                                 degree, _window(terms))
-    else:  # aligned: ppts is kpts
+    else:
         s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
-        span = float(np.ptp(kpts))
+        lo = min(kpts.min(), ppts.min())  # one range for both
+        span = float(max(kpts.max(), ppts.max()) - lo)
         binning = None
     cv_vals, degen, bins, exact_terms = [], [], [], 0
     for k, h in enumerate(h_grid):
@@ -193,13 +193,13 @@ def cross_validate(
             m = _bin_count(h, span, binning.m if binning else CV_BINS)
             if binning is None or binning.m != m:
                 binning = None  # free the old binning first: one in memory at a time
-                binning = _Binning(kpts, resp, m, span)
+                binning = _Binning(kpts, ppts, resp, degree, m, lo, span)
             if h < CV_BINS_PER_H * binning.width:  # the bins cannot resolve h
                 redo, m = terms, None
             else:
-                redo = np.flatnonzero(binning.sums(h, cfg.kernel, degree, s, t))
+                redo = np.flatnonzero(binning.sums(h, cfg.kernel, s, t))
             if redo.size:
-                exact = _power_sums(kpts, kpts, resp[:, None], kpts[redo], cfg.kernel, h,
+                exact = _power_sums(kpts, ppts, resp[:, None], ppts[redo], cfg.kernel, h,
                                     degree, _window(redo))
                 s[redo], t[redo] = exact[0][0], exact[1][0]
         (pred,), _, ok = _closed_form(s, t, cfg.method, n)
@@ -232,50 +232,51 @@ def _window(terms):
 
 
 class _Binning:
-    """The kernel points binned linearly onto m bins of one width: term i puts
-    g[i] = 1 - f[i] on bin b[i] and f[i] on b[i] + 1. Holds what every
-    bandwidth scored on these bins shares: the spectra of the binned unit and
-    response weights."""
+    """The kernel and regressor points binned linearly onto m bins from `lo`
+    (kbins, pbins: (b, f, g), g = 1 - f on bin b and f on b + 1), and what
+    every h scored on them shares: the spectra of the binned `_columns`."""
 
-    def __init__(self, kpts, resp, m: int, span: float):
+    def __init__(self, kpts, ppts, resp, degree: int, m: int, lo: float, span: float):
         from numpy import fft  # only binned CV needs it; keeps it off CLI start-up
 
-        self.m = m
+        self.m, self.degree = m, degree
         self.width = span / (m - 1) or 1.0  # any width bins a constant sample
-        self.resp = resp
+        self.e = None if ppts is kpts else ppts - kpts
+        self.cols, self.tops = _columns(self.e, resp[:, None], degree)
         # zero-padded to 2m bins, the circular correlation with a lag kernel
         # is the linear one; entry q of a lag kernel holds lag q, entry 2m - q
         # lag -q
         self.size = 2 * m
-        self.b, self.f, self.g = b, f, g = _linear_bins(kpts, kpts.min(), self.width, m)
-        self.spectra = [fft.rfft(w) for w in _bin_weights(b, f, g, (1.0, resp), self.size)]
+        self.kbins = b, f, g = _linear_bins(kpts, lo, self.width, m)
+        self.pbins = self.kbins if ppts is kpts else _linear_bins(ppts, lo, self.width, m)
+        self.spectra = [fft.rfft(w) for w in _bin_weights(b, f, g, self.cols, self.size)]
         self.lag = fft.fftfreq(self.size, 1.0 / self.size) * self.width
 
-    def sums(self, h: float, kernel, degree: int, s, t):
+    def sums(self, h: float, kernel, s, t):
         """Fill s and t with the binned leave-out sums at h. Returns the mask
         of terms whose leave-out design is poorly conditioned."""
         from numpy import fft
 
         k0 = kernel.eval(self.lag / h)
-        n, b, f, g = len(self.b), self.b, self.f, self.g
-        # term k = i + o at regressor i, d = b[k] - b[i] bins away, pairs
-        # bins at lags d, d + 1 and d - 1 with these weights
-        pairs = []
-        for o in DELETED:
-            i, k = slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n - max(-o, 0))
-            pairs.append((i, k, b[k] - b[i], g[i] * g[k] + f[i] * f[k], g[i] * f[k], f[i] * g[k]))
-        for j in range(2 * degree + 1):
-            kap = k0 * self.lag**j
-            sums = (s[:, j], t[:, j, 0]) if j <= degree else (s[:, j],)
-            # the binned share of the deleted terms in the unit and response sums
-            deleted = np.zeros((len(sums), n))
-            for i, k, d, mid, up, down in pairs:
-                near = mid * kap[d] + up * kap[d + 1] + down * kap[d - 1]
-                deleted[0, i] += near
-                if j <= degree:
-                    deleted[1, i] += near * self.resp[k]
+        (bk, fk, gk), (b, f, g), n = self.kbins, self.pbins, len(s)
+        a = np.empty((n, max(self.tops) + 1, len(self.cols)))  # [term, power, column]
+        for q in range(a.shape[1]):
+            kap = k0 * self.lag**q
+            live = [c for c, top in enumerate(self.tops) if top >= q]
+            deleted = np.zeros((len(live), n))  # the binned share of the deleted terms
+            for o in DELETED:
+                # term k = i + o at regressor i, d = bk[k] - b[i] bins away,
+                # pairs bins at lags d, d + 1 and d - 1
+                i, k = slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n - max(-o, 0))
+                d = bk[k] - b[i]
+                near = ((g[i] * gk[k] + f[i] * fk[k]) * kap[d] + g[i] * fk[k] * kap[d + 1]
+                        + f[i] * gk[k] * kap[d - 1])
+                for w, c in enumerate(live):
+                    col = self.cols[c]
+                    deleted[w, i] += near if np.ndim(col) == 0 else near * col[k]
             spectrum = np.conj(fft.rfft(kap))
-            for w, out in enumerate(sums):
-                full = fft.irfft(self.spectra[w] * spectrum, self.size)
-                out[:] = g * full[b] + f * full[b + 1] - deleted[w]
-        return _poorly_binned(s, k0[0], self.width, degree)
+            for w, c in enumerate(live):
+                full = fft.irfft(self.spectra[c] * spectrum, self.size)
+                a[:, q, c] = g * full[b] + f * full[b + 1] - deleted[w]
+        s[:], t[:] = _combine(a, self.e, self.degree)
+        return _poorly_binned(s, k0[0], self.width, self.degree)

@@ -282,6 +282,8 @@ def _cmd_estimate(args) -> int:
         raise ValidationError("--grid-lo and --grid-hi must be given together")
     if lo is not None and not -math.inf < lo < hi < math.inf:
         raise ValidationError(f"need finite --grid-lo < --grid-hi, got {lo:g} and {hi:g}")
+    if args.cv_out and args.h != "cv":
+        raise ValidationError("--cv-out needs --h cv: there is no CV curve to write")
     stages = Stages()
     series = _load_series(args)
     stages.lap("ingest")
@@ -289,7 +291,7 @@ def _cmd_estimate(args) -> int:
                           args.alignment)
     choice = _choose_bandwidth(args.h, series, cfg)
     stages.lap("bandwidth")
-    if args.cv_out and choice.cv_curve:
+    if args.cv_out:
         write_cv_csv(args.cv_out, choice)
         stages.lap("write")
     grid = default_grid(series, args.grid_n) if lo is None else np.linspace(lo, hi, args.grid_n)

@@ -72,29 +72,31 @@ and the window once; then, for each bandwidth,
 and it divides the finished sums by z once per call. A distance whose square
 underflows (under 1e-154) counts as zero.
 
-A Gaussian fit of one bandwidth at aligned indexing with at least
-BINNED_MIN_TERMS = 2^16 terms takes binned direct sums instead (Wand 1994,
-JCGS 3:433-445); `_fit_sums` picks the path for every fit. It bins the
-kernel points linearly as binned CV does, in term blocks of TILE_ELEMENTS,
-onto the fewest bins M, a power of two, that put CV_H_BINS bins inside h
-(a sample needing more than CV_BINS gets exact sums). One `_power_sums` call
-takes the M bin centres c_b as its terms and the binned [1 | responses] as
-its responses, so each S_j, T_j sums K((c_b - x)/h) (c_b - x)^j over the bins
-in the tiles of every other sum. A term with bin weights g and f = 1 - g
-puts on its bins the chord of phi = K d^j, which exceeds phi by
-D^2 f g phi'' / 2 (D the bin width). The points are therefore binned a second
-time, weighted by f g, as more columns of that call; for the Gaussian, phi''
-combines K d^(j-2), K d^j and K d^(j+2), so the call sums two more powers
-(`powers`) to give the excess, and the pass subtracts it. Grid
-points that fail a fallback test of binned CV (`lljd.bandwidth`) get exact
-sums, so NaN sits where the exact fit has it. On the default grid every
-column of fit and bands is within 2.1e-9 of its largest magnitude of the
-exact one (AR(1) proxies of 66k-200k terms, CP and VG paths of 70k-150k;
-the tests hold 5e-7). Over the data's whole range it was within 1.3e-7,
-but for the second-moment band where the fourth-moment fit nearly vanishes
-and its square root amplifies the error (2.8e-6 at one point). The
-Epanechnikov kernel stays exact: its kink at |u| = 1 makes the binning
-error first order (1e-5 at 128 bins per h).
+A Gaussian fit of one bandwidth with at least BINNED_MIN_TERMS = 2^16 terms
+takes binned direct sums instead (Wand 1994, JCGS 3:433-445); `_fit_sums`
+picks the path for every fit. It bins the kernel points linearly as binned CV
+does, in term blocks of TILE_ELEMENTS, onto the fewest bins M, a power of
+two, that put CV_H_BINS bins inside h (a sample needing more than CV_BINS
+gets exact sums). With dk = kernel point - x and e = regressor - kernel
+point, d^j = sum_q C(j, q) dk^q e^(j-q): S_j and T_j combine (`_combine`)
+sums of K dk^q over the weight columns of `_columns`, [1 | responses] where
+e = 0 (aligned), else e^m and e^m r. One `_power_sums` call takes the M bin
+centres c_b as its terms and the binned columns as its responses, so each
+sums K((c_b - x)/h) (c_b - x)^q over the bins, in the tiles of every other
+sum. A term with bin weights g and f = 1 - g puts on its bins the chord of
+phi = K dk^q, which exceeds phi by D^2 f g phi'' / 2 (D the bin width). The
+points are therefore binned a second time, weighted by f g, as more columns
+of that call; for the Gaussian, phi'' combines K dk^(q-2), K dk^q and
+K dk^(q+2), so the call sums two more powers (`powers`) to give the excess,
+and the pass subtracts it. Grid points that fail a fallback test of binned
+CV (`lljd.bandwidth`) get exact sums, so NaN sits where the exact fit has
+it. On the default grid every column of fit and bands is within 2.1e-9 of
+its largest magnitude of the exact one, at either alignment (AR(1) proxies
+of 66k-200k terms, CP and VG paths of 70k-150k; the tests hold 5e-7). Over
+the data's whole range it was within 1.3e-7, but for the second-moment band
+where the fourth-moment fit nearly vanishes and its square root amplifies
+the error (2.8e-6 at one point). The Epanechnikov kernel stays exact: its
+kink at |u| = 1 makes its binning error first order (1e-5, 128 bins per h).
 """
 
 from __future__ import annotations
@@ -325,16 +327,39 @@ def _poorly_binned(s, k0, width: float, degree: int):
     return poor
 
 
-def _binned_power_sums(kpts, responses, grid, kernel: Kernel, h: float, degree: int,
+def _columns(e, responses, degree: int):
+    """The weight columns of `_combine`'s sums, and the top power of each:
+    [1 | responses] when e is None; else e^m, m <= 2 degree, up to power
+    2 degree - m, then e^m r, m <= degree, up to power degree - m."""
+    if e is None:
+        return [1.0, *responses.T], [2 * degree] + [degree] * responses.shape[1]
+    pows = [1.0, *np.cumprod([e] * (2 * degree), axis=0)]
+    cols = pows + [pows[m] * r for m in range(degree + 1) for r in responses.T]
+    tops = [2 * degree - m for m in range(2 * degree + 1)]
+    return cols, tops + [degree - m for m in range(degree + 1) for _ in responses.T]
+
+
+def _combine(a, e, degree: int):
+    """S_j and T_j from sums a[i, q, c] of K dk^q times column c of
+    `_columns`, by d^j = sum_q C(j, q) dk^q e^(j-q) (module docstring)."""
+    if e is None:
+        return a[..., 0], a[..., : degree + 1, 1:]
+    r = a[..., 2 * degree + 1 :].reshape(*a.shape[:-1], degree + 1, -1)
+    s, t = ([sum(math.comb(j, q) * x[:, q, j - q] for q in range(j + 1)) for j in range(top)]
+            for x, top in ((a, 2 * degree + 1), (r, degree + 1)))
+    return np.stack(s, axis=-1), np.stack(t, axis=-2)
+
+
+def _binned_power_sums(kpts, e, responses, grid, kernel: Kernel, h: float, degree: int,
                        m: int, width: float):
-    """_power_sums of one Gaussian bandwidth at aligned indexing, without
-    its bandwidth axis, from bins of `width` (see the module docstring)."""
+    """_power_sums of one Gaussian bandwidth, without its bandwidth axis, from
+    bins of `width`; e = ppts - kpts or None (see the module docstring)."""
     lo = float(kpts.min())
-    binned = 0.0  # binned [1 | responses], then the same weighted by f g
+    binned = 0.0  # the binned columns of `_columns`, then the same weighted by f g
     for c0 in range(0, len(kpts), TILE_ELEMENTS):
         block = slice(c0, c0 + TILE_ELEMENTS)
         b, f, g = _linear_bins(kpts[block], lo, width, m)
-        cols = [1.0, *responses[block].T]
+        cols, _ = _columns(None if e is None else e[block], responses[block], degree)
         sums = _bin_weights(b, f, g, cols, m)
         fg = f * g
         f *= fg
@@ -351,8 +376,7 @@ def _binned_power_sums(kpts, responses, grid, kernel: Kernel, h: float, degree: 
     j = np.arange(powers - 2)[:, None]
     err = (s_fg[:, 2:] * scale - (2 * j + 1) * s_fg[:, :-2]) * scale
     err[:, 2:] += j[2:] * (j[2:] - 1) * s_fg[:, :-4]
-    s = s[:, :-2] - 0.5 * width * width * err
-    return s[..., 0], s[:, : degree + 1, 1:]
+    return _combine(s[:, :-2] - 0.5 * width * width * err, e, degree)
 
 
 def _fit_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int):
@@ -360,15 +384,16 @@ def _fit_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int
     and how they were taken: the backend, binned or exact, the bin count and
     the grid points rescored exactly, the last two None when exact."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if kernel is GAUSSIAN and ppts is kpts and len(kpts) >= BINNED_MIN_TERMS:
+    if kernel is GAUSSIAN and len(kpts) >= BINNED_MIN_TERMS:
         span = float(np.ptp(kpts))
         m = _bin_count(h, span)
         width = span / (m - 1) or 1.0
         if h >= CV_H_BINS * width:
-            s, t = _binned_power_sums(kpts, responses, grid, kernel, h, degree, m, width)
+            e = None if ppts is kpts else ppts - kpts
+            s, t = _binned_power_sums(kpts, e, responses, grid, kernel, h, degree, m, width)
             redo = np.flatnonzero(_poorly_binned(s, kernel.eval(0.0), width, degree))
             if redo.size:
-                exact = _power_sums(kpts, kpts, responses, grid[redo], kernel, h, degree)
+                exact = _power_sums(kpts, ppts, responses, grid[redo], kernel, h, degree)
                 s[redo], t[redo] = exact[0][0], exact[1][0]
             return s, t, {"backend": "binned", "bins": m, "rescored": int(redo.size)}
     s, t = _power_sums(kpts, ppts, responses, grid, kernel, h, degree)

@@ -200,8 +200,13 @@ def test_cv_near_zero_for_noiseless_affine_relation():
         xt.append(xt[-1] + delta * (a + b * xt[-1]))
     xt = series(xt, delta=delta)
     grid = np.array([0.05, 0.1, 0.2])
-    choice = cross_validate(xt, grid, EstimatorConfig(1.0, index_alignment="as_written"))
+    cfg = EstimatorConfig(1.0, index_alignment="as_written")
+    choice = cross_validate(xt, grid, cfg, backend="exact")
     assert all(cv < 1e-16 for _, cv in choice.cv_curve)
+    # binned sums reproduce an affine relation only up to their binning error
+    choice = cross_validate(xt, grid, cfg)
+    assert choice.cv_backend == "binned"
+    assert all(cv < 1e-8 * drift_responses(xt).var() for _, cv in choice.cv_curve)
 
 
 def test_cv_exact_tie_returns_smaller_bandwidth():
@@ -298,6 +303,13 @@ def binned_panel():
     return out
 
 
+def both_alignments(values, ids):
+    """(value, alignment) parameters at both index alignments; an aligned
+    one is identified by its value's id alone."""
+    return [pytest.param(v, a, id=i if a == "aligned" else f"{i}-{a}")
+            for a in ("aligned", "as_written") for v, i in zip(values, ids)]
+
+
 def assert_backends_agree(xt, grid, cfg):
     """Binned CV against its exact oracle: the same h and degenerate counts,
     NaN in the same places and every CV value within 1e-4 relative."""
@@ -313,45 +325,51 @@ def assert_backends_agree(xt, grid, cfg):
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
-@pytest.mark.parametrize("method", [LOCAL_LINEAR, NADARAYA_WATSON])
-def test_binned_cv_agrees_with_exact_on_a_pinned_panel(kernel, method):
+@pytest.mark.parametrize("method, alignment", both_alignments([LOCAL_LINEAR, NADARAYA_WATSON],
+                                                              [LOCAL_LINEAR, NADARAYA_WATSON]))
+def test_binned_cv_agrees_with_exact_on_a_pinned_panel(kernel, method, alignment):
     fallbacks = degenerate = 0
+    cfg = EstimatorConfig(1.0, kernel, method, alignment)
     for xt in binned_panel():
         grid = default_cv_grid(rule_of_thumb(xt).h)
-        exact, binned = assert_backends_agree(xt, grid, EstimatorConfig(1.0, kernel, method))
+        exact, binned = assert_backends_agree(xt, grid, cfg)
         fallbacks += binned.cv_exact_terms
         degenerate += sum(exact.cv_degenerate)
     # the panel reaches the fallback and the degenerate penalty
     assert fallbacks > 0 and degenerate > 0
 
 
-@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
-def test_binned_leave_out_sums_drop_exactly_the_deleted_terms(kernel):
+@pytest.mark.parametrize("kernel, alignment", both_alignments([GAUSSIAN, EPANECHNIKOV],
+                                                              ["kernel0", "kernel1"]))
+def test_binned_leave_out_sums_drop_exactly_the_deleted_terms(kernel, alignment):
     # a hand-built series with ties, a wide gap and points in the first and
     # last bins: at each regressor i the binned leave-out sums must be the
     # binned sums of the terms k outside {i-1, i, i+1}, each term taken in the
-    # bilinear form of its two bins against the two bins of regressor i
+    # bilinear form of the two bins of its kernel point against the two bins
+    # of regressor i, with the power (u + e_k)^j, e_k = ppts[k] - kpts[k]
     xt = series([0.0, 0.3, 0.3, 1.7, 0.9, 2.5, 2.5, 0.05, 3.0, 1.1, 1.15, 0.3, 2.2,
                  2.9, 0.6, 1.7, 3.0, 0.0, 1.4, 2.45, 0.75, 0.3])
-    kpts, _ = term_points(xt)
+    kpts, ppts = term_points(xt, alignment)
     resp = drift_responses(xt)
     n = len(resp)
-    binning = bandwidth._Binning(kpts, resp, 64, float(np.ptp(kpts)))
+    lo = min(kpts.min(), ppts.min())
+    binning = bandwidth._Binning(kpts, ppts, resp, 1, 64, lo, max(kpts.max(), ppts.max()) - lo)
     h = 6.0 * binning.width
     s, t = np.empty((n, 3)), np.empty((n, 2, 1))
-    binning.sums(h, kernel, 1, s, t)
-    b, f, width = binning.b, binning.f, binning.width
+    binning.sums(h, kernel, s, t)
+    (bk, fk, _), (bp, fp, _), width = binning.kbins, binning.pbins, binning.width
+    e = ppts - kpts
     want_s, want_t = np.zeros((n, 3)), np.zeros((n, 2, 1))
     for i in range(n):
         for k in range(n):
             if k in (i - 1, i, i + 1):
                 continue
-            for a, wa in ((b[i], 1.0 - f[i]), (b[i] + 1, f[i])):
-                for c, wc in ((b[k], 1.0 - f[k]), (b[k] + 1, f[k])):
+            for a, wa in ((bp[i], 1.0 - fp[i]), (bp[i] + 1, fp[i])):
+                for c, wc in ((bk[k], 1.0 - fk[k]), (bk[k] + 1, fk[k])):
                     u = (c - a) * width
                     kv = wa * wc * float(kernel.eval(u / h))
-                    want_s[i] += kv * u ** np.arange(3)
-                    want_t[i, :, 0] += kv * u ** np.arange(2) * resp[k]
+                    want_s[i] += kv * (u + e[k]) ** np.arange(3)
+                    want_t[i, :, 0] += kv * (u + e[k]) ** np.arange(2) * resp[k]
     for got, want in ((s, want_s), (t, want_t)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))
 
@@ -414,7 +432,8 @@ def test_cv_backend_selection():
     grid = np.geomspace(0.05, 1.0, 3)
     as_written = EstimatorConfig(1.0, index_alignment="as_written")
     assert cross_validate(xt, grid).cv_backend == "binned"
-    choice = cross_validate(xt, grid, as_written)
+    assert cross_validate(xt, grid, as_written).cv_backend == "binned"
+    choice = cross_validate(xt, grid, as_written, backend="exact")
     assert (choice.cv_backend, choice.cv_exact_terms) == ("exact", 3 * 78)
     with pytest.raises(ValidationError, match="unknown CV backend"):
         cross_validate(xt, grid, backend="fft")

@@ -510,10 +510,15 @@ def assert_near_exact(got, want, rtol):
 
 
 @pytest.mark.parametrize("method", [LOCAL_LINEAR, NADARAYA_WATSON])
-@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
-def test_large_fit_and_bands_match_the_exact_engine(monkeypatch, large_proxy, kernel, method):
+@pytest.mark.parametrize("kernel, alignment", [
+    pytest.param(GAUSSIAN, "aligned", id="gaussian"),
+    pytest.param(EPANECHNIKOV, "aligned", id="epanechnikov"),
+    pytest.param(GAUSSIAN, "as_written", id="gaussian-as_written"),
+])
+def test_large_fit_and_bands_match_the_exact_engine(monkeypatch, large_proxy, kernel, alignment,
+                                                    method):
     xt = large_proxy
-    cfg = EstimatorConfig(rule_of_thumb(xt).h, kernel, method)
+    cfg = EstimatorConfig(rule_of_thumb(xt).h, kernel, method, alignment)
     grid = default_grid(xt)
     bands = method == LOCAL_LINEAR
     got, sums, pilot = fit_columns(xt, grid, cfg, bands)
@@ -541,17 +546,19 @@ def past_the_data_grid(xt, h):
 def test_large_fit_past_the_data_is_undefined_where_the_exact_fit_is(monkeypatch, large_proxy):
     # Gaussian weights underflow some 6 h past the data, where the exact kernel
     # mass falls below the degeneracy floor; the binned mass there is not
-    # exact, and the mass test sends those points to the exact engine
+    # exact, and the mass test sends those points to the exact engine, at the
+    # regressor points of either alignment
     xt = large_proxy
     h = rule_of_thumb(xt).h
     grid = past_the_data_grid(xt, h)
-    cfg = EstimatorConfig(h)
-    got, sums, pilot = fit_columns(xt, grid, cfg, True)
-    want = exact_columns(monkeypatch, xt, grid, cfg, True)
-    assert sums["backend"] == pilot["backend"] == "binned"
-    assert sums["rescored"] > 0 and pilot["rescored"] > 0
-    assert np.isnan(want["mu_hat"]).any() and np.isnan(want["lo_mu"]).any()
-    assert_near_exact(got, want, 5e-7)
+    for alignment in ("aligned", "as_written"):
+        cfg = EstimatorConfig(h, index_alignment=alignment)
+        got, sums, pilot = fit_columns(xt, grid, cfg, True)
+        want = exact_columns(monkeypatch, xt, grid, cfg, True)
+        assert sums["backend"] == pilot["backend"] == "binned"
+        assert sums["rescored"] > 0 and pilot["rescored"] > 0
+        assert np.isnan(want["mu_hat"]).any() and np.isnan(want["lo_mu"]).any()
+        assert_near_exact(got, want, 5e-7)
 
 
 def test_binned_fits_take_their_sums_from_the_tile_engine(monkeypatch, large_proxy):
@@ -575,16 +582,6 @@ def test_binned_fits_take_their_sums_from_the_tile_engine(monkeypatch, large_pro
         want += [(p["bins"], len(grid), True), (len(xt.xt) - 2, p["rescored"], True)]
     assert (sums["bins"], pilot["bins"]) == (4096, 2048)
     assert calls == want
-
-
-def test_large_fit_as_written_stays_exact(monkeypatch, large_proxy):
-    cfg = EstimatorConfig(rule_of_thumb(large_proxy).h, index_alignment="as_written")
-    grid = default_grid(large_proxy)
-    got, sums, pilot = fit_columns(large_proxy, grid, cfg, True)
-    assert sums == pilot == {"backend": "exact", "bins": None, "rescored": None}
-    want = exact_columns(monkeypatch, large_proxy, grid, cfg, True)
-    for name, col in want.items():
-        assert np.array_equal(got[name], col, equal_nan=True), name
 
 
 @pytest.mark.parametrize("terms", [(1 << 16) - 1, 1 << 16])

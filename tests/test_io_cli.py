@@ -441,11 +441,11 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
     assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"],
             record["cv_backend"], record["cv_exact_terms"], record["cv_bins"],
             record["cv_flatness"]) == ("rule_of_thumb", None, None, None, None, None, None)
-    # as-written indexing is scored by the exact engine, every (h, term) pair
+    # as-written indexing takes binned CV too
     assert main(estimate + ["--h", "cv", "--alignment", "as_written"]) == 0
     record = bandwidth_record()
-    assert (record["cv_backend"], record["cv_exact_terms"], record["cv_bins"]) == (
-        "exact", pairs, None)
+    assert record["cv_backend"] == "binned" and 0 <= record["cv_exact_terms"] < pairs
+    assert len(record["cv_bins"]) == 25 and None not in record["cv_bins"]
 
 
 def test_cli_estimate_accepts_proxy_input(tmp_path):
@@ -670,6 +670,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                  commands["empirical"] + ["--delta", "0"]]
     # a fixed bandwidth is checked where the fit is configured
     bad_h = [commands["estimate"] + ["--h", h] for h in ("-1", "0", "inf", "nan")]
+    # a CV dump without CV has nothing to write
+    cv_dump = tmp_path / "cv.csv"
+    bad_cv_out = [commands["estimate"] + ["--h", h, "--cv-out", str(cv_dump)]
+                  for h in ("auto", "0.05")]
     # a non-finite proxy entry is named before anything is computed from it
     bad_entry = [["estimate", "--in", str(proxies[bad])] for bad in ("nan", "inf")]
     # a non-finite model parameter is an input error, not a state explosion,
@@ -679,7 +683,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "drift c": simulate + ["--jump", "vg", "--vg-c", "inf"],
                  "location": simulate + ["--jump", "cp", "--size-loc", "nan"],
                  "x0": simulate + ["--x0", "nan"]}
-    for argv in bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry:
+    for argv in bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry + bad_cv_out:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2, argv
@@ -688,8 +692,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv not in bad_delta or "error: delta must be" in err, err
         assert argv not in bad_h or "error: bandwidth must be positive" in err, err
         assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
+        assert argv not in bad_cv_out or "--cv-out needs --h cv" in err, err
         assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
-        assert not out.exists(), argv
+        assert not out.exists() and not cv_dump.exists(), argv
 
 
 def test_cli_import_keeps_scipy_unloaded():
