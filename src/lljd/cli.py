@@ -189,13 +189,26 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
             "cv_bins": choice.cv_bins, "cv_flatness": flatness}
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak RSS in MiB: its own VmHWM, else ru_maxrss (KiB on
+    Linux), which also keeps the spawning process's mark across exec."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _write_manifest(args, start: float, **diagnostics) -> float:
     """Write the manifest of the command's --out artifact; returns the runtime.
 
     The command's --seed, when it has one, is the master seed, and its --in
-    file, when it has one, is digested.
+    file, when it has one, is digested. The diagnostics add the peak RSS.
     """
     runtime = time.perf_counter() - start
+    diagnostics["peak_rss_mb"] = _peak_rss_mb()
     infile = getattr(args, "infile", None)
     RunManifest(
         command=args.command,
@@ -263,6 +276,10 @@ def _load_series(args) -> ProxySeries:
     if args.delta is not None:
         delta = _parse_delta(args.delta)
     elif "t" in cols and len(cols["t"]) > 1:
+        bad = np.flatnonzero(~np.isfinite(cols["t"]))
+        if bad.size:
+            raise ValidationError(f"{args.infile}: non-finite 't' at 0-based data row "
+                                  f"{bad[0]} (value {float(cols['t'][bad[0]])}); pass --delta")
         steps = np.diff(cols["t"])
         if steps.min() <= 0 or np.ptp(steps) > 1e-8 * max(1.0, steps.mean()):
             raise ValidationError(

@@ -59,8 +59,12 @@ S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are
 set to zero before anything is summed, so a leave-out fit is exactly the fit
 on the remaining terms. The sums accumulate over tiles of at most
-TILE_ELEMENTS (evaluation point, term) pairs, so a fit needs working memory
-of a few 1 MB tiles, however many terms it has. Both kernels are radial,
+TILE_ELEMENTS (evaluation point, term) pairs, 1 MB per temporary. The fits
+form their responses per term block from the block's slice of the proxy
+(`_Responses`), and binning walks the same blocks, so beside the proxy a fit
+with bands holds a few tiles, its bins and a few n-vectors: the grid's order
+statistics and the local cubic pass's scaled points (and, as written, its
+regressors and offsets). Both kernels are radial,
 K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine builds
 A = [1 | responses]; per tile it takes d, the squared kernel-point distances
 and the window once; then, for each bandwidth,
@@ -75,7 +79,7 @@ underflows (under 1e-154) counts as zero.
 A Gaussian fit of one bandwidth with at least BINNED_MIN_TERMS = 2^16 terms
 takes binned direct sums instead (Wand 1994, JCGS 3:433-445); `_fit_sums`
 picks the path for every fit. It bins the kernel points linearly as binned CV
-does, in term blocks of TILE_ELEMENTS, onto the fewest bins M, a power of
+does, in the engine's term blocks, onto the fewest bins M, a power of
 two, that put CV_H_BINS bins inside h (a sample needing more than CV_BINS
 gets exact sums). With dk = kernel point - x and e = regressor - kernel
 point, d^j = sum_q C(j, q) dk^q e^(j-q): S_j and T_j combine (`_combine`)
@@ -231,6 +235,21 @@ def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
     return d2 * d2 / xt.delta
 
 
+class _Responses:
+    """The response columns `funcs` (such as `drift_responses`) of the terms
+    of `xt`, computed per block of terms from the block's slice of the proxy.
+    The engines read only `responses[block]` and `responses.shape`, so no
+    [n_terms, R] matrix is built, and every entry keeps its bits."""
+
+    def __init__(self, xt: ProxySeries, funcs):
+        self.xt, self.funcs = xt, funcs
+        self.shape = (len(xt.xt) - 2, len(funcs))
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        part = ProxySeries(self.xt.delta, self.xt.xt[block.start : block.stop + 2])
+        return np.column_stack([f(part) for f in self.funcs])
+
+
 def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner") -> np.ndarray:
     """Evaluation grid over the sample range of the proxies.
 
@@ -240,9 +259,24 @@ def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner"
     term_points(xt)  # a grid is for a series that can be fitted
     if range_mode not in RANGE_MODES:
         raise ValidationError(f"unknown range mode {range_mode!r}")
-    lo, hi = (np.quantile(xt.xt, [0.025, 0.975]) if range_mode == "inner"
+    lo, hi = (_quantiles(xt.xt, [0.025, 0.975]) if range_mode == "inner"
               else (xt.xt.min(), xt.xt.max()))
     return np.linspace(lo, hi, n_points)
+
+
+def _quantiles(a, q):
+    """np.quantile(a, q, axis=0), numpy's default linear method, bit for bit,
+    for `a` without NaN. np.quantile calls np.unique, whose first call
+    imports numpy.ma; this takes the order statistics by np.partition."""
+    v = (len(a) - 1) * np.asarray(q, dtype=float)
+    lo = np.floor(v)
+    gamma = (v - lo).reshape(-1, *[1] * (np.ndim(a) - 1))
+    lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, len(a) - 1)
+    part = np.partition(a, sorted({*lo.tolist(), *hi.tolist()}), axis=0)
+    below, diff = part[lo], part[hi] - part[lo]
+    # numpy's _lerp: from the nearer order statistic
+    return np.where(gamma >= 0.5, part[hi] - diff * (1 - gamma), below + diff * gamma)
 
 
 def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
@@ -356,8 +390,9 @@ def _binned_power_sums(kpts, e, responses, grid, kernel: Kernel, h: float, degre
     bins of `width`; e = ppts - kpts or None (see the module docstring)."""
     lo = float(kpts.min())
     binned = 0.0  # the binned columns of `_columns`, then the same weighted by f g
-    for c0 in range(0, len(kpts), TILE_ELEMENTS):
-        block = slice(c0, c0 + TILE_ELEMENTS)
+    step = TILE_ELEMENTS // TILE_ROWS  # the engine's own term block
+    for c0 in range(0, len(kpts), step):
+        block = slice(c0, c0 + step)
         b, f, g = _linear_bins(kpts[block], lo, width, m)
         cols, _ = _columns(None if e is None else e[block], responses[block], degree)
         sums = _bin_weights(b, f, g, cols, m)
@@ -455,9 +490,8 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
         grid = default_grid(xt)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     kpts, ppts = term_points(xt, cfg.index_alignment)
-    responses = np.column_stack(
-        [drift_responses(xt), second_moment_responses(xt), fourth_moment_responses(xt)]
-    )
+    responses = _Responses(xt, (drift_responses, second_moment_responses,
+                                fourth_moment_responses))
     s, t, sums = _fit_sums(kpts, ppts, responses, grid, cfg.kernel, cfg.bandwidth,
                            _degree(*methods))
     out = {}
@@ -497,17 +531,19 @@ def second_derivative_fit(
     normally pass a pilot bandwidth larger than their curve h. Grid points
     with an empty neighbourhood or singular design come back NaN.
     """
-    return _local_cubic(xt, responses, grid, kernel, h, index_alignment)[0]
+    responses = np.asarray(responses, dtype=float)
+    out = _local_cubic(xt, np.atleast_2d(responses).T, grid, kernel, h, index_alignment)[0]
+    return out if responses.ndim > 1 else out[0]
 
 
 def _local_cubic(xt, responses, grid, kernel, h, index_alignment):
-    """second_derivative_fit, and how its kernel sums were taken (`_fit_sums`)."""
+    """second_derivative_fit of the columns of `responses` [n_terms, R], one
+    row per column, and how its kernel sums were taken (`_fit_sums`)."""
     kpts, ppts = term_points(xt, index_alignment)
-    responses = np.asarray(responses, dtype=float)
     # sums in u = d/h, where the normal equations are well scaled
     u = kpts / h
     s, t, sums = _fit_sums(
-        u, u if ppts is kpts else ppts / h, np.atleast_2d(responses).T,
+        u, u if ppts is kpts else ppts / h, responses,
         np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
     )
     mat = s[:, np.add.outer(np.arange(4), np.arange(4))]
@@ -515,4 +551,4 @@ def _local_cubic(xt, responses, grid, kernel, h, index_alignment):
     ok = (s[:, 0] >= DEGENERACY_FLOOR * len(kpts)) & (sv[:, -1] > CUBIC_RCOND * sv[:, 0])
     out = np.full(t.shape[::2], np.nan)
     out[ok] = 2.0 * np.linalg.solve(mat[ok], t[ok])[:, 2] / (h * h)
-    return (out.T if responses.ndim > 1 else out[:, 0]), sums
+    return out.T, sums

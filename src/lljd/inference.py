@@ -46,6 +46,7 @@ from .estimators import (
     LOCAL_LINEAR,
     CurveEstimate,
     _local_cubic,
+    _Responses,
     drift_responses,
     second_moment_responses,
 )
@@ -118,7 +119,7 @@ def attach_bands(
     if bias_corrected:
         curvature, pilot_sums = _local_cubic(
             xt,
-            [drift_responses(xt), second_moment_responses(xt)],
+            _Responses(xt, (drift_responses, second_moment_responses)),
             est.grid,
             est.kernel,
             pilot_h,

@@ -26,6 +26,7 @@ from .estimators import (
     NADARAYA_WATSON,
     RANGE_MODES,
     EstimatorConfig,
+    _quantiles,
     default_grid,
     estimate_curve,  # noqa: F401  (kept bound here for perfbench/spans.py)
     estimate_curves,
@@ -121,7 +122,7 @@ class McReport:
 
 def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
     h = rule_of_thumb(pr, cfg.t_span).h
-    qpts = np.quantile(pr.xt, QUANTILES)
+    qpts = _quantiles(pr.xt, QUANTILES)
     pts = np.concatenate([common_grid, qpts, [EVAL_X]])
     g = len(common_grid)
     ests = estimate_curves(pr, pts, EstimatorConfig(h, cfg.kernel), cfg.methods)
@@ -295,9 +296,11 @@ def _aggregate(cfg: McConfig, results: list, common_grid: np.ndarray) -> McRepor
         report.rmse[method] = float(np.sqrt(np.nanmean((mean_curve - truth) ** 2)))
         report.bias_at_quantiles[method] = [float(v) for v in np.nanmean(bias_q, axis=0)]
         # nanpercentile runs a Python-level quantile per grid column; without
-        # NaN, percentile gives the same values in one vectorised call
-        pct = np.nanpercentile if np.isnan(mu_grid).any() else np.percentile
-        lo, hi = pct(mu_grid, [2.5, 97.5], axis=0)
+        # NaN, _quantiles gives the same values in one vectorised call
+        if np.isnan(mu_grid).any():
+            lo, hi = np.nanpercentile(mu_grid, [2.5, 97.5], axis=0)
+        else:
+            lo, hi = _quantiles(mu_grid, [0.025, 0.975])
         report.mc_band[method] = {
             "grid": [float(v) for v in common_grid],
             "lo": [float(v) for v in lo],

@@ -440,30 +440,46 @@ def test_cubic_fit_undefined_where_fewer_than_four_regressors_carry_weight():
         assert value == pytest.approx(2.0 * coef[2] / h**2, rel=1e-9)
 
 
+def test_quantiles_are_numpys_linear_quantiles_bit_for_bit():
+    rng = np.random.default_rng(21)
+    fractions = ([0.025, 0.975], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], [0.0, 0.5, 1.0])
+    for n in [*range(3, 40), 100, 257, 1000, 4999, 5000]:
+        for ties in (False, True):
+            a = rng.normal(size=n)
+            if ties:
+                a = np.round(a, 1)
+            for q in fractions:
+                assert np.array_equal(estimators._quantiles(a, q), np.quantile(a, q)), (n, q)
+            # a replicate-by-grid table, as the Monte Carlo band takes it
+            table = rng.normal(size=(n, 7)).round(1 if ties else 12)
+            assert np.array_equal(estimators._quantiles(table, [0.025, 0.975]),
+                                  np.percentile(table, [2.5, 97.5], axis=0)), n
+
+
 def test_fit_and_bands_memory_does_not_grow_with_the_sample():
-    # an AR(1) proxy of 200k points; dense G x n kernel matrices would need
-    # about 1.2 GB here
-    rng = np.random.default_rng(13)
-    noise = rng.normal(0.0, 0.1, 200_000)
-    x = np.empty_like(noise)
-    x[0] = 0.0
-    for i in range(1, len(x)):
-        x[i] = 0.9 * x[i - 1] + noise[i]
-    xt = series(x, delta=0.01)
-    cfg = EstimatorConfig(rule_of_thumb(xt).h)
-    tracemalloc.start()
-    try:
-        est = estimate_curve(xt, None, cfg)
-        attach_bands(est, xt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(est.mu_hat).all() and np.isfinite(est.bands.lo_m).all()
-    assert peak < 150e6
+    # AR(1) proxies of 200k and 800k terms; dense G x n kernel matrices would
+    # need about 1.2 GB at 200k. Beside the proxy itself, the fit and the bands
+    # work in term blocks: no n x R response matrix, no list of n-vectors.
+    # What remains of n is a few n-vectors: the grid's order statistics, the
+    # pilot's scaled points and, as written, its regressors and offsets.
+    for terms, alignment, bound in ((200_000, "aligned", 8e6), (800_000, "aligned", 8e6),
+                                    (200_000, "as_written", 12e6)):
+        xt = ar1_proxy(terms + 2)
+        cfg = EstimatorConfig(rule_of_thumb(xt).h, index_alignment=alignment)
+        tracemalloc.start()
+        try:
+            est = estimate_curve(xt, None, cfg)
+            attach_bands(est, xt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.sums["backend"] == est.bands.pilot_sums["backend"] == "binned"
+        assert np.isfinite(est.mu_hat).all() and np.isfinite(est.bands.lo_m).all()
+        assert peak - xt.xt.nbytes < bound, (terms, alignment, peak)
 
 
 def ar1_proxy(n, seed=13):
-    """An AR(1) proxy of n points, as in the memory test above."""
+    """An AR(1) proxy of n points."""
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, 0.1, n)
     x = np.empty_like(noise)

@@ -530,7 +530,7 @@ def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
                           capture_output=True, text=True, check=True)
-    assert int(done.stdout) < 32 * 1024  # KiB
+    assert int(done.stdout) < 20 * 1024  # KiB
     with open(out) as fh:
         assert sum(1 for _ in fh) == 10**6 + 1
 
@@ -643,10 +643,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     path_csv = tmp_path / "path.csv"
     assert main(["simulate", "--t", "2", "--n", "150", "--out", str(path_csv)]) == 0
-    proxies = {}
+    proxies, times = {}, {}
     for bad in ("nan", "inf"):
         proxies[bad] = tmp_path / f"xtilde_{bad}.csv"
         proxies[bad].write_text(f"t,xtilde\n0.1,0.2\n0.2,{bad}\n0.3,-0.1\n0.4,0.3\n")
+        times[bad] = tmp_path / f"t_{bad}.csv"
+        times[bad].write_text(f"t,xtilde\n0,0.2\n{bad},0.1\n0.2,-0.1\n0.3,0.3\n")
     prices = write_prices(tmp_path / "p.csv", [f"{i},{100 + i % 7}" for i in range(300)])
     capsys.readouterr()
     commands = {
@@ -676,6 +678,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                   for h in ("auto", "0.05")]
     # a non-finite proxy entry is named before anything is computed from it
     bad_entry = [["estimate", "--in", str(proxies[bad])] for bad in ("nan", "inf")]
+    # a non-finite time is named as such, not as a bad step or uneven spacing
+    bad_time = [["estimate", "--in", str(times[bad])] for bad in ("nan", "inf")]
     # a non-finite model parameter is an input error, not a state explosion,
     # and the message names the parameter
     simulate = ["simulate", "--t", "2", "--n", "150"]
@@ -683,7 +687,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "drift c": simulate + ["--jump", "vg", "--vg-c", "inf"],
                  "location": simulate + ["--jump", "cp", "--size-loc", "nan"],
                  "x0": simulate + ["--x0", "nan"]}
-    for argv in bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry + bad_cv_out:
+    for argv in (bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry + bad_time
+                 + bad_cv_out):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2, argv
@@ -692,9 +697,45 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv not in bad_delta or "error: delta must be" in err, err
         assert argv not in bad_h or "error: bandwidth must be positive" in err, err
         assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
+        assert argv not in bad_time or "non-finite 't' at 0-based data row 1" in err, err
         assert argv not in bad_cv_out or "--cv-out needs --h cv" in err, err
         assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
         assert not out.exists() and not cv_dump.exists(), argv
+
+
+def test_manifest_records_the_commands_own_peak_rss(tmp_path):
+    # a child's ru_maxrss keeps the spawning process's high-water mark across
+    # exec, here the test runner's, far above a small command's own peak; the
+    # manifest reads the command's own
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "path.csv"
+    argv = [sys.executable, "-m", "lljd", "simulate", "--t", "2", "--n", "200",
+            "--out", str(out)]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert 0 < manifest["diagnostics"]["peak_rss_mb"] <= usage.ru_maxrss / 1024
+
+
+def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.quantile and np.percentile import numpy.ma on their first call
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from lljd.cli import main\n"
+        "d = sys.argv[1]\n"
+        "assert main(['simulate', '--t', '2', '--n', '300', '--out', d + '/p.csv']) == 0\n"
+        "assert main(['estimate', '--in', d + '/p.csv', '--bands', '0.05',\n"
+        "             '--out', d + '/c.csv']) == 0\n"
+        "assert main(['mc-study', '--reps', '3', '--n', '200', '--out', d + '/m.json']) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_import_keeps_scipy_unloaded():
