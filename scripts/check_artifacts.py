@@ -13,15 +13,26 @@ Comparing two commits is a diff of two runs, one from each checkout:
     diff <(python3 a/scripts/check_artifacts.py /tmp/a) \\
          <(python3 b/scripts/check_artifacts.py /tmp/b)
 
+With --against OTHER_DIR, the artifacts of an earlier run (of another
+checkout, say) are compared as well: for each CSV whose sha256 differs, one
+more line gives the largest deviation of each column as a share of that
+column's largest magnitude in OTHER_DIR, and whether NaN sits in the same
+places. Other differing or missing files are named:
+
+    python3 scripts/check_artifacts.py /tmp/b --against /tmp/a
+
 Exits with status 1 when a command fails.
 """
 
 import argparse
+import csv
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,10 +84,37 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def read_csv(path: Path) -> dict:
+    """The columns of a CSV, by header name, as float arrays."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: np.array(col, dtype=float) for name, col in zip(header, zip(*rows))}
+
+
+def deviation(path: Path, other: Path) -> str:
+    """How the CSV `path` deviates from `other`, column by column."""
+    got, want = read_csv(path), read_csv(other)
+    if list(got) != list(want) or any(got[k].shape != want[k].shape for k in want):
+        return f"{path.name}: columns or rows differ from {other}"
+    devs, nan_differs = [], []
+    for name, col in want.items():
+        nan = np.isnan(col)
+        if not np.array_equal(nan, np.isnan(got[name])):
+            nan_differs.append(name)
+        scale = np.max(np.abs(col[~nan]), initial=0.0)
+        dev = np.max(np.abs(got[name][~nan] - col[~nan]), initial=0.0)
+        devs.append(f"{name} {dev / scale if scale > 0 else dev:.2g}")
+    nan_note = f"NaN places differ in {', '.join(nan_differs)}" if nan_differs else (
+        "NaN places match")
+    return f"{path.name}: {', '.join(devs)}; {nan_note}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", type=Path, help="directory for the artifacts (must be empty)")
+    ap.add_argument("--against", type=Path, metavar="OTHER_DIR",
+                    help="compare each differing artifact with its namesake in OTHER_DIR")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
     if any(args.outdir.iterdir()):
@@ -91,9 +129,21 @@ def main() -> int:
             print(f"failed ({proc.returncode}): {' '.join(argv)}\n{proc.stderr.strip()}",
                   file=sys.stderr)
             return 1
-    for path in sorted(args.outdir.iterdir()):
-        if not path.name.endswith(".manifest.json"):
-            print(f"{sha256(path)}  {path.name}")
+    artifacts = [path for path in sorted(args.outdir.iterdir())
+                 if not path.name.endswith(".manifest.json")]
+    for path in artifacts:
+        print(f"{sha256(path)}  {path.name}")
+    if args.against is not None:
+        for path in artifacts:
+            other = args.against / path.name
+            if not other.exists():
+                print(f"{path.name}: missing in {args.against}")
+            elif sha256(other) == sha256(path):
+                continue
+            elif path.suffix == ".csv":
+                print(deviation(path, other))
+            else:
+                print(f"{path.name}: differs from {other}")
     return 0
 
 

@@ -32,7 +32,6 @@ from .estimators import (
     estimate_curve,
     estimate_curves,
     fit_responses,
-    second_derivative_fit,
     second_moment_responses,
 )
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb

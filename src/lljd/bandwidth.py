@@ -36,22 +36,21 @@ The exact engine rescores, with the same deletion rule, every term whose
 binned leave-out fit rests on too little to be trusted to the bins:
 
     S_0 <= CV_MIN_MASS * K(0)                       few terms' kernel mass
-    (S_0 S_2 - S_1^2) * R <= S_0 S_2                nearly collinear
     S_0 S_2 - S_1^2 <= (CV_MIN_SPREAD D S_0)^2      spread within two bins
 
-the last two for the local linear fit, with R = CV_FALLBACK_RATIO. These
-are sparse-tail terms, where exact CV itself degenerates or nearly does and
-binning error in one weight would move the fit. The mass test also keeps
-terms just outside a compact kernel's support, which enter the binned sums
-with small weights, from making an exactly collinear leave-out design look
-well conditioned: without it, Epanechnikov CV values on the stand-ins below
-were up to 7e-4 off and 4 of 16 had different degenerate counts. The spread
-test catches tied values: terms at one place are spread over two bins,
-which gives an exactly collinear design a spread of up to a bin. A
-bandwidth narrower than CV_BINS_PER_H bins is scored by the exact engine
-throughout. FFT round-off is absolute, below 1e-15 of the largest sum
-(4e-16 to 8e-16 measured); tiny sums need no test of their own, because the
-mass test keeps every binned S_0 above 4 K(0) while no S_0 exceeds n K(0).
+the second for the local linear fit. These are sparse-tail terms, where
+exact CV itself degenerates or nearly does and binning error in one weight
+would move the fit. The mass test also keeps terms just outside a compact
+kernel's support, which enter the binned sums with small weights, from
+making an exactly collinear leave-out design look well conditioned: without
+it, Epanechnikov CV values on the stand-ins below were up to 7e-4 off and 4
+of 16 had different degenerate counts. The spread test catches tied values:
+terms at one place are spread over two bins, which gives an exactly
+collinear design a spread of up to a bin. A bandwidth narrower than
+CV_BINS_PER_H bins is scored by the exact engine throughout. FFT round-off
+is absolute, below 1e-15 of the largest sum (4e-16 to 8e-16 measured); tiny
+sums need no test of their own, because the mass test keeps every binned S_0
+above 4 K(0) while no S_0 exceeds n K(0).
 
 `scripts/check_cv_backends.py` compares the backends on the 16 five-minute
 stand-ins of the `empirical_cv` benchmark (4,799 terms each, the default
@@ -85,6 +84,7 @@ from .estimators import (
     _linear_bins,
     _poorly_binned,
     _power_sums,
+    _Responses,
     drift_responses,
     term_points,
 )
@@ -176,9 +176,10 @@ def cross_validate(
     resp = drift_responses(xt)
     n, degree = len(resp), _degree(cfg.method)
     terms = np.arange(n)
+    # the exact engine's weight columns, [1 | resp] by term block, and their tops
+    cols, tops = _Responses(xt, (drift_responses,)), [2 * degree, degree]
     if backend == "exact":
-        grid_sums = _power_sums(kpts, ppts, resp[:, None], ppts, cfg.kernel, h_grid,
-                                degree, _window(terms))
+        grid_sums = _power_sums(kpts, ppts, cols, tops, ppts, cfg.kernel, h_grid, _window(terms))
     else:
         s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
         lo = min(kpts.min(), ppts.min())  # one range for both
@@ -188,7 +189,7 @@ def cross_validate(
     for k, h in enumerate(h_grid):
         # the leave-out sums s, t at h; redo: the terms the exact engine scores
         if backend == "exact":
-            s, t, redo, m = grid_sums[0][k], grid_sums[1][k], terms, None
+            (s, t), redo, m = _combine(grid_sums[k], None, degree), terms, None
         else:
             m = _bin_count(h, span, binning.m if binning else CV_BINS)
             if binning is None or binning.m != m:
@@ -199,9 +200,9 @@ def cross_validate(
             else:
                 redo = np.flatnonzero(binning.sums(h, cfg.kernel, s, t))
             if redo.size:
-                exact = _power_sums(kpts, ppts, resp[:, None], ppts[redo], cfg.kernel, h,
-                                    degree, _window(redo))
-                s[redo], t[redo] = exact[0][0], exact[1][0]
+                exact = _power_sums(kpts, ppts, cols, tops, ppts[redo], cfg.kernel, h,
+                                    _window(redo))
+                s[redo], t[redo] = _combine(exact[0], None, degree)
         (pred,), _, ok = _closed_form(s, t, cfg.method, n)
         err = np.where(ok, resp - pred, resp - resp.mean())
         degen.append(n - np.count_nonzero(ok))

@@ -226,7 +226,8 @@ def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages
     """Shared tail of estimate and empirical: fit both curves at the chosen h,
     attach bands when --bands is given, write the curve CSV and its manifest,
     which records the seconds of each stage, how the curve pass and the bands'
-    pilot pass took their kernel sums (null without that pass) and `diagnostics`."""
+    pilot pass took their kernel sums (null without that pass), the undefined
+    grid points of curve and bands (null without bands) and `diagnostics`."""
     est = estimate_curve(series, grid, replace(cfg, bandwidth=choice.h))
     stages.lap("fit")
     if args.bands is not None:
@@ -234,7 +235,10 @@ def _fit_and_write(args, series: ProxySeries, grid, cfg: EstimatorConfig, stages
         stages.lap("bands")
     write_curve_csv(args.out, est)
     stages.lap("write")
-    fit = {"curve": est.sums, "pilot": est.bands.pilot_sums if est.bands else None}
+    b = est.bands
+    fit = {"curve": est.sums, "pilot": b.pilot_sums if b else None,
+           "undefined_count": est.undefined_count, "undefined_mu": b.undefined_mu if b else None,
+           "undefined_m": b.undefined_m if b else None}
     _write_manifest(args, stages.start, bandwidth=_bandwidth_record(choice), fit=fit,
                     stages=stages.seconds, **diagnostics)
     return est
@@ -275,7 +279,9 @@ def _load_series(args) -> ProxySeries:
     cols = read_columns_csv(args.infile, names)
     if args.delta is not None:
         delta = _parse_delta(args.delta)
-    elif "t" in cols and len(cols["t"]) > 1:
+    elif "t" in cols:
+        if len(cols["t"]) < 2:
+            raise ValidationError(f"{args.infile}: too few data rows ({len(cols['t'])})")
         bad = np.flatnonzero(~np.isfinite(cols["t"]))
         if bad.size:
             raise ValidationError(f"{args.infile}: non-finite 't' at 0-based data row "

@@ -26,11 +26,12 @@ d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
     S_j = sum_i K_i d_i^j         j = 0..2p
     T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
 
-One routine, `_power_sums`, computes them for any number of responses and
-any number of bandwidths, with a leading bandwidth axis. It tiles and sums
-the kernel weights of every direct sum: exact and binned fits (below), exact
-CV and the CV fallback. One routine, `_closed_form`, turns sums of degree
-`_degree(methods)` into the fits:
+One routine, `_power_sums`, sums K_i d_i^q times each of the caller's weight
+columns up to the column's own top power q, at any number of bandwidths. A
+fit's columns are [1 | responses]: the unit column up to 2p gives the S_j,
+each response up to p its T_j. It serves every direct sum: exact and binned
+fits (below), exact CV and the CV fallback. `_closed_form` turns sums of
+degree `_degree(methods)` into the fits:
 
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
@@ -41,8 +42,8 @@ CV and the CV fallback. One routine, `_closed_form`, turns sums of degree
                                     fourth power the bands need, and its S_0
                                     is the bands' density up to the two
                                     trailing proxies
-    second_derivative_fit           p=3: S_0..S_6 and T_0..T_3 form the 4x4
-                                    normal equations, solved in one batch
+    _local_cubic                    p=3, the bands' pilot: S_0..S_6, T_0..T_3
+                                    form the 4x4 normal equations
     bandwidth.cross_validate        backend 'exact': the p=0/1 fit at the
                                     regressor points, with an exclusion
                                     window, for the whole bandwidth grid in
@@ -65,12 +66,13 @@ form their responses per term block from the block's slice of the proxy
 with bands holds a few tiles, its bins and a few n-vectors: the grid's order
 statistics and the local cubic pass's scaled points (and, as written, its
 regressors and offsets). Both kernels are radial,
-K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine builds
-A = [1 | responses]; per tile it takes d, the squared kernel-point distances
-and the window once; then, for each bandwidth,
+K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine orders the
+columns A by falling top, so those summed at power q are a leading slice A_q;
+per tile it takes d, the squared kernel-point distances and the window once;
+then, for each bandwidth,
 
     w = g(d_k^2 / h^2)    in place; for the Gaussian a scale and an exp
-    S_j, T_j = w @ A      one BLAS product per power j <= p (S_j = w @ 1 above)
+    sums at power q       w @ A_q, one BLAS product per power
     w *= d                between powers
 
 and it divides the finished sums by z once per call. A distance whose square
@@ -85,16 +87,16 @@ gets exact sums). With dk = kernel point - x and e = regressor - kernel
 point, d^j = sum_q C(j, q) dk^q e^(j-q): S_j and T_j combine (`_combine`)
 sums of K dk^q over the weight columns of `_columns`, [1 | responses] where
 e = 0 (aligned), else e^m and e^m r. One `_power_sums` call takes the M bin
-centres c_b as its terms and the binned columns as its responses, so each
+centres c_b as its terms and the binned columns, each to its top, so each
 sums K((c_b - x)/h) (c_b - x)^q over the bins, in the tiles of every other
 sum. A term with bin weights g and f = 1 - g puts on its bins the chord of
 phi = K dk^q, which exceeds phi by D^2 f g phi'' / 2 (D the bin width). The
 points are therefore binned a second time, weighted by f g, as more columns
 of that call; for the Gaussian, phi'' combines K dk^(q-2), K dk^q and
-K dk^(q+2), so the call sums two more powers (`powers`) to give the excess,
-and the pass subtracts it. Grid points that fail a fallback test of binned
-CV (`lljd.bandwidth`) get exact sums, so NaN sits where the exact fit has
-it. On the default grid every column of fit and bands is within 2.1e-9 of
+K dk^(q+2), so those columns go two powers above their tops to give the
+excess, and the pass subtracts it. Grid points that fail a fallback test of
+binned CV (`lljd.bandwidth`) get exact sums, so NaN sits where the exact fit
+has it. On the default grid every column of fit and bands is within 2.1e-9 of
 its largest magnitude of the exact one, at either alignment (AR(1) proxies
 of 66k-200k terms, CP and VG paths of 70k-150k; the tests hold 5e-7). Over
 the data's whole range it was within 1.3e-7, but for the second-moment band
@@ -128,7 +130,6 @@ __all__ = [
     "fit_responses",
     "estimate_curve",
     "estimate_curves",
-    "second_derivative_fit",
 ]
 
 LOCAL_LINEAR = "local_linear"
@@ -155,11 +156,10 @@ TILE_ELEMENTS = 1 << 17
 # Binned sums, of CV and of large fits: the most bins, and the bins that a
 # bandwidth's bin count puts inside one h. Their exact-fallback tests
 # (`lljd.bandwidth`): the least kernel mass in units of K(0), i.e. of terms
-# at zero distance; R; and the least weighted spread of the design, in bins.
+# at zero distance, and the least weighted spread of the design, in bins.
 CV_BINS = 1 << 14
 CV_H_BINS = 128
 CV_MIN_MASS = 4.0
-CV_FALLBACK_RATIO = 100.0
 CV_MIN_SPREAD = 2.0
 # The fewest terms of a fit that takes binned sums.
 BINNED_MIN_TERMS = 1 << 16
@@ -236,18 +236,18 @@ def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
 
 
 class _Responses:
-    """The response columns `funcs` (such as `drift_responses`) of the terms
-    of `xt`, computed per block of terms from the block's slice of the proxy.
-    The engines read only `responses[block]` and `responses.shape`, so no
-    [n_terms, R] matrix is built, and every entry keeps its bits."""
+    """The weight columns [1 | responses] of the response columns `funcs`
+    (such as `drift_responses`) of the terms of `xt`, computed per block of
+    terms from the block's slice of the proxy. The engines read only
+    `cols[block]` and `cols.shape`: no [n_terms, R] matrix is built."""
 
     def __init__(self, xt: ProxySeries, funcs):
         self.xt, self.funcs = xt, funcs
-        self.shape = (len(xt.xt) - 2, len(funcs))
+        self.shape = (len(xt.xt) - 2, 1 + len(funcs))
 
     def __getitem__(self, block: slice) -> np.ndarray:
         part = ProxySeries(self.xt.delta, self.xt.xt[block.start : block.stop + 2])
-        return np.column_stack([f(part) for f in self.funcs])
+        return np.insert(np.column_stack([f(part) for f in self.funcs]), 0, 1.0, axis=1)
 
 
 def default_grid(xt: ProxySeries, n_points: int = 101, range_mode: str = "inner") -> np.ndarray:
@@ -279,28 +279,28 @@ def _quantiles(a, q):
     return np.where(gamma >= 0.5, part[hi] - diff * (1 - gamma), below + diff * gamma)
 
 
-def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
-                window=None, powers=None):
-    """Weighted power sums of the degree-`degree` local polynomial fit (see
-    the module docstring) at each bandwidth of the 1-d array `h`:
-    s[k, g, j] = S_j at h[k] for j = 0..2*degree and t[k, g, j, r] = T_j of
-    column r of `responses` [n_terms, R] for j = 0..degree. `window` =
-    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g], and
-    `powers` (default 2 * degree + 1) is how many S_j, j = 0.., it sums."""
+def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h, window=None):
+    """Kernel-weighted power sums of the weight columns `cols` [n_terms, C],
+    which the engine reads by term block (`cols[block]`), at each bandwidth of
+    the 1-d array `h`: a[k, g, q, c] = sum_i K_i d_i^q cols[i, c] at h[k] for
+    q = 0..tops[c], and 0 above (see the module docstring). `window` =
+    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g]."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    n, n_grid, n_resp = len(kpts), len(grid), responses.shape[1]
-    powers = 2 * degree + 1 if powers is None else powers
+    n, n_grid = len(kpts), len(grid)
     # 1/h^2, or where that overflows the largest float: g(0) at d = 0 still
     scales = [min(1.0 / hk / hk, sys.float_info.max) for hk in np.atleast_1d(h).tolist()]
-    # [S_j | T_j of every response]; for j > degree only S_j
-    acc = np.zeros((len(scales), n_grid, powers, 1 + n_resp))
+    # by falling top, the columns summed at power q are the leading live[q]
+    # (Python's sort: np.argsort pages in numpy's SIMD sort code, 0.4 MB of RSS)
+    order = sorted(range(len(tops)), key=lambda c: -tops[c])
+    live = [sum(top >= q for top in tops) for q in range(max(tops) + 1)]
+    acc = np.zeros((len(scales), n_grid, len(live), len(tops)))
     rows = max(1, min(n_grid, TILE_ROWS))
-    cols = max(1, min(n, TILE_ELEMENTS // rows))
+    step = max(1, min(n, TILE_ELEMENTS // rows))
     # far weights underflow to 0, huge d^2 overflow to g(inf) = 0: right limits
     with np.errstate(over="ignore", under="ignore"):
-        for c0 in range(0, n, cols):
-            block = slice(c0, c0 + cols)
-            a = np.insert(responses[block], 0, 1.0, axis=1)  # [1 | responses]
+        for c0 in range(0, n, step):
+            block = slice(c0, c0 + step)
+            a = cols[block].take(order, axis=1)  # C-ordered; a[:, order] rounds otherwise
             for r0 in range(0, n_grid, rows):
                 x = grid[r0 : r0 + rows, None]
                 d = ppts[None, block] - x
@@ -315,15 +315,12 @@ def _power_sums(kpts, ppts, responses, grid, kernel: Kernel, h, degree: int,
                     kernel.profile(d2, scale, w)
                     if window is not None:
                         w[zr, zc] = 0.0
-                    for j in range(powers):
-                        if j <= degree:
-                            acc[k, r0 : r0 + rows, j] += w @ a
-                        else:
-                            acc[k, r0 : r0 + rows, j, 0] += w @ a[:, 0]
-                        if j < powers - 1:
+                    for q, c in enumerate(live):
+                        acc[k, r0 : r0 + rows, q, :c] += w @ a[:, :c]
+                        if q < len(live) - 1:
                             w *= d
     acc /= kernel.norm
-    return acc[..., 0], acc[:, :, : degree + 1, 1:]
+    return acc[..., sorted(range(len(order)), key=order.__getitem__)]
 
 
 def _bin_count(h: float, span: float, m: int = CV_BINS) -> int:
@@ -354,10 +351,7 @@ def _poorly_binned(s, k0, width: float, degree: int):
     s0 = s[:, 0]
     poor = s0 <= CV_MIN_MASS * k0
     if degree:
-        s0s2 = s0 * s[:, 2]
-        det = s0s2 - s[:, 1] ** 2
-        poor |= det * CV_FALLBACK_RATIO <= s0s2
-        poor |= det <= (CV_MIN_SPREAD * width * s0) ** 2
+        poor |= s0 * s[:, 2] - s[:, 1] ** 2 <= (CV_MIN_SPREAD * width * s0) ** 2
     return poor
 
 
@@ -384,55 +378,57 @@ def _combine(a, e, degree: int):
     return np.stack(s, axis=-1), np.stack(t, axis=-2)
 
 
-def _binned_power_sums(kpts, e, responses, grid, kernel: Kernel, h: float, degree: int,
+def _binned_power_sums(kpts, e, cols, grid, kernel: Kernel, h: float, degree: int,
                        m: int, width: float):
-    """_power_sums of one Gaussian bandwidth, without its bandwidth axis, from
-    bins of `width`; e = ppts - kpts or None (see the module docstring)."""
+    """The S_j and T_j of `_fit_sums` at one Gaussian bandwidth, from bins of
+    `width`; e = ppts - kpts or None (see the module docstring)."""
     lo = float(kpts.min())
     binned = 0.0  # the binned columns of `_columns`, then the same weighted by f g
     step = TILE_ELEMENTS // TILE_ROWS  # the engine's own term block
     for c0 in range(0, len(kpts), step):
         block = slice(c0, c0 + step)
         b, f, g = _linear_bins(kpts[block], lo, width, m)
-        cols, _ = _columns(None if e is None else e[block], responses[block], degree)
-        sums = _bin_weights(b, f, g, cols, m)
+        weights, tops = _columns(None if e is None else e[block], cols[block][:, 1:], degree)
+        sums = _bin_weights(b, f, g, weights, m)
         fg = f * g
         f *= fg
         g *= fg
-        binned += np.column_stack(sums + _bin_weights(b, f, g, cols, m))
+        binned += np.column_stack(sums + _bin_weights(b, f, g, weights, m))
     centres = lo + width * np.arange(m)
     scale = min(1.0 / h / h, sys.float_info.max)
-    powers = 2 * degree + 3  # two beyond the fit's own, for the correction
-    # the bin centres are the terms, and each binned column a response
-    _, t = _power_sums(centres, centres, binned, grid, kernel, h, powers - 1, powers=powers)
-    s, s_fg = np.split(t[0], 2, axis=2)
+    # the bin centres are the terms; the f g columns go two powers further,
+    # for the correction
+    a = _power_sums(centres, centres, binned, tops + [top + 2 for top in tops], grid, kernel, h)
+    s, s_fg = np.split(a[0], 2, axis=2)
     # a term's chord exceeds phi = K d^j by D^2 f g phi'' / 2, and here
     # phi'' = K (d^(j+2) / h^4 - (2j + 1) d^j / h^2 + j (j - 1) d^(j-2))
-    j = np.arange(powers - 2)[:, None]
+    j = np.arange(s.shape[1] - 2)[:, None]
     err = (s_fg[:, 2:] * scale - (2 * j + 1) * s_fg[:, :-2]) * scale
     err[:, 2:] += j[2:] * (j[2:] - 1) * s_fg[:, :-4]
     return _combine(s[:, :-2] - 0.5 * width * width * err, e, degree)
 
 
-def _fit_sums(kpts, ppts, responses, grid, kernel: Kernel, h: float, degree: int):
-    """The power sums of one fit at bandwidth h, without the bandwidth axis,
-    and how they were taken: the backend, binned or exact, the bin count and
-    the grid points rescored exactly, the last two None when exact."""
+def _fit_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int):
+    """S_0..S_2p and T_0..T_p of the degree-p fit at bandwidth h of the
+    weight columns `cols` = [1 | responses], and how they were taken: the
+    backend, binned or exact, the bin count and the grid points rescored
+    exactly, the last two None when exact."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    tops = [2 * degree] + [degree] * (cols.shape[1] - 1)
     if kernel is GAUSSIAN and len(kpts) >= BINNED_MIN_TERMS:
         span = float(np.ptp(kpts))
         m = _bin_count(h, span)
         width = span / (m - 1) or 1.0
         if h >= CV_H_BINS * width:
             e = None if ppts is kpts else ppts - kpts
-            s, t = _binned_power_sums(kpts, e, responses, grid, kernel, h, degree, m, width)
+            s, t = _binned_power_sums(kpts, e, cols, grid, kernel, h, degree, m, width)
             redo = np.flatnonzero(_poorly_binned(s, kernel.eval(0.0), width, degree))
             if redo.size:
-                exact = _power_sums(kpts, ppts, responses, grid[redo], kernel, h, degree)
-                s[redo], t[redo] = exact[0][0], exact[1][0]
+                exact = _power_sums(kpts, ppts, cols, tops, grid[redo], kernel, h)
+                s[redo], t[redo] = _combine(exact[0], None, degree)
             return s, t, {"backend": "binned", "bins": m, "rescored": int(redo.size)}
-    s, t = _power_sums(kpts, ppts, responses, grid, kernel, h, degree)
-    return s[0], t[0], {"backend": "exact", "bins": None, "rescored": None}
+    s, t = _combine(_power_sums(kpts, ppts, cols, tops, grid, kernel, h)[0], None, degree)
+    return s, t, {"backend": "exact", "bins": None, "rescored": None}
 
 
 def _degree(*methods) -> int:
@@ -467,8 +463,8 @@ def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
         raise ValidationError(
             f"expected {len(kpts)} responses (one per term), got {len(responses)}"
         )
-    s, t, _ = _fit_sums(kpts, ppts, responses[:, None], grid, cfg.kernel, cfg.bandwidth,
-                        _degree(cfg.method))
+    s, t, _ = _fit_sums(kpts, ppts, np.column_stack([np.ones(len(kpts)), responses]), grid,
+                        cfg.kernel, cfg.bandwidth, _degree(cfg.method))
     (vals,), n_eff, ok = _closed_form(s, t, cfg.method, len(kpts))
     return vals, n_eff, int((~ok).sum())
 
@@ -515,35 +511,16 @@ def estimate_curves(xt: ProxySeries, grid, cfg: EstimatorConfig, methods) -> dic
     return out
 
 
-def second_derivative_fit(
-    xt: ProxySeries,
-    responses,
-    grid,
-    kernel: Kernel,
-    h: float,
-    index_alignment: str = "aligned",
-) -> np.ndarray:
-    """Second derivative of the response curve via a local cubic fit.
-
-    `responses` is one vector per estimating term, or several stacked as
-    rows; the result is then [G] or one row per response. Derivative
-    estimation needs more smoothing than the curve itself, so callers
-    normally pass a pilot bandwidth larger than their curve h. Grid points
-    with an empty neighbourhood or singular design come back NaN.
-    """
-    responses = np.asarray(responses, dtype=float)
-    out = _local_cubic(xt, np.atleast_2d(responses).T, grid, kernel, h, index_alignment)[0]
-    return out if responses.ndim > 1 else out[0]
-
-
-def _local_cubic(xt, responses, grid, kernel, h, index_alignment):
-    """second_derivative_fit of the columns of `responses` [n_terms, R], one
-    row per column, and how its kernel sums were taken (`_fit_sums`)."""
+def _local_cubic(xt, cols, grid, kernel, h, index_alignment):
+    """Second derivatives over `grid`, one row per response, of local cubic
+    fits of `cols` = [1 | responses] at a pilot bandwidth h (above the curve
+    h: derivatives need more smoothing), and how the kernel sums were taken
+    (`_fit_sums`). An empty neighbourhood or singular design gives NaN."""
     kpts, ppts = term_points(xt, index_alignment)
     # sums in u = d/h, where the normal equations are well scaled
     u = kpts / h
     s, t, sums = _fit_sums(
-        u, u if ppts is kpts else ppts / h, responses,
+        u, u if ppts is kpts else ppts / h, cols,
         np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
     )
     mat = s[:, np.add.outer(np.arange(4), np.arange(4))]

@@ -17,8 +17,9 @@ from lljd.estimators import (
     drift_responses,
     estimate_curve,
     fit_responses,
+    _combine,
+    _local_cubic,
     _power_sums,
-    second_derivative_fit,
     second_moment_responses,
     term_points,
 )
@@ -46,12 +47,25 @@ def ll_weights(xt, x, cfg):
     return kv * (s2 - d * s1)
 
 
+def with_unit(resp):
+    """[1 | resp]: the weight columns of a fit of the responses `resp`."""
+    return np.column_stack([np.ones(len(resp)), resp])
+
+
+def power_sums(kpts, ppts, resp, grid, kernel, h, degree, window=None):
+    """S_0..S_2p and T_0..T_p, p = degree, of the responses resp [n_terms, R]
+    from the engine, with a leading bandwidth axis."""
+    tops = [2 * degree] + [degree] * resp.shape[1]
+    a = _power_sums(kpts, ppts, with_unit(resp), tops, grid, kernel, h, window)
+    return _combine(a, None, degree)
+
+
 def density_estimate(xt, grid, kernel, h):
     """Kernel density of the proxy sample over a grid: S_0 of a degree-0
     pass over every proxy, / (n h). The oracle of the bands' density, which
     they take from the kernel mass of the curve pass."""
     arr = xt.xt
-    s, _ = _power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
+    s, _ = power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
     return s[0, :, 0] / (len(arr) * h)
 
 
@@ -315,12 +329,12 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
         out = []
         for p in (0, 1, 3):
             for w in (None, window):
-                s, t = _power_sums(kpts, ppts, resp, grid, kernel, hs, p, w)
+                s, t = power_sums(kpts, ppts, resp, grid, kernel, hs, p, w)
                 assert s.shape == (3, len(grid), 2 * p + 1)
                 assert t.shape == (3, len(grid), p + 1, 2)
                 # a bandwidth vector gives the sums of one call per bandwidth
                 for k, hk in enumerate(hs):
-                    one_s, one_t = _power_sums(kpts, ppts, resp, grid, kernel, hk, p, w)
+                    one_s, one_t = power_sums(kpts, ppts, resp, grid, kernel, hk, p, w)
                     assert_agree(s[k], one_s[0])
                     assert_agree(t[k], one_t[0])
                 out += [np.concatenate([s[k], t[k].reshape(len(grid), -1)], axis=1)
@@ -328,7 +342,7 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
         for method in (LOCAL_LINEAR, NADARAYA_WATSON):
             est = estimate_curve(xt, grid, EstimatorConfig(h, kernel, method=method))
             out += [est.mu_hat, est.m_hat, est.n_eff]
-        out.append(second_derivative_fit(xt, resp.T, grid, kernel, 2 * h).T)
+        out.append(_local_cubic(xt, with_unit(resp), grid, kernel, 2 * h, "aligned")[0].T)
         out.append(density_estimate(xt, grid, kernel, h))
         cv = cross_validate(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel), "exact")
         out.append(np.array([c for _, c in cv.cv_curve]))
@@ -384,7 +398,7 @@ def test_power_sums_match_the_per_power_reference(monkeypatch, kernel, alignment
         monkeypatch.setattr(estimators, "TILE_ELEMENTS", elements)
         for degree in (0, 1, 3):
             for w in (None, window):
-                s, t = _power_sums(kpts, ppts, resp, grid, kernel, hs, degree, w)
+                s, t = power_sums(kpts, ppts, resp, grid, kernel, hs, degree, w)
                 ref_s, ref_t = reference_power_sums(kpts, ppts, resp, grid, kernel, hs,
                                                     degree, w)
                 for k in range(len(hs)):
@@ -399,6 +413,32 @@ def test_power_sums_match_the_per_power_reference(monkeypatch, kernel, alignment
                     assert not ok.all()
 
 
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
+def test_power_sums_sum_each_column_to_its_own_top(monkeypatch, kernel, alignment):
+    # columns in any order of their tops: each is summed up to its own top
+    # power and is 0 above it, across row tiles and term blocks
+    monkeypatch.setattr(estimators, "TILE_ROWS", 7)
+    monkeypatch.setattr(estimators, "TILE_ELEMENTS", 7 * 128)
+    rng = np.random.default_rng(22)
+    xt = series(rng.normal(0.0, 1.0, 502))
+    kpts, ppts = term_points(xt, alignment)
+    resp = rng.normal(0.0, 1.0, (500, 3))
+    grid = np.concatenate([np.linspace(-3.0, 3.0, 19), [40.0]])
+    idx = rng.integers(0, 500, len(grid))
+    window = (idx - 1, idx + 2)
+    hs = np.array([0.1, 0.5])
+    ref_s, ref_t = reference_power_sums(kpts, ppts, resp, grid, kernel, hs, 3, window)
+    ref = np.concatenate([ref_s[..., :4, None], ref_t], axis=3)  # powers 0..3 of [1 | resp]
+    tops = [2, 3, 0, 1]
+    a = _power_sums(kpts, ppts, with_unit(resp), tops, grid, kernel, hs, window)
+    assert a.shape == (2, len(grid), 4, 4)
+    for c, top in enumerate(tops):
+        for k in range(len(hs)):
+            assert_agree(a[k, :, : top + 1, c], ref[k, :, : top + 1, c])
+        assert not a[:, :, top + 1 :, c].any()
+
+
 @pytest.mark.parametrize("h", [1e-300, np.finfo(float).tiny])
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV], ids=["gaussian", "epanechnikov"])
 def test_power_sums_at_a_bandwidth_whose_square_underflows(kernel, h):
@@ -408,7 +448,7 @@ def test_power_sums_at_a_bandwidth_whose_square_underflows(kernel, h):
     resp = np.arange(6.0)[:, None]
     grid = np.array([0.5, 1.0, 0.25, 3.0])
     with np.errstate(all="raise"):
-        s, t = _power_sums(pts, pts, resp, grid, kernel, h, 1)
+        s, t = power_sums(pts, pts, resp, grid, kernel, h, 1)
     k0 = float(kernel.eval(0.0))
     at = pts[None, :] == grid[:, None]
     assert s[0, :, 0] == pytest.approx(at.sum(axis=1) * k0, rel=1e-15, abs=0.0)
@@ -428,8 +468,8 @@ def test_cubic_fit_undefined_where_fewer_than_four_regressors_carry_weight():
     resp = drift_responses(xt)
     h = 0.3
     grid = np.array([-0.5, 5.1, 0.0, 0.5])  # only 5.0, 5.1, 5.2 lie within h of 5.1
-    got = second_derivative_fit(xt, resp, grid, EPANECHNIKOV, h)
-    alone = second_derivative_fit(xt, resp, grid[[0, 2, 3]], EPANECHNIKOV, h)
+    (got,), _ = _local_cubic(xt, with_unit(resp), grid, EPANECHNIKOV, h, "aligned")
+    (alone,), _ = _local_cubic(xt, with_unit(resp), grid[[0, 2, 3]], EPANECHNIKOV, h, "aligned")
     assert np.isnan(got[1])
     assert np.allclose(got[[0, 2, 3]], alone, rtol=1e-12, atol=0.0)
     kpts, ppts = term_points(xt)
@@ -577,27 +617,46 @@ def test_large_fit_past_the_data_is_undefined_where_the_exact_fit_is(monkeypatch
         assert_near_exact(got, want, 5e-7)
 
 
+def column_tops(degree, responses, alignment):
+    """The top power of each weight column of a binned pass of `responses`
+    response columns: [1 | responses] aligned; as written, e^m to power
+    2 degree - m, then e^m r to power degree - m."""
+    if alignment == "aligned":
+        return [2 * degree] + [degree] * responses
+    return ([2 * degree - m for m in range(2 * degree + 1)]
+            + [degree - m for m in range(degree + 1) for _ in range(responses)])
+
+
 def test_binned_fits_take_their_sums_from_the_tile_engine(monkeypatch, large_proxy):
     # each binned pass hands its bin centres to `_power_sums` as the terms,
-    # then its poorly binned grid points to one exact call over the terms
+    # with its binned columns to their tops and the same columns weighted by
+    # f g two powers further, and no bare unit column; then its poorly binned
+    # grid points to one exact call over the terms with [1 | responses]
     calls = []
     engine = estimators._power_sums
 
-    def spy(kpts, ppts, responses, grid, *args, **kwargs):
-        calls.append((len(kpts), len(grid), ppts is kpts))
-        return engine(kpts, ppts, responses, grid, *args, **kwargs)
+    def spy(kpts, ppts, cols, tops, grid, *args, **kwargs):
+        calls.append((len(kpts), len(grid), ppts is kpts, cols.shape[1], list(tops)))
+        return engine(kpts, ppts, cols, tops, grid, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "_power_sums", spy)
     xt = large_proxy
     h = rule_of_thumb(xt).h
     grid = past_the_data_grid(xt, h)
-    _, sums, pilot = fit_columns(xt, grid, EstimatorConfig(h), True)
-    want = []
-    for p in (sums, pilot):
-        assert p["backend"] == "binned" and p["rescored"] > 0
-        want += [(p["bins"], len(grid), True), (len(xt.xt) - 2, p["rescored"], True)]
-    assert (sums["bins"], pilot["bins"]) == (4096, 2048)
-    assert calls == want
+    for alignment in ("aligned", "as_written"):
+        calls.clear()
+        _, sums, pilot = fit_columns(xt, grid, EstimatorConfig(h, index_alignment=alignment),
+                                     True)
+        want = []
+        # the curve pass fits 3 responses at degree 1, the pilot pass 2 at degree 3
+        for p, responses, degree in ((sums, 3, 1), (pilot, 2, 3)):
+            assert p["backend"] == "binned" and p["rescored"] > 0
+            tops = column_tops(degree, responses, alignment)
+            want += [(p["bins"], len(grid), True, 2 * len(tops), tops + [t + 2 for t in tops]),
+                     (len(xt.xt) - 2, p["rescored"], alignment == "aligned",
+                      1 + responses, [2 * degree] + [degree] * responses)]
+        assert (sums["bins"], pilot["bins"]) == (4096, 2048)
+        assert calls == want, alignment
 
 
 @pytest.mark.parametrize("terms", [(1 << 16) - 1, 1 << 16])
@@ -609,7 +668,7 @@ def test_fits_below_the_binning_threshold_are_the_exact_engine_bit_for_bit(terms
     kpts, ppts = term_points(xt)
     resp = np.column_stack([drift_responses(xt), second_moment_responses(xt),
                             estimators.fourth_moment_responses(xt)])
-    s, t = _power_sums(kpts, ppts, resp, grid, GAUSSIAN, h, 1)
+    s, t = power_sums(kpts, ppts, resp, grid, GAUSSIAN, h, 1)
     (mu_hat, m_hat, _), n_eff, _ = estimators._closed_form(s[0], t[0], LOCAL_LINEAR, terms)
     same = [np.array_equal(a, b, equal_nan=True)
             for a, b in ((est.mu_hat, mu_hat), (est.m_hat, m_hat), (est.n_eff, n_eff))]

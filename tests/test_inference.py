@@ -13,8 +13,8 @@ from lljd.estimators import (
     drift_responses,
     estimate_curve,
     fit_responses,
+    _local_cubic,
     fourth_moment_responses,
-    second_derivative_fit,
     second_moment_responses,
 )
 from lljd.inference import FOURTH_MOMENT_SCALE, _normal_critical, attach_bands
@@ -22,7 +22,7 @@ from lljd.kernels import EPANECHNIKOV, GAUSSIAN
 from lljd.proxy import build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
-from test_estimators import density_estimate
+from test_estimators import density_estimate, with_unit
 
 
 def fitted(seed=0, n=800, t_span=10.0, model=None, grid=None):
@@ -72,8 +72,9 @@ def test_bias_correction_shifts_center_by_exactly_the_curvature_term():
     est, pr = fitted(seed=3)
     corrected = attach_bands(est, pr, alpha=0.05)
     plain = attach_bands(est, pr, alpha=0.05, bias_corrected=False)
-    mu2 = second_derivative_fit(
-        pr, drift_responses(pr), est.grid, est.kernel, corrected.pilot_h, est.index_alignment
+    (mu2,), _ = _local_cubic(
+        pr, with_unit(drift_responses(pr)), est.grid, est.kernel, corrected.pilot_h,
+        est.index_alignment,
     )
     bias = 0.5 * est.h**2 * mu2 * est.kernel.second_moment
     ok = np.isfinite(corrected.lo_mu) & np.isfinite(plain.lo_mu)
@@ -161,7 +162,8 @@ def oracle_bands(est, pr, alpha, pilot_h):
         ("mu", drift_responses(pr), est.mu_hat, est.m_hat),
         ("m", second_moment_responses(pr), est.m_hat, FOURTH_MOMENT_SCALE * c4_raw),
     ):
-        c2 = second_derivative_fit(pr, resp, est.grid, est.kernel, pilot_h, est.index_alignment)
+        (c2,), _ = _local_cubic(pr, with_unit(resp), est.grid, est.kernel, pilot_h,
+                                est.index_alignment)
         center = estimate - 0.5 * est.h**2 * c2 * est.kernel.second_moment
         ok = np.isfinite(center) & (p_hat > 1e-10) & np.isfinite(spread) & (spread >= 0.0)
         half = z * np.sqrt(est.kernel.roughness * np.where(ok, spread, np.nan) / p_hat) / rate
@@ -203,7 +205,7 @@ def test_bands_add_only_the_local_cubic_kernel_pass(monkeypatch):
     power_sums = estimators._power_sums
 
     def counted(*args, **kwargs):
-        degrees.append(args[6])
+        degrees.append(max(args[3]) // 2)  # the unit column's top is 2 p
         return power_sums(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "_power_sums", counted)

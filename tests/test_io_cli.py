@@ -195,6 +195,14 @@ def test_cli_empirical_manifest_records_the_ingest(tmp_path):
     manifest = json.loads(Path(f"{curve}.manifest.json").read_text())
     assert manifest["diagnostics"]["ingest"] == {
         "rows": 242, "dropped": 0, "delta": 1 / 96, "gaps_treated_as_uniform_steps": True}
+    # and the undefined grid points of the curve, and of the bands when given
+    for bands in ([], ["--bands", "0.05"]):
+        assert main(["empirical", "--in", str(f), "--price-col", "close", "--out", str(curve)]
+                    + bands) == 0
+        record = fit_record(curve)
+        assert {k: record[k] for k in ("undefined_count", "undefined_mu", "undefined_m")} == (
+            undefined_counts(curve))
+        assert (record["undefined_mu"] is None) == (not bands)
 
 
 def test_path_and_proxy_csv_exact_text(tmp_path):
@@ -335,9 +343,16 @@ def test_cli_estimate_pipeline(tmp_path):
     # the manifest records how each kernel pass took its sums: exactly, on
     # a sample this small, and binned with 2^16 terms or more
     exact = {"backend": "exact", "bins": None, "rescored": None}
-    assert fit_record(curve_csv) == {"curve": exact, "pilot": exact}
+    assert fit_record(curve_csv) == {"curve": exact, "pilot": exact, **undefined_counts(curve_csv)}
     assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv)]) == 0
-    assert fit_record(curve_csv) == {"curve": exact, "pilot": None}
+    assert fit_record(curve_csv) == {"curve": exact, "pilot": None, **undefined_counts(curve_csv)}
+    assert fit_record(curve_csv)["undefined_mu"] is None
+    # grid points far past the data are undefined in the curve and both bands
+    assert main(["estimate", "--in", str(path_csv), "--out", str(curve_csv), "--bands", "0.05",
+                 "--grid-lo", "-50", "--grid-hi", "50"]) == 0
+    counts = undefined_counts(curve_csv)
+    assert fit_record(curve_csv) == {"curve": exact, "pilot": exact, **counts}
+    assert min(counts.values()) > 0
     rng = np.random.default_rng(3)
     proxy_csv = tmp_path / "proxy.csv"
     write_proxy_csv(proxy_csv, ProxySeries(0.01, np.cumsum(rng.normal(0.0, 0.01, 70_000))))
@@ -355,6 +370,14 @@ def test_cli_estimate_pipeline(tmp_path):
 
 def fit_record(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["fit"]
+
+
+def undefined_counts(curve_csv):
+    """The manifest's undefined grid points as the curve CSV shows them: the
+    NaN of mu_hat, and of each band (None without bands)."""
+    nan = {name: int(np.isnan(col).sum()) for name, col in read_columns_csv(curve_csv).items()}
+    return {"undefined_count": nan["mu_hat"], "undefined_mu": nan.get("lo_mu"),
+            "undefined_m": nan.get("lo_m")}
 
 
 def test_cli_estimate_cv_bandwidth(tmp_path):
@@ -701,6 +724,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv not in bad_cv_out or "--cv-out needs --h cv" in err, err
         assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
         assert not out.exists() and not cv_dump.exists(), argv
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_cli_estimate_names_too_few_rows_not_a_missing_time_column(tmp_path, capsys, rows):
+    # a t,y file with a header only, or one data row, has its t column
+    f = tmp_path / "short.csv"
+    f.write_text("t,y\n" + "0.0,1.0\n" * rows)
+    assert main(["estimate", "--in", str(f), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: too few data rows ({rows})\n", err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_manifest_records_the_commands_own_peak_rss(tmp_path):
