@@ -43,14 +43,15 @@ def lljd(*args) -> list:
 
 # The suite: simulated paths with both jump types, one of them long enough
 # (52,010 steps) to carry x and y across two blocks of one lane, estimates
-# with CV, bands and a CV dump at both index alignments, fits with bands of
-# 70,000 terms at both alignments, the curve fits large enough to take binned
-# sums (`BINNED_MIN_TERMS`), the empirical pipeline on a five-day
-# stand-in, a single MC config with its band and QQ extracts, and three preset
-# tables, whose lanes take compound Poisson (tables 2 and 3) and Variance
-# Gamma (table 6) jumps. The lanes of a replicate share its seed; table 3's
-# 25 replicates take two lane batches. Each entry is the argument list of one
-# `python` run.
+# with CV, bands and a CV dump at both index alignments and with the
+# Epanechnikov kernel (its exact fit and pilot, and binned CV's windowed
+# exact fallback), fits with bands of 70,000 terms at both alignments, the
+# curve fits large enough to take binned sums (`BINNED_MIN_TERMS`), the
+# empirical pipeline on a five-day stand-in, a single MC config with its band
+# and QQ extracts, and three preset tables, whose lanes take compound Poisson
+# (tables 2 and 3) and Variance Gamma (table 6) jumps. The lanes of a
+# replicate share its seed; table 3's 25 replicates take two lane batches.
+# Each entry is the argument list of one `python` run.
 COMMANDS = [
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "cp",
          "--out", "sim_cp.csv"),
@@ -64,6 +65,8 @@ COMMANDS = [
          "--cv-out", "cv.csv", "--out", "curve_cp.csv"),
     lljd("estimate", "--in", "sim_cp.csv", "--alignment", "as_written", "--h", "cv",
          "--cv-out", "cv_aw.csv", "--out", "curve_aw.csv"),
+    lljd("estimate", "--in", "sim_cp.csv", "--kernel", "epanechnikov", "--h", "cv",
+         "--bands", "0.05", "--cv-out", "cv_epa.csv", "--out", "curve_epa.csv"),
     lljd("estimate", "--in", "sim_vg.csv", "--bands", "0.05", "--out", "curve_vg.csv"),
     lljd("estimate", "--in", "sim_big.csv", "--bands", "0.05", "--out", "curve_big.csv"),
     lljd("estimate", "--in", "sim_big.csv", "--alignment", "as_written", "--bands", "0.05",

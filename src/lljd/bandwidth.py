@@ -7,9 +7,10 @@ degenerate-fit penalty. Deleting observation i removes the terms i + o for o
 in DELETED; the exact window and the binned correction below both derive
 from that one rule.
 
-`exact` takes the sums of the whole grid from one pass of the kernel-sum
-engine of `lljd.estimators`, with every (regressor point, term) pair
-evaluated: O(n^2 H) work. It is the oracle of the binned source.
+`exact` takes them at each h from one call of the kernel-sum engine of
+`lljd.estimators` over every term, each (regressor point, term) pair
+evaluated: O(n^2) work per h. It is the oracle of the binned source, whose
+fallback below is the same call over fewer terms.
 
 `binned`, the default, follows KernSmooth (Fan & Marron 1994, JCGS 3:35-56;
 Wand 1994, JCGS 3:433-445). The kernel and regressor points are binned
@@ -59,8 +60,8 @@ difference of a binned CV value from exact is 4e-7 (Gaussian, local
 linear), 7e-7 (Gaussian, Nadaraya-Watson), 8e-6 (Epanechnikov, local
 linear) and 4e-6 (Epanechnikov, Nadaraya-Watson); the chosen h and the
 degenerate counts are the same on every stand-in, 65-511 of the 120k (h,
-term) pairs fall back, and CV takes about 0.1 s against about 3 s. The
-binned backend streams one bandwidth at a time in O(n + CV_BINS) memory.
+term) pairs fall back, and CV takes about 0.1 s against 2-3 s. Both
+backends stream one bandwidth at a time, binned in O(n + CV_BINS) memory.
 """
 
 from __future__ import annotations
@@ -178,31 +179,28 @@ def cross_validate(
     terms = np.arange(n)
     # the exact engine's weight columns, [1 | resp] by term block, and their tops
     cols, tops = _Responses(xt, (drift_responses,)), [2 * degree, degree]
-    if backend == "exact":
-        grid_sums = _power_sums(kpts, ppts, cols, tops, ppts, cfg.kernel, h_grid, _window(terms))
-    else:
-        s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
-        lo = min(kpts.min(), ppts.min())  # one range for both
-        span = float(max(kpts.max(), ppts.max()) - lo)
-        binning = None
+    s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
+    lo = min(kpts.min(), ppts.min())  # one range for both
+    span = float(max(kpts.max(), ppts.max()) - lo)
+    binning = None
     cv_vals, degen, bins, exact_terms = [], [], [], 0
-    for k, h in enumerate(h_grid):
-        # the leave-out sums s, t at h; redo: the terms the exact engine scores
-        if backend == "exact":
-            (s, t), redo, m = _combine(grid_sums[k], None, degree), terms, None
-        else:
+    for h in h_grid:
+        # the leave-out sums s, t at h; redo: the terms the exact engine scores,
+        # all of them under 'exact' and where the bins cannot resolve h
+        redo, m = terms, None
+        if backend == "binned":
             m = _bin_count(h, span, binning.m if binning else CV_BINS)
             if binning is None or binning.m != m:
                 binning = None  # free the old binning first: one in memory at a time
                 binning = _Binning(kpts, ppts, resp, degree, m, lo, span)
-            if h < CV_BINS_PER_H * binning.width:  # the bins cannot resolve h
-                redo, m = terms, None
+            if h < CV_BINS_PER_H * binning.width:
+                m = None
             else:
                 redo = np.flatnonzero(binning.sums(h, cfg.kernel, s, t))
-            if redo.size:
-                exact = _power_sums(kpts, ppts, cols, tops, ppts[redo], cfg.kernel, h,
-                                    _window(redo))
-                s[redo], t[redo] = _combine(exact[0], None, degree)
+        if redo.size:  # leaving out at each term what the deletion rule removes
+            exact = _power_sums(kpts, ppts, cols, tops, ppts[redo], cfg.kernel, h,
+                                (redo + DELETED.start, redo + DELETED.stop))
+            s[redo], t[redo] = _combine(exact, None, degree)
         (pred,), _, ok = _closed_form(s, t, cfg.method, n)
         err = np.where(ok, resp - pred, resp - resp.mean())
         degen.append(n - np.count_nonzero(ok))
@@ -224,12 +222,6 @@ def cross_validate(
         cv_exact_terms=exact_terms,
         cv_bins=tuple(bins) if backend == "binned" else None,
     )
-
-
-def _window(terms):
-    """The exact engine's window (lo, hi) at each of `terms`: the terms
-    lo <= i < hi that the deletion rule removes."""
-    return terms + DELETED.start, terms + DELETED.stop
 
 
 class _Binning:

@@ -27,11 +27,11 @@ d_i = regressor_i - x, the degree-p fit needs only the weighted power sums
     T_j = sum_i K_i d_i^j r_i     j = 0..p, for each response vector r
 
 One routine, `_power_sums`, sums K_i d_i^q times each of the caller's weight
-columns up to the column's own top power q, at any number of bandwidths. A
-fit's columns are [1 | responses]: the unit column up to 2p gives the S_j,
-each response up to p its T_j. It serves every direct sum: exact and binned
-fits (below), exact CV and the CV fallback. `_closed_form` turns sums of
-degree `_degree(methods)` into the fits:
+columns up to the column's own top power q, at one bandwidth. A fit's
+columns are [1 | responses]: the unit column up to 2p gives the S_j, each
+response up to p its T_j. It serves every direct sum: exact and binned fits
+(below) and CV's exact leave-out sums. `_closed_form` turns sums of degree
+`_degree(methods)` into the fits:
 
     estimate_curve, fit_responses   p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
@@ -44,13 +44,12 @@ degree `_degree(methods)` into the fits:
                                     trailing proxies
     _local_cubic                    p=3, the bands' pilot: S_0..S_6, T_0..T_3
                                     form the 4x4 normal equations
-    bandwidth.cross_validate        backend 'exact': the p=0/1 fit at the
-                                    regressor points, with an exclusion
-                                    window, for the whole bandwidth grid in
-                                    one pass. Backend 'binned' (the
-                                    default) takes the sums from FFTs of
-                                    binned points and calls this engine
-                                    only for its few ill-conditioned
+    bandwidth.cross_validate        the p=0/1 fit at the regressor points,
+                                    with an exclusion window, one call per
+                                    bandwidth: at every term under backend
+                                    'exact'; under 'binned' (the default),
+                                    whose sums come from FFTs of binned
+                                    points, only at its few ill-conditioned
                                     leave-out fits
 
 The estimators read the entries of a `ProxySeries` unchecked: it checked
@@ -68,10 +67,10 @@ statistics and the local cubic pass's scaled points (and, as written, its
 regressors and offsets). Both kernels are radial,
 K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine orders the
 columns A by falling top, so those summed at power q are a leading slice A_q;
-per tile it takes d, the squared kernel-point distances and the window once;
-then, for each bandwidth,
+per tile of regressor and kernel-point distances d and d_k it takes
 
-    w = g(d_k^2 / h^2)    in place; for the Gaussian a scale and an exp
+    w = g(d_k^2 / h^2)    in place over d_k^2; for the Gaussian a scale and
+                          an exp; then each row's window of terms set to 0
     sums at power q       w @ A_q, one BLAS product per power
     w *= d                between powers
 
@@ -279,23 +278,27 @@ def _quantiles(a, q):
     return np.where(gamma >= 0.5, part[hi] - diff * (1 - gamma), below + diff * gamma)
 
 
-def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h, window=None):
+def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h: float, window=None):
     """Kernel-weighted power sums of the weight columns `cols` [n_terms, C],
-    which the engine reads by term block (`cols[block]`), at each bandwidth of
-    the 1-d array `h`: a[k, g, q, c] = sum_i K_i d_i^q cols[i, c] at h[k] for
-    q = 0..tops[c], and 0 above (see the module docstring). `window` =
-    (lo, hi) leaves terms lo[g] <= i < hi[g] out of the sums at grid[g]."""
+    which the engine reads by term block (`cols[block]`), at the bandwidth h:
+    a[g, q, c] = sum_i K_i d_i^q cols[i, c] for q = 0..tops[c], and 0 above
+    (see the module docstring). `window` = (lo, hi) leaves terms
+    lo[g] <= i < hi[g] out of the sums at grid[g]."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     n, n_grid = len(kpts), len(grid)
     # 1/h^2, or where that overflows the largest float: g(0) at d = 0 still
-    scales = [min(1.0 / hk / hk, sys.float_info.max) for hk in np.atleast_1d(h).tolist()]
+    h = float(h)  # a NumPy scalar h would warn on that overflow
+    scale = min(1.0 / h / h, sys.float_info.max)
     # by falling top, the columns summed at power q are the leading live[q]
     # (Python's sort: np.argsort pages in numpy's SIMD sort code, 0.4 MB of RSS)
     order = sorted(range(len(tops)), key=lambda c: -tops[c])
     live = [sum(top >= q for top in tops) for q in range(max(tops) + 1)]
-    acc = np.zeros((len(scales), n_grid, len(live), len(tops)))
+    acc = np.zeros((n_grid, len(live), len(tops)))
     rows = max(1, min(n_grid, TILE_ROWS))
     step = max(1, min(n, TILE_ELEMENTS // rows))
+    if window is not None:  # row g leaves out the terms lo[g] + reach below hi[g]
+        lo, hi = window
+        reach = np.arange(np.max(hi - lo, initial=0))
     # far weights underflow to 0, huge d^2 overflow to g(inf) = 0: right limits
     with np.errstate(over="ignore", under="ignore"):
         for c0 in range(0, n, step):
@@ -303,22 +306,19 @@ def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h, window=None):
             a = cols[block].take(order, axis=1)  # C-ordered; a[:, order] rounds otherwise
             for r0 in range(0, n_grid, rows):
                 x = grid[r0 : r0 + rows, None]
-                d = ppts[None, block] - x
-                dk = d if kpts is ppts else kpts[None, block] - x
-                d2 = dk * dk
-                w = np.empty_like(d2)
+                dk = kpts[None, block] - x
+                # the regressor distances, used only above power 0
+                d = dk if kpts is ppts or len(live) == 1 else ppts[None, block] - x
+                w = dk * dk
+                kernel.profile(w, scale, w)  # in place over the squared distances
                 if window is not None:
-                    term = np.arange(c0, c0 + d.shape[1])
-                    zr, zc = np.nonzero((window[0][r0 : r0 + rows, None] <= term)
-                                        & (term < window[1][r0 : r0 + rows, None]))
-                for k, scale in enumerate(scales):
-                    kernel.profile(d2, scale, w)
-                    if window is not None:
-                        w[zr, zc] = 0.0
-                    for q, c in enumerate(live):
-                        acc[k, r0 : r0 + rows, q, :c] += w @ a[:, :c]
-                        if q < len(live) - 1:
-                            w *= d
+                    i = lo[r0 : r0 + rows, None] + reach
+                    cut = (i < hi[r0 : r0 + rows, None]) & (c0 <= i) & (i < c0 + w.shape[1])
+                    w[np.nonzero(cut)[0], i[cut] - c0] = 0.0
+                for q, c in enumerate(live):
+                    acc[r0 : r0 + rows, q, :c] += w @ a[:, :c]
+                    if q < len(live) - 1:
+                        w *= d
     acc /= kernel.norm
     return acc[..., sorted(range(len(order)), key=order.__getitem__)]
 
@@ -399,7 +399,7 @@ def _binned_power_sums(kpts, e, cols, grid, kernel: Kernel, h: float, degree: in
     # the bin centres are the terms; the f g columns go two powers further,
     # for the correction
     a = _power_sums(centres, centres, binned, tops + [top + 2 for top in tops], grid, kernel, h)
-    s, s_fg = np.split(a[0], 2, axis=2)
+    s, s_fg = np.split(a, 2, axis=2)
     # a term's chord exceeds phi = K d^j by D^2 f g phi'' / 2, and here
     # phi'' = K (d^(j+2) / h^4 - (2j + 1) d^j / h^2 + j (j - 1) d^(j-2))
     j = np.arange(s.shape[1] - 2)[:, None]
@@ -425,9 +425,9 @@ def _fit_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int):
             redo = np.flatnonzero(_poorly_binned(s, kernel.eval(0.0), width, degree))
             if redo.size:
                 exact = _power_sums(kpts, ppts, cols, tops, grid[redo], kernel, h)
-                s[redo], t[redo] = _combine(exact[0], None, degree)
+                s[redo], t[redo] = _combine(exact, None, degree)
             return s, t, {"backend": "binned", "bins": m, "rescored": int(redo.size)}
-    s, t = _combine(_power_sums(kpts, ppts, cols, tops, grid, kernel, h)[0], None, degree)
+    s, t = _combine(_power_sums(kpts, ppts, cols, tops, grid, kernel, h), None, degree)
     return s, t, {"backend": "exact", "bins": None, "rescored": None}
 
 

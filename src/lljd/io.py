@@ -180,7 +180,7 @@ def csv_header(path) -> list:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         header = next(csv.reader(fh), None)
     if header is None:
         raise ValidationError(f"{path}: empty file")

@@ -153,42 +153,50 @@ def test_cv_matches_brute_force_oracle_under_tiny_tiles(monkeypatch):
 
 
 @pytest.mark.parametrize("n_grid", [1, 5, 25])
-def test_cv_scores_the_whole_grid_in_one_engine_pass(monkeypatch, n_grid):
+def test_exact_cv_calls_the_engine_once_per_bandwidth(monkeypatch, n_grid):
     calls = []
     engine = estimators._power_sums
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return engine(*args, **kwargs)
+    def counted(kpts, ppts, cols, tops, grid, kernel, h, window):
+        calls.append((grid, h, window))
+        return engine(kpts, ppts, cols, tops, grid, kernel, h, window)
 
     # exact CV calls the engine from lljd.bandwidth
     monkeypatch.setattr(bandwidth, "_power_sums", counted)
     rng = np.random.default_rng(14)
     xt = series(np.cumsum(rng.normal(0.0, 0.1, 80)))
-    choice = cross_validate(xt, np.geomspace(0.05, 1.0, n_grid), EstimatorConfig(1.0),
-                            backend="exact")
-    assert len(calls) == 1 and len(choice.cv_curve) == n_grid
+    h_grid = np.geomspace(0.05, 1.0, n_grid)
+    choice = cross_validate(xt, h_grid, EstimatorConfig(1.0), backend="exact")
+    assert len(calls) == len(choice.cv_curve) == n_grid
+    # each call: every term's regressor point, with the deletion window of its term
+    ppts = term_points(xt)[1]
+    terms = np.arange(len(ppts))
+    for (grid, h, (lo, hi)), want in zip(calls, h_grid):
+        assert h == want and np.array_equal(grid, ppts)
+        assert np.array_equal(lo, terms - 1) and np.array_equal(hi, terms + 2)
 
 
 def test_cv_working_memory_stays_small():
-    # 2,000 terms and the 25-point default grid: 16 MB kernel tiles, or a
-    # 2000 x 2000 matrix, would each break the bound
+    # 1,000 terms and default grids of 25 and 100 bandwidths: 16 MB kernel
+    # tiles, a 1000 x 1000 matrix (8 MB) or the sums of every h at once
+    # (4.8 MB at 100 h) would each break the bound
     rng = np.random.default_rng(15)
-    noise = rng.normal(0.0, 0.1, 2002)
+    noise = rng.normal(0.0, 0.1, 1002)
     x = np.empty_like(noise)
     x[0] = 0.0
     for i in range(1, len(x)):
         x[i] = 0.9 * x[i - 1] + noise[i]
     xt = series(x, delta=0.01)
-    grid = default_cv_grid(rule_of_thumb(xt).h)
-    tracemalloc.start()
-    try:
-        choice = cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(choice.cv_curve) == 25
-    assert peak < 8e6
+    for n_points in (25, 100):
+        grid = default_cv_grid(rule_of_thumb(xt).h, n_points)
+        tracemalloc.start()
+        try:
+            choice = cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(choice.cv_curve) == n_points
+        assert peak < 3e6
 
 
 def test_cv_near_zero_for_noiseless_affine_relation():
@@ -444,8 +452,13 @@ def test_binned_cv_scores_bandwidths_below_the_bin_resolution_exactly():
     # span fewer than CV_BINS_PER_H bins and are scored by the exact engine
     rng = np.random.default_rng(18)
     xt = series(np.insert(rng.normal(0.0, 1.0, 1500), 700, 1000.0))
-    _, binned = assert_backends_agree(xt, np.array([0.05, 0.3, 3.0]), EstimatorConfig(1.0))
+    exact, binned = assert_backends_agree(xt, np.array([0.05, 0.3, 3.0]),
+                                          EstimatorConfig(1.0))
     assert binned.cv_exact_terms >= 2 * 1499
+    # those two h are the exact backend's, bit for bit
+    assert binned.cv_bins[:2] == (None, None) and binned.cv_bins[2] is not None
+    assert binned.cv_curve[:2] == exact.cv_curve[:2]
+    assert binned.cv_degenerate[:2] == exact.cv_degenerate[:2]
 
 
 def test_binned_cv_matches_exact_at_epanechnikov_support_edges():

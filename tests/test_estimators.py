@@ -54,7 +54,7 @@ def with_unit(resp):
 
 def power_sums(kpts, ppts, resp, grid, kernel, h, degree, window=None):
     """S_0..S_2p and T_0..T_p, p = degree, of the responses resp [n_terms, R]
-    from the engine, with a leading bandwidth axis."""
+    from the engine at the bandwidth h."""
     tops = [2 * degree] + [degree] * resp.shape[1]
     a = _power_sums(kpts, ppts, with_unit(resp), tops, grid, kernel, h, window)
     return _combine(a, None, degree)
@@ -66,7 +66,7 @@ def density_estimate(xt, grid, kernel, h):
     they take from the kernel mass of the curve pass."""
     arr = xt.xt
     s, _ = power_sums(arr, arr, np.empty((len(arr), 0)), grid, kernel, h, 0)
-    return s[0, :, 0] / (len(arr) * h)
+    return s[:, 0] / (len(arr) * h)
 
 
 def scalar_weights_oracle(xt, x, h, alignment):
@@ -329,16 +329,11 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
         out = []
         for p in (0, 1, 3):
             for w in (None, window):
-                s, t = power_sums(kpts, ppts, resp, grid, kernel, hs, p, w)
-                assert s.shape == (3, len(grid), 2 * p + 1)
-                assert t.shape == (3, len(grid), p + 1, 2)
-                # a bandwidth vector gives the sums of one call per bandwidth
-                for k, hk in enumerate(hs):
-                    one_s, one_t = power_sums(kpts, ppts, resp, grid, kernel, hk, p, w)
-                    assert_agree(s[k], one_s[0])
-                    assert_agree(t[k], one_t[0])
-                out += [np.concatenate([s[k], t[k].reshape(len(grid), -1)], axis=1)
-                        for k in range(3)]
+                for hk in hs:
+                    s, t = power_sums(kpts, ppts, resp, grid, kernel, hk, p, w)
+                    assert s.shape == (len(grid), 2 * p + 1)
+                    assert t.shape == (len(grid), p + 1, 2)
+                    out.append(np.concatenate([s, t.reshape(len(grid), -1)], axis=1))
         for method in (LOCAL_LINEAR, NADARAYA_WATSON):
             est = estimate_curve(xt, grid, EstimatorConfig(h, kernel, method=method))
             out += [est.mu_hat, est.m_hat, est.n_eff]
@@ -398,7 +393,8 @@ def test_power_sums_match_the_per_power_reference(monkeypatch, kernel, alignment
         monkeypatch.setattr(estimators, "TILE_ELEMENTS", elements)
         for degree in (0, 1, 3):
             for w in (None, window):
-                s, t = power_sums(kpts, ppts, resp, grid, kernel, hs, degree, w)
+                sums = [power_sums(kpts, ppts, resp, grid, kernel, hk, degree, w) for hk in hs]
+                s, t = (np.stack(x) for x in zip(*sums))
                 ref_s, ref_t = reference_power_sums(kpts, ppts, resp, grid, kernel, hs,
                                                     degree, w)
                 for k in range(len(hs)):
@@ -431,7 +427,8 @@ def test_power_sums_sum_each_column_to_its_own_top(monkeypatch, kernel, alignmen
     ref_s, ref_t = reference_power_sums(kpts, ppts, resp, grid, kernel, hs, 3, window)
     ref = np.concatenate([ref_s[..., :4, None], ref_t], axis=3)  # powers 0..3 of [1 | resp]
     tops = [2, 3, 0, 1]
-    a = _power_sums(kpts, ppts, with_unit(resp), tops, grid, kernel, hs, window)
+    a = np.stack([_power_sums(kpts, ppts, with_unit(resp), tops, grid, kernel, hk, window)
+                  for hk in hs])
     assert a.shape == (2, len(grid), 4, 4)
     for c, top in enumerate(tops):
         for k in range(len(hs)):
@@ -451,9 +448,9 @@ def test_power_sums_at_a_bandwidth_whose_square_underflows(kernel, h):
         s, t = power_sums(pts, pts, resp, grid, kernel, h, 1)
     k0 = float(kernel.eval(0.0))
     at = pts[None, :] == grid[:, None]
-    assert s[0, :, 0] == pytest.approx(at.sum(axis=1) * k0, rel=1e-15, abs=0.0)
-    assert t[0, :, 0, 0] == pytest.approx(at @ resp[:, 0] * k0, rel=1e-15, abs=0.0)
-    assert not s[0, :, 1:].any() and not t[0, :, 1].any()
+    assert s[:, 0] == pytest.approx(at.sum(axis=1) * k0, rel=1e-15, abs=0.0)
+    assert t[:, 0, 0] == pytest.approx(at @ resp[:, 0] * k0, rel=1e-15, abs=0.0)
+    assert not s[:, 1:].any() and not t[:, 1].any()
     xt = series(np.linspace(0.0, 5.0, 30))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -669,7 +666,7 @@ def test_fits_below_the_binning_threshold_are_the_exact_engine_bit_for_bit(terms
     resp = np.column_stack([drift_responses(xt), second_moment_responses(xt),
                             estimators.fourth_moment_responses(xt)])
     s, t = power_sums(kpts, ppts, resp, grid, GAUSSIAN, h, 1)
-    (mu_hat, m_hat, _), n_eff, _ = estimators._closed_form(s[0], t[0], LOCAL_LINEAR, terms)
+    (mu_hat, m_hat, _), n_eff, _ = estimators._closed_form(s, t, LOCAL_LINEAR, terms)
     same = [np.array_equal(a, b, equal_nan=True)
             for a, b in ((est.mu_hat, mu_hat), (est.m_hat, m_hat), (est.n_eff, n_eff))]
     if terms < estimators.BINNED_MIN_TERMS:

@@ -185,6 +185,26 @@ def test_cli_empirical_reads_only_the_price_column(tmp_path):
     assert read_columns_csv(curve)["x"].size == 101
 
 
+@pytest.mark.parametrize("command, header, options", [
+    ("empirical", "close,time", ["--price-col", "close"]),
+    ("estimate", "y,t", []),
+])
+def test_cli_reads_a_header_that_starts_with_a_byte_order_mark(tmp_path, command, header,
+                                                               options):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF, before the first column's name
+    path = simulate_path(default_model(), PathConfig(t_span=5.0, n=240, seed=3))
+    values = np.exp(path.y) if command == "empirical" else path.y
+    text = "\n".join([header] + [f"{float(v)!r},{i}" for i, v in enumerate(values)]) + "\n"
+    curves = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        f, out = tmp_path / f"{encoding}.csv", tmp_path / f"curve-{encoding}.csv"
+        f.write_text(text, encoding=encoding)
+        assert main([command, "--in", str(f), "--out", str(out), *options]) == 0
+        curves.append(out.read_bytes())
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf" + header.encode())
+    assert curves[0] == curves[1]
+
+
 def test_cli_empirical_manifest_records_the_ingest(tmp_path):
     path = simulate_path(default_model(), PathConfig(t_span=5.0, n=240, seed=3))
     rows = [f"{i},{float(p)!r}" for i, p in enumerate(np.exp(path.y))]
