@@ -30,12 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lljd.bandwidth import rule_of_thumb  # noqa: E402
 from lljd.errors import NumericalError  # noqa: E402
-from lljd.estimators import (  # noqa: E402
-    EstimatorConfig,
-    estimate_curve,
-    fit_responses,
-    fourth_moment_responses,
-)
+from lljd.estimators import EstimatorConfig, estimate_curve  # noqa: E402
 from lljd.inference import FOURTH_MOMENT_SCALE  # noqa: E402
 from lljd.kernels import GAUSSIAN  # noqa: E402
 from lljd.mcstudy import example_model  # noqa: E402
@@ -63,10 +58,9 @@ def main():
         h = rule_of_thumb(pr, args.t).h
         cfg = EstimatorConfig(h)
         est = estimate_curve(pr, np.array([0.0]), cfg)
-        c4_raw, _, _ = fit_responses(pr, fourth_moment_responses(pr), np.array([0.0]), cfg)
         p0 = GAUSSIAN.eval(pr.xt / h).sum() / (len(pr.xt) * h)
         m_at0.append(est.m_hat[0])
-        raw.append(c4_raw[0])
+        raw.append(est.m4_hat[0])
         scale.append(est.n_terms * pr.delta * h * p0)
 
     m_at0, raw, scale = map(np.array, (m_at0, raw, scale))

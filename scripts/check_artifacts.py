@@ -46,12 +46,14 @@ def lljd(*args) -> list:
 # with CV, bands and a CV dump at both index alignments and with the
 # Epanechnikov kernel (its exact fit and pilot, and binned CV's windowed
 # exact fallback), fits with bands of 70,000 terms at both alignments, the
-# curve fits large enough to take binned sums (`BINNED_MIN_TERMS`), the
-# empirical pipeline on a five-day stand-in, a single MC config with its band
-# and QQ extracts, and three preset tables, whose lanes take compound Poisson
-# (tables 2 and 3) and Variance Gamma (table 6) jumps. The lanes of a
-# replicate share its seed; table 3's 25 replicates take two lane batches.
-# Each entry is the argument list of one `python` run.
+# curve fits large enough to take binned sums (`BINNED_MIN_TERMS`), one of
+# them with bands on a grid past the data (binned sums rescored exactly at
+# some grid points, undefined tails of the curve and both bands), the
+# empirical pipeline on a five-day stand-in, a single MC config with its
+# band and QQ extracts, and three preset tables, whose lanes take compound
+# Poisson (tables 2 and 3) and Variance Gamma (table 6) jumps. The lanes of
+# a replicate share its seed; table 3's 25 replicates take two lane
+# batches. Each entry is the argument list of one `python` run.
 COMMANDS = [
     lljd("simulate", "--t", "5", "--n", "500", "--seed", "3", "--jump", "cp",
          "--out", "sim_cp.csv"),
@@ -71,6 +73,8 @@ COMMANDS = [
     lljd("estimate", "--in", "sim_big.csv", "--bands", "0.05", "--out", "curve_big.csv"),
     lljd("estimate", "--in", "sim_big.csv", "--alignment", "as_written", "--bands", "0.05",
          "--out", "curve_big_aw.csv"),
+    lljd("estimate", "--in", "sim_big.csv", "--grid-lo", "-0.5", "--grid-hi", "0.5",
+         "--bands", "0.05", "--out", "curve_wide.csv"),
     [str(ROOT / "scripts" / "make_empirical_standin.py"),
      "--days", "5", "--seed", "2015", "--out", "prices.csv"],
     lljd("empirical", "--in", "prices.csv", "--price-col", "close", "--bands", "0.05",

@@ -31,7 +31,6 @@ from .estimators import (
     drift_responses,
     estimate_curve,
     estimate_curves,
-    fit_responses,
     second_moment_responses,
 )
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb

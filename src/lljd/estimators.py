@@ -33,7 +33,7 @@ response up to p its T_j. It serves every direct sum: exact and binned fits
 (below) and CV's exact leave-out sums. `_closed_form` turns sums of degree
 `_degree(methods)` into the fits:
 
-    estimate_curve, fit_responses   p=1: the local linear intercept
+    estimate_curve                  p=1: the local linear intercept
                                     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
                                     p=0: the Nadaraya-Watson mean T_0 / S_0
     estimate_curves                 both from one p=1 pass: the NW sums are
@@ -126,7 +126,6 @@ __all__ = [
     "drift_responses",
     "second_moment_responses",
     "fourth_moment_responses",
-    "fit_responses",
     "estimate_curve",
     "estimate_curves",
 ]
@@ -221,12 +220,10 @@ def drift_responses(xt: ProxySeries) -> np.ndarray:
     return (xt.xt[2:] - xt.xt[1:-1]) / xt.delta
 
 
-def second_moment_responses(xt: ProxySeries, rescaled: bool = True) -> np.ndarray:
-    """Squared-difference responses; `rescaled` applies the 3/2 attenuation
-    correction (the estimator proper), otherwise the raw statistic targets
-    (2/3) M(x)."""
-    out = (xt.xt[2:] - xt.xt[1:-1]) ** 2 / xt.delta
-    return 1.5 * out if rescaled else out
+def second_moment_responses(xt: ProxySeries) -> np.ndarray:
+    """Squared-difference responses with the 3/2 attenuation correction: the
+    raw statistic (xt[t+1] - xt[t])^2 / delta targets (2/3) M(x)."""
+    return 1.5 * ((xt.xt[2:] - xt.xt[1:-1]) ** 2 / xt.delta)
 
 
 def fourth_moment_responses(xt: ProxySeries) -> np.ndarray:
@@ -452,21 +449,6 @@ def _closed_form(s, t, method: str, n_terms: int):
         num = s2[..., None] * t[..., 0, :] - s1[..., None] * t[..., 1, :]
     vals = np.where(ok[..., None], num / np.where(ok, den, 1.0)[..., None], np.nan)
     return vals.swapaxes(-1, -2), s0, ok
-
-
-def fit_responses(xt: ProxySeries, responses, grid, cfg: EstimatorConfig):
-    """Fit an arbitrary response vector (one entry per estimating term) over a
-    grid. Returns (values, n_eff, undefined_count)."""
-    kpts, ppts = term_points(xt, cfg.index_alignment)
-    responses = np.asarray(responses, dtype=float)
-    if len(responses) != len(kpts):
-        raise ValidationError(
-            f"expected {len(kpts)} responses (one per term), got {len(responses)}"
-        )
-    s, t, _ = _fit_sums(kpts, ppts, np.column_stack([np.ones(len(kpts)), responses]), grid,
-                        cfg.kernel, cfg.bandwidth, _degree(cfg.method))
-    (vals,), n_eff, ok = _closed_form(s, t, cfg.method, len(kpts))
-    return vals, n_eff, int((~ok).sum())
 
 
 def estimate_curve(xt: ProxySeries, grid, cfg: EstimatorConfig) -> CurveEstimate:

@@ -23,7 +23,7 @@ the density adds only the kernel weights of the two trailing proxies:
 p_hat = (n_eff + K_{m-2} + K_{m-1}) / (m h). The fourth-moment plug-in is
 the estimate's m4_hat, a third response column of the same pass. The tests
 rebuild both from passes of their own, a kernel density over every proxy
-and `estimators.fit_responses`, as the oracles of this route.
+and a fit of the fourth-power responses alone, as the oracles of this route.
 
 The second-moment band replaces M_hat/p_hat by a plug-in for the local fourth
 jump moment: second differences of an integrated path attenuate fourth-power
@@ -62,14 +62,13 @@ __all__ = [
 # fourth jump moment entering the second-moment asymptotic variance.
 FOURTH_MOMENT_SCALE = 2.5
 
-# Density below this is treated as an empty neighbourhood: no band.
-DENSITY_FLOOR = 1e-10
-
 
 @dataclass
 class ConfidenceBands:
     """Pointwise bands over the estimate's grid; arrays are NaN where the
-    band is undefined (empty neighbourhood, negative variance plug-in).
+    band is undefined: where its centre or half-width is not finite (an
+    empty neighbourhood, a singular pilot design, a negative variance
+    plug-in).
     `pilot_sums` records how the local cubic pass took its kernel sums (None
     without bias correction)."""
 
@@ -130,17 +129,10 @@ def attach_bands(
         ("mu", curvature[0], est.mu_hat, est.m_hat),
         ("m", curvature[1], est.m_hat, FOURTH_MOMENT_SCALE * est.m4_hat),
     ):
-        bias = 0.5 * est.h**2 * c2 * est.kernel.second_moment
-        ok = (
-            np.isfinite(estimate)
-            & np.isfinite(bias)
-            & (p_hat > DENSITY_FLOOR)
-            & np.isfinite(spread)
-            & (spread >= 0.0)
-        )
-        var = np.where(ok, est.kernel.roughness * spread / np.where(ok, p_hat, 1.0), np.nan)
-        half = z * np.sqrt(var) / rate
-        center = estimate - bias
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            center = estimate - 0.5 * (est.h * est.h) * c2 * est.kernel.second_moment
+            half = z * np.sqrt(est.kernel.roughness * spread / p_hat) / rate
+        ok = np.isfinite(center) & np.isfinite(half)
         fields[f"lo_{name}"] = np.where(ok, center - half, np.nan)
         fields[f"hi_{name}"] = np.where(ok, center + half, np.nan)
         fields[f"undefined_{name}"] = int((~ok).sum())

@@ -209,12 +209,12 @@ def _cp_jumps(lam: float, size: JumpSizeDist, dt: float, rng, k: int):
 
 
 def _vg_increments(c: float, eta: float, b: float, dt: float, rng, k: int,
-                   normal_rng=None) -> np.ndarray:
+                   normal_rng) -> np.ndarray:
     """Variance Gamma increments over k intervals: c*dG + eta*sqrt(dG)*Z with
     dG ~ Gamma(dt/b, b), so E[dG] = dt; dG from `rng`, then Z from
-    `normal_rng` (default `rng`, which draws all of dG before any Z)."""
+    `normal_rng` (which may be `rng`: it then draws all of dG before any Z)."""
     dg = rng.gamma(dt / b, b, k)
-    z = (rng if normal_rng is None else normal_rng).standard_normal(k)
+    z = normal_rng.standard_normal(k)
     return c * dg + eta * np.sqrt(dg) * z
 
 

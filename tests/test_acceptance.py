@@ -21,7 +21,6 @@ from lljd.estimators import (
     NADARAYA_WATSON,
     EstimatorConfig,
     estimate_curve,
-    fit_responses,
     second_moment_responses,
     term_points,
 )
@@ -30,6 +29,7 @@ from lljd.kernels import GAUSSIAN
 from lljd.mcstudy import McConfig, example_model, qq_data, run_study
 from lljd.proxy import ProxySeries, build_proxy
 from lljd.simulate import PathConfig, default_model, derive_seeds, simulate_path
+from oracles import fit_responses
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -108,7 +108,7 @@ def test_criterion_03_second_moment_rescaling_ratio():
         cfg = EstimatorConfig(rule_of_thumb(xt, 10.0).h)
         grid = np.linspace(*np.quantile(xt.xt, [0.025, 0.975]), 41)
         scaled, _, _ = fit_responses(xt, second_moment_responses(xt), grid, cfg)
-        raw, _, _ = fit_responses(xt, second_moment_responses(xt, rescaled=False), grid, cfg)
+        raw, _, _ = fit_responses(xt, (xt.xt[2:] - xt.xt[1:-1]) ** 2 / xt.delta, grid, cfg)
         ok = np.isfinite(scaled) & np.isfinite(raw) & (raw != 0)
         return scaled[ok] / raw[ok]
 

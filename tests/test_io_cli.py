@@ -388,6 +388,21 @@ def test_cli_estimate_pipeline(tmp_path):
     assert record["pilot"]["bins"] * 2 == record["curve"]["bins"]
 
 
+@pytest.mark.parametrize("h", ["1e155", "1e300"])
+def test_cli_estimate_bands_at_a_bandwidth_whose_square_overflows(tmp_path, h):
+    path_csv = tmp_path / "path.csv"
+    curve_csv = tmp_path / "curve.csv"
+    assert main(["simulate", "--t", "2", "--n", "40", "--seed", "1", "--out", str(path_csv)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--in", str(path_csv), "--h", h, "--bands", "0.05",
+                     "--out", str(curve_csv)]) == 0
+    # the pilot's local cubic design is singular at such an h: no band anywhere
+    counts = undefined_counts(curve_csv)
+    assert counts["undefined_mu"] == counts["undefined_m"] == 101
+    assert {k: fit_record(curve_csv)[k] for k in counts} == counts
+
+
 def fit_record(out):
     return json.loads(Path(str(out) + ".manifest.json").read_text())["diagnostics"]["fit"]
 

@@ -55,20 +55,21 @@ def test_cp_increment_variance_identity():
 
 def test_vg_pure_gamma_increment_mean():
     rng = np.random.default_rng(3)
-    draws = _vg_increments(1.0, 0.0, 0.23, 1.0, rng, 100_000)
+    draws = _vg_increments(1.0, 0.0, 0.23, 1.0, rng, 100_000, rng)
     assert draws.mean() == pytest.approx(1.0, rel=0.01)
 
 
 def test_vg_increment_variance_identity():
     # Var(J_1) = c^2 b + eta^2 = 0.04*0.23 + 0.04 = 0.0492
     rng = np.random.default_rng(4)
-    draws = _vg_increments(-0.2, 0.2, 0.23, 1.0, rng, 100_000)
+    draws = _vg_increments(-0.2, 0.2, 0.23, 1.0, rng, 100_000, rng)
     assert draws.var() == pytest.approx(0.0492, rel=0.05)
 
 
 def test_vg_increments_deterministic_given_seed():
-    a = _vg_increments(-0.2, 0.2, 0.23, 0.01, np.random.default_rng(9), 50)
-    b = _vg_increments(-0.2, 0.2, 0.23, 0.01, np.random.default_rng(9), 50)
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    a = _vg_increments(-0.2, 0.2, 0.23, 0.01, rng_a, 50, rng_a)
+    b = _vg_increments(-0.2, 0.2, 0.23, 0.01, rng_b, 50, rng_b)
     assert np.array_equal(a, b)
 
 
@@ -191,7 +192,7 @@ def upfront_path(spec, cfg):
     if isinstance(jump, CompoundPoisson) and jump.lam > 0:
         j = cp_increments(jump.lam, jump.size, dt, rng, k_total)
     elif isinstance(jump, VarianceGamma):
-        j = _vg_increments(jump.c, jump.eta, jump.b, dt, rng, k_total) - jump.c * dt
+        j = _vg_increments(jump.c, jump.eta, jump.b, dt, rng, k_total, rng) - jump.c * dt
     j = j.tolist()
     xs, ys = [float(spec.x0)], [float(spec.y0)]
     x, y = xs[0], ys[0]
