@@ -21,7 +21,13 @@ places. Other differing or missing files are named:
 
     python3 scripts/check_artifacts.py /tmp/b --against /tmp/a
 
-Exits with status 1 when a command fails.
+Each command's child peak RSS, the ``ru_maxrss`` that ``os.wait4`` reports
+for it in MiB, goes to stderr, one ``peak_rss_mb`` line per command. So a
+byte-identity run also shows what each command took in memory, while a
+``diff`` of two runs' stdout still compares only hashes. A child inherits
+this script's high-water mark across the exec (about 27 MiB with numpy
+loaded), which is the floor of these figures. Exits with status 1 when a
+command fails.
 """
 
 import argparse
@@ -30,6 +36,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -130,12 +137,17 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1")
     for argv in COMMANDS:
-        proc = subprocess.run([sys.executable, *argv], cwd=args.outdir, env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"failed ({proc.returncode}): {' '.join(argv)}\n{proc.stderr.strip()}",
-                  file=sys.stderr)
-            return 1
+        with tempfile.TemporaryFile("w+") as err:
+            proc = subprocess.Popen([sys.executable, *argv], cwd=args.outdir, env=env,
+                                    stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                err.seek(0)
+                print(f"failed ({proc.returncode}): {' '.join(argv)}\n{err.read().strip()}",
+                      file=sys.stderr)
+                return 1
+        print(f"peak_rss_mb {usage.ru_maxrss / 1024:.1f}  {' '.join(argv)}", file=sys.stderr)
     artifacts = [path for path in sorted(args.outdir.iterdir())
                  if not path.name.endswith(".manifest.json")]
     for path in artifacts:

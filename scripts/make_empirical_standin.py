@@ -45,7 +45,7 @@ def main():
 
     path = standin_path(args.days, args.per_day, args.seed, args.log_price0)
     prices = np.exp(path.y)
-    write_table(args.out, {"t": np.arange(len(prices)) * path.delta, "close": prices})
+    write_table(args.out, {"t": lambda r0, r1: np.arange(r0, r1) * path.delta, "close": prices})
     print(f"wrote {args.out}: {len(prices)} prices, delta=1/{args.per_day}")
 
 

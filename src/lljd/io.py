@@ -4,12 +4,13 @@ One reader and one writer serve every CSV. `read_columns_csv` counts the
 file's lines and parses the numeric cells in one `np.loadtxt` call; only when
 that parse fails or yields fewer rows than there are lines does it rescan
 the file to name the first offending line. `write_table` writes named
-columns in blocks of rows, with floats in shortest exact round-trip form, so
-its memory does not grow with the table; CSV extracts of reports go
-through it too. `emit_report` writes a report dict as strict JSON, the only
-report format. Data artifacts carry no timestamps: each gets a sibling
-``<name>.manifest.json`` recording the command, parameters, seeds, input
-digests, library version and the only timestamp.
+columns, arrays or functions of a block's rows (index and time, say), one
+block at a time with floats in shortest exact round-trip form: it holds that
+block's text and no n-row column of its own. Reports and manifests share one
+strict JSON writer that encodes into the open file: it holds a null-mapped
+copy of the document's containers, never its text. Data artifacts carry no
+timestamps: each gets a sibling ``<name>.manifest.json`` recording the
+command, parameters, seeds, input digests, library version and timestamp.
 """
 
 from __future__ import annotations
@@ -71,9 +72,7 @@ class RunManifest:
 
     def write(self, out_path) -> Path:
         """Write the manifest next to the artifact it describes."""
-        path = Path(str(out_path) + ".manifest.json")
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-        return path
+        return _write_json(str(out_path) + ".manifest.json", asdict(self))
 
 
 class Stages:
@@ -115,49 +114,63 @@ def _strict_json(value):
     return value
 
 
-def emit_report(results: dict, path) -> Path:
-    """Write a results dict as deterministic strict JSON: a schema_version
-    field is added when absent, keys are sorted and non-finite floats are
-    written as null."""
+def _write_json(path, payload: dict) -> Path:
+    """Encode `payload` into the file as deterministic strict JSON: keys
+    sorted and non-finite floats written as null. If encoding raises, no
+    file is left."""
     path = Path(path)
-    payload = {"schema_version": 1, **_strict_json(results)}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    try:
+        with path.open("w") as fh:
+            json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
+
+
+def emit_report(results: dict, path) -> Path:
+    """Write a results dict as strict JSON, adding a schema_version field
+    when absent."""
+    return _write_json(path, {"schema_version": 1, **results})
 
 
 def write_table(path, columns: dict) -> Path:
     """Write equal-length named columns as a headed CSV, one row per index.
 
-    Each column is formatted by its type: a float column with `repr`, the
-    shortest decimal form that parses back to exactly the same float, any
-    other (ints, labels) with `str`. Rows are formatted and written
-    WRITE_BLOCK_ROWS at a time.
+    A column is a sequence, or a function of a block's rows (r0, r1) that
+    returns that block; the sequences set the length. Each block is
+    formatted by its type: floats with `repr`, the shortest decimal form
+    that parses back to exactly the same float, anything else (ints, labels)
+    with `str`. Rows are formatted and written WRITE_BLOCK_ROWS at a time.
     """
-    arrays = [np.asarray(column) for column in columns.values()]
-    lengths = {len(column) for column in arrays}
+    sources = [c if callable(c) else np.asarray(c) for c in columns.values()]
+    lengths = {len(c) for c in sources if not callable(c)}
     if len(lengths) > 1:
         raise ValidationError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    text = [repr if column.dtype.kind == "f" else str for column in arrays]
     out = Path(path)
     with out.open("w") as fh:
         fh.write(",".join(columns) + "\n")
         for r0 in range(0, n_rows, WRITE_BLOCK_ROWS):
-            cells = [map(fmt, c[r0 : r0 + WRITE_BLOCK_ROWS].tolist())
-                     for fmt, c in zip(text, arrays)]
+            r1 = min(r0 + WRITE_BLOCK_ROWS, n_rows)
+            blocks = [c(r0, r1) if callable(c) else c[r0:r1] for c in sources]
+            cells = [map(repr if b.dtype.kind == "f" else str, b.tolist()) for b in blocks]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return out
 
 
 def write_path_csv(path, sample) -> Path:
-    i = np.arange(len(sample.x))
-    return write_table(path, {"i": i, "t": i * sample.delta, "x": sample.x, "y": sample.y})
+    # per block, np.arange(r0, r1) * delta has the bits of the whole column's rows
+    return write_table(path, {"i": np.arange, "t": lambda r0, r1: np.arange(r0, r1) * sample.delta,
+                              "x": sample.x, "y": sample.y})
 
 
 def write_proxy_csv(path, series: ProxySeries) -> Path:
     # the proxy at slot i summarises the step ending at (i+1)*delta
-    i = np.arange(len(series.xt))
-    return write_table(path, {"i": i, "t": (i + 1) * series.delta, "xtilde": series.xt})
+    return write_table(path, {"i": np.arange,
+                              "t": lambda r0, r1: np.arange(r0 + 1, r1 + 1) * series.delta,
+                              "xtilde": series.xt})
 
 
 def write_curve_csv(path, est) -> Path:

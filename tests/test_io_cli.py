@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -16,6 +17,7 @@ from lljd.errors import ValidationError
 from lljd.estimators import CurveEstimate
 from lljd.inference import ConfidenceBands
 from lljd.io import (
+    WRITE_BLOCK_ROWS,
     RunManifest,
     emit_report,
     ingest_prices,
@@ -588,9 +590,60 @@ def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
                           capture_output=True, text=True, check=True)
-    assert int(done.stdout) < 20 * 1024  # KiB
+    assert int(done.stdout) < 4 * 1024  # KiB
     with open(out) as fh:
         assert sum(1 for _ in fh) == 10**6 + 1
+
+
+@pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1])
+def test_per_block_index_and_time_columns_match_materialised_columns(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    delta = 1.0 / 48.0
+    i = np.arange(n)
+    write_path_csv(tmp_path / "p.csv", SamplePath(delta, x, y, 0))
+    write_table(tmp_path / "pm.csv", {"i": i, "t": i * delta, "x": x, "y": y})
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "pm.csv").read_bytes()
+    write_proxy_csv(tmp_path / "x.csv", ProxySeries(delta, x))
+    write_table(tmp_path / "xm.csv", {"i": i, "t": (i + 1) * delta, "xtilde": x})
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "xm.csv").read_bytes()
+
+
+def test_emit_report_does_not_hold_the_encoded_document(tmp_path):
+    rng = np.random.default_rng(0)
+    report = {"configs": [{"rmse": rng.normal(size=1000).tolist()} for _ in range(200)]}
+    tracemalloc.start()
+    try:
+        out = emit_report(report, tmp_path / "r.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the document's text is at least 5 MB; the writer holds a copy of its lists
+    assert peak < out.stat().st_size / 2
+    assert json.loads(out.read_text())["configs"][199]["rmse"] == report["configs"][199]["rmse"]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, value: emit_report({"kind": "test", "value": value}, path),
+    lambda path, value: RunManifest("estimate", {"h": value}).write(path),
+], ids=["report", "manifest"])
+def test_json_encoding_error_leaves_no_file(tmp_path, write):
+    out = tmp_path / "out.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write(out, object())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_is_strict_json(tmp_path):
+    manifest = RunManifest("estimate", {"h": 0.1}, diagnostics={"cv_min": float("nan"),
+                                                              "spread": [1.0, float("inf")]})
+    out = manifest.write(tmp_path / "curve.csv")
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["diagnostics"] == {"cv_min": None, "spread": [1.0, None]}
 
 
 def test_write_table_rejects_columns_of_unequal_length(tmp_path):
