@@ -7,12 +7,10 @@ Commands: simulate, estimate, mc-study, empirical. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,13 +56,13 @@ from .simulate import (
 
 __all__ = ["main"]
 
-_log = logging.getLogger(__name__)
-
 
 def _parse_delta(text: str) -> float:
     """Accept plain floats or fractions like 1/48."""
     try:
         if "/" in text:
+            from fractions import Fraction
+
             return float(Fraction(text))
         return float(text)
     except (ValueError, ZeroDivisionError):
@@ -177,8 +175,11 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
     cv = choice.cv_curve
     edge = cv and choice.h in (cv[0][0], cv[-1][0])
     if edge:
-        _log.warning("cross-validation chose h=%g at an edge of its grid [%g, %g]; "
-                     "the CV minimum may lie beyond it", choice.h, cv[0][0], cv[-1][0])
+        import logging  # only this warning logs; keeps it off CLI start-up
+
+        logging.getLogger(__name__).warning(
+            "cross-validation chose h=%g at an edge of its grid [%g, %g]; "
+            "the CV minimum may lie beyond it", choice.h, cv[0][0], cv[-1][0])
     flatness = None
     if cv:
         finite = [c for _, c in cv if np.isfinite(c)]
@@ -205,16 +206,18 @@ def _write_manifest(args, start: float, **diagnostics) -> float:
     """Write the manifest of the command's --out artifact; returns the runtime.
 
     The command's --seed, when it has one, is the master seed, and its --in
-    file, when it has one, is digested. The diagnostics add the peak RSS.
+    file, when it has one, is digested. The diagnostics add the peak RSS,
+    read after the digest, which loads OpenSSL.
     """
     runtime = time.perf_counter() - start
-    diagnostics["peak_rss_mb"] = _peak_rss_mb()
     infile = getattr(args, "infile", None)
+    digests = {infile: sha256_file(infile)} if infile else {}
+    diagnostics["peak_rss_mb"] = _peak_rss_mb()
     RunManifest(
         command=args.command,
         params={k: v for k, v in vars(args).items() if k != "command"},
         master_seed=getattr(args, "seed", None),
-        input_digests={infile: sha256_file(infile)} if infile else {},
+        input_digests=digests,
         runtime_s=runtime,
         diagnostics=diagnostics,
     ).write(args.out)
@@ -286,12 +289,20 @@ def _load_series(args) -> ProxySeries:
         if bad.size:
             raise ValidationError(f"{args.infile}: non-finite 't' at 0-based data row "
                                   f"{bad[0]} (value {float(cols['t'][bad[0]])}); pass --delta")
-        steps = np.diff(cols["t"])
-        if steps.min() <= 0 or np.ptp(steps) > 1e-8 * max(1.0, steps.mean()):
+        t = cols["t"]
+        steps = np.diff(t)
+        rising, delta = steps.min() > 0, float(steps.mean())
+        del steps
+        # uniform in any time unit: t strays from t_0 + i delta by at most
+        # 1e-6 delta, room for its decimal rounding (formed in place)
+        stray = np.arange(len(t), dtype=float)
+        stray *= delta
+        stray -= t
+        stray += t[0]
+        if not rising or np.abs(stray, out=stray).max() > 1e-6 * delta:
             raise ValidationError(
                 f"{args.infile}: time column is not uniformly spaced; pass --delta"
             )
-        delta = float(steps.mean())
     else:
         raise ValidationError(f"{args.infile}: no time column; pass --delta")
     if "xtilde" in cols:

@@ -293,6 +293,9 @@ def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h: float, window=N
     acc = np.zeros((n_grid, len(live), len(tops)))
     rows = max(1, min(n_grid, TILE_ROWS))
     step = max(1, min(n, TILE_ELEMENTS // rows))
+    # one set of tile buffers per call: dk, w and, where the regressor
+    # distances d (used only above power 0) differ from dk, d
+    bufs = [np.empty(rows * step) for _ in range(3 if kpts is not ppts and len(live) > 1 else 2)]
     if window is not None:  # row g leaves out the terms lo[g] + reach below hi[g]
         lo, hi = window
         reach = np.arange(np.max(hi - lo, initial=0))
@@ -300,13 +303,15 @@ def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h: float, window=N
     with np.errstate(over="ignore", under="ignore"):
         for c0 in range(0, n, step):
             block = slice(c0, c0 + step)
+            m = min(step, n - c0)
             a = cols[block].take(order, axis=1)  # C-ordered; a[:, order] rounds otherwise
             for r0 in range(0, n_grid, rows):
                 x = grid[r0 : r0 + rows, None]
-                dk = kpts[None, block] - x
-                # the regressor distances, used only above power 0
-                d = dk if kpts is ppts or len(live) == 1 else ppts[None, block] - x
-                w = dk * dk
+                # C-contiguous views, laid out as fresh arrays would be
+                dk, w, *own = (b[: len(x) * m].reshape(len(x), m) for b in bufs)
+                np.subtract(kpts[None, block], x, out=dk)
+                d = np.subtract(ppts[None, block], x, out=own[0]) if own else dk
+                np.multiply(dk, dk, out=w)
                 kernel.profile(w, scale, w)  # in place over the squared distances
                 if window is not None:
                     i = lo[r0 : r0 + rows, None] + reach

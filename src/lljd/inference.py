@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -86,6 +85,8 @@ class ConfidenceBands:
 
 def _normal_critical(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1-alpha/2}."""
+    from statistics import NormalDist  # with fractions and decimal, off CLI start-up
+
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 

@@ -16,7 +16,6 @@ command, parameters, seeds, input digests, library version and timestamp.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import time
@@ -52,6 +51,8 @@ WRITE_BLOCK_ROWS = 1 << 11
 
 
 def sha256_file(path) -> str:
+    import hashlib  # loads OpenSSL, which only --in digests need
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):

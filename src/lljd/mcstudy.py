@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from itertools import groupby
-from statistics import NormalDist
 
 import numpy as np
 
@@ -329,6 +328,8 @@ def qq_data(standardized) -> tuple[np.ndarray, float]:
     The KS distance has the closed form max over i of
     max(i/n - Phi(z_(i)), Phi(z_(i)) - (i-1)/n).
     """
+    from statistics import NormalDist  # with fractions and decimal, off CLI start-up
+
     values = np.asarray(standardized, dtype=float)
     if values.ndim != 1 or len(values) < 20:
         raise ValidationError("need at least 20 values for QQ diagnostics")

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lljd import cli
 from lljd.bandwidth import CV_BINS, BandwidthChoice
 from lljd.cli import main
 from lljd.errors import ValidationError
@@ -825,6 +827,41 @@ def test_cli_estimate_names_too_few_rows_not_a_missing_time_column(tmp_path, cap
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("per_second", [1.0, 1.0 / (365.25 * 86400.0)], ids=["seconds", "years"])
+def test_irregular_time_column_is_rejected_in_any_unit(tmp_path, capsys, per_second):
+    # 400 rows of 1-second steps, each up to 10% off
+    steps = 1.0 + np.random.default_rng(5).uniform(-0.1, 0.1, 399)
+    t = np.concatenate([[0.0], np.cumsum(steps)]) * per_second
+    y = np.cumsum(np.random.default_rng(6).normal(0.0, 0.01, len(t)))
+    f = tmp_path / "irregular.csv"
+    write_table(f, {"t": t, "y": y})
+    assert main(["estimate", "--in", str(f), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}: time column is not uniformly spaced; pass --delta\n", err
+
+
+def test_day_stamps_rounded_to_nine_decimals_are_uniform(tmp_path):
+    k = np.arange(400)
+    y = np.cumsum(np.random.default_rng(7).normal(0.0, 0.01, len(k)))
+    f = tmp_path / "days.csv"
+    f.write_text("t,y\n" + "".join(f"{i / 365:.9f},{v!r}\n" for i, v in zip(k, y.tolist())))
+    assert main(["estimate", "--in", str(f), "--out", str(tmp_path / "out.csv")]) == 0
+    series = cli._load_series(argparse.Namespace(infile=str(f), delta=None))
+    assert series.delta == pytest.approx(1 / 365, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [1 / (365 * 288), 1 / 252, 1 / 48, 0.01, 1.0, 300.0, 86400.0])
+def test_written_paths_and_proxies_load_with_their_step(tmp_path, delta):
+    n = 3 * WRITE_BLOCK_ROWS + 5
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=n), np.cumsum(rng.normal(size=n))
+    files = [write_path_csv(tmp_path / "p.csv", SamplePath(delta, x, y, 0)),
+             write_proxy_csv(tmp_path / "x.csv", ProxySeries(delta, x))]
+    for f in files:
+        series = cli._load_series(argparse.Namespace(infile=str(f), delta=None))
+        assert series.delta == pytest.approx(delta, rel=1e-12), f
+
+
 def test_manifest_records_the_commands_own_peak_rss(tmp_path):
     # a child's ru_maxrss keeps the spawning process's high-water mark across
     # exec, here the test runner's, far above a small command's own peak; the
@@ -839,6 +876,17 @@ def test_manifest_records_the_commands_own_peak_rss(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 0
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert 0 < manifest["diagnostics"]["peak_rss_mb"] <= usage.ru_maxrss / 1024
+
+
+def test_manifest_reads_the_peak_rss_after_the_input_digest(tmp_path, monkeypatch):
+    # the digest loads OpenSSL; a peak read before it would leave that out
+    calls = []
+    monkeypatch.setattr(cli, "sha256_file", lambda path: calls.append("digest") or "0" * 64)
+    monkeypatch.setattr(cli, "_peak_rss_mb", lambda: calls.append("peak") or 1.0)
+    args = argparse.Namespace(command="estimate", infile=str(tmp_path / "in.csv"),
+                              out=str(tmp_path / "out.csv"))
+    cli._write_manifest(args, 0.0)
+    assert calls == ["digest", "peak"]
 
 
 def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
@@ -871,6 +919,16 @@ def test_cli_import_keeps_numpy_fft_unloaded():
     # only binned cross-validation needs numpy.fft; it imports it on first use
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, lljd.cli; sys.exit('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("module", ["_hashlib", "statistics", "fractions", "decimal", "logging"])
+def test_cli_import_keeps_rarely_called_stdlib_unloaded(module):
+    # the --in digest (OpenSSL), normal quantiles, --delta fractions and the
+    # CV grid-edge warning import theirs where they are called
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys, lljd.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
