@@ -30,31 +30,30 @@ One routine, `_power_sums`, sums K_i d_i^q times each of the caller's weight
 columns up to the column's own top power q, at one bandwidth. A fit's
 columns are [1 | responses]: the unit column up to 2p gives the S_j, each
 response up to p its T_j. It serves every direct sum: exact and binned fits
-(below) and CV's exact leave-out sums. `_closed_form` turns sums of degree
-`_degree(methods)` into the fits:
+(below) and CV's exact leave-out sums. The fits it serves:
 
-    estimate_curve                  p=1: the local linear intercept
-                                    (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2);
-                                    p=0: the Nadaraya-Watson mean T_0 / S_0
-    estimate_curves                 both from one p=1 pass: the NW sums are
-                                    its j = 0 sums. The pass fits three
-                                    responses, drift, second moment and the
-                                    fourth power the bands need, and its S_0
-                                    is the bands' density up to the two
-                                    trailing proxies
-    _local_cubic                    p=3, the bands' pilot: S_0..S_6, T_0..T_3
-                                    form the 4x4 normal equations
-    bandwidth.cross_validate        the p=0/1 fit at the regressor points,
-                                    with an exclusion window, one call per
-                                    bandwidth: at every term under backend
-                                    'exact'; under 'binned' (the default),
-                                    whose sums come from FFTs of binned
-                                    points, only at its few ill-conditioned
-                                    leave-out fits
+    estimate_curves     one p=1 pass of the drift, the second moment and the
+                        fourth power the bands need; `_closed_form` takes the
+                        local linear intercept (S_2 T_0 - S_1 T_1) /
+                        (S_0 S_2 - S_1^2) and, from its j = 0 sums, the
+                        Nadaraya-Watson mean T_0 / S_0. Its S_0 is the
+                        bands' density up to the two trailing proxies
+    _local_cubic        p=3, the bands' pilot: S_0..S_6 and T_0..T_3
+    bandwidth.cross_validate
+                        the p=0/1 fit at the regressor points with an
+                        exclusion window, one call per bandwidth: at every
+                        term under backend 'exact', under 'binned' only at
+                        its few ill-conditioned leave-out fits
+
+A fit is defined where its design is, by one rule for every p (`_defined`):
+kernel mass S_0 >= DEGENERACY_FLOOR n and det R > COND_FLOOR, R the moment
+matrix [S_(i+j)] scaled to a unit diagonal, det S / prod_j S_2j, free of the
+data's units and of h. At p = 0 only the mass counts; at p = 1 det R is
+(S_0 S_2 - S_1^2) / (S_0 S_2), in closed form; the local cubic takes the
+determinant of its 4x4 R and solves R z = D^-1 T, D = diag(sqrt(S_2j)).
 
 The estimators read the entries of a `ProxySeries` unchecked: it checked
 them when it was built. `term_points` adds a fit's one rule, three entries.
-
 S_0 is the kernel mass n_eff. The exclusion window gives each evaluation
 point a range of terms lo <= i < hi to leave out; their kernel weights are
 set to zero before anything is summed, so a leave-out fit is exactly the fit
@@ -62,9 +61,8 @@ on the remaining terms. The sums accumulate over tiles of at most
 TILE_ELEMENTS (evaluation point, term) pairs, 1 MB per temporary. The fits
 form their responses per term block from the block's slice of the proxy
 (`_Responses`), and binning walks the same blocks, so beside the proxy a fit
-with bands holds a few tiles, its bins and a few n-vectors: the grid's order
-statistics and the local cubic pass's scaled points (and, as written, its
-regressors and offsets). Both kernels are radial,
+with bands holds a few tiles, its bins, the grid's order statistics and, as
+written, the binned passes' offsets. Both kernels are radial,
 K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine orders the
 columns A by falling top, so those summed at power q are a leading slice A_q;
 per tile of regressor and kernel-point distances d and d_k it takes
@@ -117,18 +115,9 @@ from .errors import ValidationError
 from .kernels import GAUSSIAN, Kernel
 from .proxy import ProxySeries
 
-__all__ = [
-    "EstimatorConfig",
-    "CurveEstimate",
-    "LOCAL_LINEAR",
-    "NADARAYA_WATSON",
-    "default_grid",
-    "drift_responses",
-    "second_moment_responses",
-    "fourth_moment_responses",
-    "estimate_curve",
-    "estimate_curves",
-]
+__all__ = ["EstimatorConfig", "CurveEstimate", "LOCAL_LINEAR", "NADARAYA_WATSON", "default_grid",
+           "drift_responses", "second_moment_responses", "fourth_moment_responses",
+           "estimate_curve", "estimate_curves"]
 
 LOCAL_LINEAR = "local_linear"
 NADARAYA_WATSON = "nadaraya_watson"
@@ -138,10 +127,12 @@ RANGE_MODES = ("inner", "full")  # the spans of `default_grid`
 # this fraction of the term count; avoids 0/0 amplification in empty regions.
 DEGENERACY_FLOOR = 1e-10
 
-# A local cubic design whose reciprocal condition number falls below this is
-# singular: fewer than four distinct regressors carry weight, and a solve
-# would return rounding noise. Its grid point is undefined.
-CUBIC_RCOND = 1e-12
+# det R at or below this (module docstring): the design is ill-conditioned.
+# It keeps ~5 of 16 digits after the cancellation in S_0 S_2 - S_1^2, and
+# keeps local cubic designs of condition number 7e6 (det R 7e-11). A binned
+# design passing `_poorly_binned`'s spread test has det R > 4/(M-1)^2 >=
+# 1.5e-8 (S_2 <= S_0 span^2, M <= CV_BINS): the floor acts on exact sums.
+COND_FLOOR = 1e-11
 
 # Working-memory bound of the kernel sums: a tile holds at most TILE_ELEMENTS
 # (evaluation point, term) pairs, 1 MB per float64 temporary. It spans
@@ -183,10 +174,10 @@ class EstimatorConfig:
 class CurveEstimate:
     """Estimated drift and second-moment curves over a grid.
 
-    n_eff[k] is the kernel mass at grid[k]; points below the degeneracy floor
-    are NaN and counted in undefined_count. m_hat is deliberately not clipped
-    at zero: negative values flag under-smoothed regions. m4_hat is the raw
-    fit of the fourth-power responses, the variance plug-in of the
+    n_eff[k] is the kernel mass at grid[k]; points where the fit is undefined
+    (`_defined`) are NaN and counted in undefined_count. m_hat is deliberately
+    not clipped at zero: negative values flag under-smoothed regions. m4_hat
+    is the raw fit of the fourth-power responses, the variance plug-in of the
     second-moment band. `sums` records how the pass took its sums (`_fit_sums`).
     """
 
@@ -438,19 +429,38 @@ def _degree(*methods) -> int:
     return 0 if set(methods) == {NADARAYA_WATSON} else 1
 
 
+def _unit_diagonal(s):
+    """R = D^-1 [S_(i+j)] D^-1 of sums s [G, 2p + 1], and diag D = sqrt(S_2j)."""
+    d = np.sqrt(s[:, ::2])
+    i = np.arange(d.shape[1])
+    return s[:, i[:, None] + i] / d[:, :, None] / d[:, None], d
+
+
+def _defined(s, n_terms: int):
+    """Where the degree-p fit of power sums s [..., 2p + 1] is defined
+    (module docstring); NaN sums fail."""
+    ok = s[..., 0] >= DEGENERACY_FLOOR * n_terms
+    if s.shape[-1] == 3:
+        s0s2 = s[..., 0] * s[..., 2]
+        ok &= s0s2 - s[..., 1] * s[..., 1] > COND_FLOOR * s0s2
+    elif s.shape[-1] > 3:
+        with np.errstate(divide="ignore", invalid="ignore"):  # S_2j = 0: R is NaN
+            ok[ok] = np.linalg.det(_unit_diagonal(s[ok])[0]) > COND_FLOOR
+    return ok
+
+
 def _closed_form(s, t, method: str, n_terms: int):
     """The local linear or Nadaraya-Watson fit from power sums of a degree
     >= its own (the Nadaraya-Watson S_0, T_0 are the j = 0 sums of a local
     linear pass). Returns (values [..., R, G], n_eff, defined mask); values
-    are NaN where the fit is undefined."""
+    are NaN where the fit is undefined (`_defined`)."""
     s0 = s[..., 0]
-    ok = s0 >= DEGENERACY_FLOOR * n_terms
+    ok = _defined(s[..., : 2 * _degree(method) + 1], n_terms)
     if method == NADARAYA_WATSON:
         num, den = t[..., 0, :], s0
     else:
         s1, s2 = s[..., 1], s[..., 2]
         den = s0 * s2 - s1 * s1
-        ok = ok & (den > 0) & np.isfinite(den)
         num = s2[..., None] * t[..., 0, :] - s1[..., None] * t[..., 1, :]
     vals = np.where(ok[..., None], num / np.where(ok, den, 1.0)[..., None], np.nan)
     return vals.swapaxes(-1, -2), s0, ok
@@ -502,17 +512,13 @@ def _local_cubic(xt, cols, grid, kernel, h, index_alignment):
     """Second derivatives over `grid`, one row per response, of local cubic
     fits of `cols` = [1 | responses] at a pilot bandwidth h (above the curve
     h: derivatives need more smoothing), and how the kernel sums were taken
-    (`_fit_sums`). An empty neighbourhood or singular design gives NaN."""
+    (`_fit_sums`). The sums are in data units, as every fit's; the normal
+    equations are solved equilibrated, R z = D^-1 T (module docstring), and
+    the curvature is 2 z_2 / sqrt(S_4). NaN where `_defined` fails."""
     kpts, ppts = term_points(xt, index_alignment)
-    # sums in u = d/h, where the normal equations are well scaled
-    u = kpts / h
-    s, t, sums = _fit_sums(
-        u, u if ppts is kpts else ppts / h, cols,
-        np.asarray(grid, dtype=float) / h, kernel, 1.0, 3,
-    )
-    mat = s[:, np.add.outer(np.arange(4), np.arange(4))]
-    sv = np.linalg.svd(mat, compute_uv=False)
-    ok = (s[:, 0] >= DEGENERACY_FLOOR * len(kpts)) & (sv[:, -1] > CUBIC_RCOND * sv[:, 0])
+    s, t, sums = _fit_sums(kpts, ppts, cols, grid, kernel, h, 3)
+    ok = _defined(s, len(kpts))
+    r, d = _unit_diagonal(s[ok])
     out = np.full(t.shape[::2], np.nan)
-    out[ok] = 2.0 * np.linalg.solve(mat[ok], t[ok])[:, 2] / (h * h)
+    out[ok] = 2.0 * np.linalg.solve(r, t[ok] / d[..., None])[:, 2] / d[:, 2:3]
     return out.T, sums

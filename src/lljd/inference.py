@@ -66,7 +66,7 @@ FOURTH_MOMENT_SCALE = 2.5
 class ConfidenceBands:
     """Pointwise bands over the estimate's grid; arrays are NaN where the
     band is undefined: where its centre or half-width is not finite (an
-    empty neighbourhood, a singular pilot design, a negative variance
+    empty neighbourhood, an ill-conditioned pilot design, a negative variance
     plug-in).
     `pilot_sums` records how the local cubic pass took its kernel sums (None
     without bias correction)."""
@@ -117,14 +117,9 @@ def attach_bands(
     rate = np.sqrt(est.n_terms * est.delta * est.h)
     curvature, pilot_sums = np.zeros((2, len(est.grid))), None
     if bias_corrected:
-        curvature, pilot_sums = _local_cubic(
-            xt,
-            _Responses(xt, (drift_responses, second_moment_responses)),
-            est.grid,
-            est.kernel,
-            pilot_h,
-            est.index_alignment,
-        )
+        cols = _Responses(xt, (drift_responses, second_moment_responses))
+        curvature, pilot_sums = _local_cubic(xt, cols, est.grid, est.kernel, pilot_h,
+                                             est.index_alignment)
     fields = {}
     for name, c2, estimate, spread in (
         ("mu", curvature[0], est.mu_hat, est.m_hat),

@@ -95,13 +95,11 @@ def ingest_prices(path, price_col: str, delta: float):
 
     Only the price column is parsed, so other columns (timestamps, say) may
     hold anything. Consecutive rows are treated as uniformly delta-spaced
-    (session gaps are not special-cased), a choice flagged in the returned
-    diagnostics. Returns (ProxySeries, info dict).
+    (session gaps are not special-cased). Returns (ProxySeries, info dict of
+    the rows read and delta).
     """
     prices = read_columns_csv(path, [price_col])[price_col]
-    info = {"rows": len(prices), "dropped": 0, "delta": delta,
-            "gaps_treated_as_uniform_steps": True}
-    return build_log_proxy(prices, delta), info
+    return build_log_proxy(prices, delta), {"rows": len(prices), "delta": delta}
 
 
 def _strict_json(value):

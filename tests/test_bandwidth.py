@@ -476,6 +476,32 @@ def test_binned_cv_matches_exact_at_epanechnikov_support_edges():
     assert min(exact.cv_degenerate) > 0
 
 
+def lone_designs(xt, h, alignment):
+    """The terms whose Epanechnikov leave-out design at h has fewer than two
+    distinct regressor values inside the support."""
+    kpts, ppts = term_points(xt, alignment)
+    count = 0
+    for i, x in enumerate(ppts):
+        j = np.flatnonzero(np.abs(kpts - x) < h)
+        count += len(set(ppts[j[np.abs(j - i) > 1]])) < 2
+    return count
+
+
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+def test_cv_counts_a_design_singular_up_to_rounding_as_degenerate(alignment):
+    # 10.0 and 10.1, far apart in the series: deleting either leaves the
+    # other one term inside the support, whose S_0 S_2 - S_1^2 is rounding
+    # noise. Both backends count every such term as degenerate
+    rng = np.random.default_rng(12)
+    bulk = np.clip(rng.normal(0.0, 1.0, 200), -3, 3)
+    xt = series(np.concatenate([bulk[:100], [10.0], bulk[100:], [10.1, 0.0, 0.1]]))
+    grid = np.array([0.2, 0.3])
+    exact, _ = assert_backends_agree(xt, grid, EstimatorConfig(1.0, EPANECHNIKOV,
+                                                               index_alignment=alignment))
+    assert exact.cv_degenerate == tuple(lone_designs(xt, h, alignment) for h in grid)
+    assert min(exact.cv_degenerate) >= 2
+
+
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV])
 def test_binned_cv_matches_exact_on_tied_tail_points(kernel):
     # six tied values in the tail: a leave-out fit there rests on five terms

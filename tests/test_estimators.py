@@ -475,6 +475,76 @@ def test_cubic_fit_undefined_where_fewer_than_four_regressors_carry_weight():
         assert value == pytest.approx(2.0 * coef[2] / h**2, rel=1e-9)
 
 
+def random_walk(seed, n=66):
+    """Proxies of a random walk with N(0, 0.3^2) steps: at h = 0.2 the
+    Epanechnikov support of some grid points holds a single term."""
+    return series(np.cumsum(np.random.default_rng(seed).normal(0.0, 0.3, n)))
+
+
+def lone_term_points(xt, grid, h):
+    """The grid points with exactly one kernel point inside the support."""
+    kpts, _ = term_points(xt)
+    return (np.abs(kpts[None, :] - grid[:, None]) < h).sum(axis=1) == 1
+
+
+def test_a_local_linear_design_singular_up_to_rounding_is_undefined():
+    # one term carrying all the weight: S_0 S_2 - S_1^2 is rounding noise of
+    # either sign, and the fit is NaN and counted whatever the sign. Proxies
+    # one apart at h = 0.2 (the drift responses are all 10), then the random
+    # walk of seed 7, 22 of whose grid points hold a single term
+    xt = series(np.arange(7.0))
+    grid = np.array([-0.05, 0.05, 0.85, 1.1])
+    est = estimate_curve(xt, grid, EstimatorConfig(0.2, EPANECHNIKOV))
+    assert np.isnan(est.mu_hat).all() and np.isnan(est.m_hat).all()
+    assert est.undefined_count == len(grid)
+    # the local mean needs only the kernel mass
+    nw = estimate_curve(xt, grid, EstimatorConfig(0.2, EPANECHNIKOV, method=NADARAYA_WATSON))
+    assert np.allclose(nw.mu_hat, 10.0, rtol=1e-12) and nw.undefined_count == 0
+    xt = random_walk(7)
+    grid = default_grid(xt)
+    lone = lone_term_points(xt, grid, 0.2)
+    assert lone.sum() == 22
+    est = estimate_curve(xt, grid, EstimatorConfig(0.2, EPANECHNIKOV))
+    assert np.isnan(est.mu_hat[lone]).all()
+    assert est.undefined_count == np.isnan(est.mu_hat).sum()
+
+
+def assert_scaled(got, want, factor, rtol):
+    """got = factor * want: NaN in the same places, and elsewhere within rtol
+    of the largest magnitude of factor * want."""
+    want = factor * np.asarray(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.max(np.abs(got[ok] - want[ok])) <= rtol * np.max(np.abs(want[ok]))
+
+
+@pytest.mark.parametrize("alignment", ["aligned", "as_written"])
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_the_conditioning_rule_does_not_depend_on_the_data_unit(scale, alignment):
+    # proxies, grid and h in a unit scaled by c: every fit is defined at the
+    # same points, and its values scale as its responses: the drift by c,
+    # the second moment by c^2, and their curvatures by 1 / c and 1
+    xt = random_walk(7)
+    scaled = series(scale * xt.xt)
+    grid = default_grid(xt)
+    cols = estimators._Responses
+    for kernel in (GAUSSIAN, EPANECHNIKOV):
+        for method in (LOCAL_LINEAR, NADARAYA_WATSON):
+            a, b = (estimate_curve(x, g, EstimatorConfig(h, kernel, method, alignment))
+                    for x, g, h in ((xt, grid, 0.2), (scaled, scale * grid, 0.2 * scale)))
+            assert_scaled(b.mu_hat, a.mu_hat, scale, 1e-12)
+            assert_scaled(b.m_hat, a.m_hat, scale**2, 1e-12)
+            assert a.undefined_count == b.undefined_count
+        a, b = (_local_cubic(x, cols(x, (drift_responses, second_moment_responses)), g, kernel,
+                             h, alignment)[0]
+                for x, g, h in ((xt, grid, 0.4), (scaled, scale * grid, 0.4 * scale)))
+        assert np.isnan(a).any() == (kernel is EPANECHNIKOV) and not np.isnan(a).all()
+        # the scaled proxies differ by rounding, which the least conditioned
+        # designs (det R 2e-10, condition number 3e7) amplify to 1e-9
+        assert_scaled(b[0], a[0], 1 / scale, 1e-8)
+        assert_scaled(b[1], a[1], 1.0, 1e-8)
+
+
 def test_quantiles_are_numpys_linear_quantiles_bit_for_bit():
     rng = np.random.default_rng(21)
     fractions = ([0.025, 0.975], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], [0.0, 0.5, 1.0])
@@ -495,8 +565,8 @@ def test_fit_and_bands_memory_does_not_grow_with_the_sample():
     # AR(1) proxies of 200k and 800k terms; dense G x n kernel matrices would
     # need about 1.2 GB at 200k. Beside the proxy itself, the fit and the bands
     # work in term blocks: no n x R response matrix, no list of n-vectors.
-    # What remains of n is a few n-vectors: the grid's order statistics, the
-    # pilot's scaled points and, as written, its regressors and offsets.
+    # What remains of n is a few n-vectors: the grid's order statistics and,
+    # as written, the binned passes' offsets.
     for terms, alignment, bound in ((200_000, "aligned", 8e6), (800_000, "aligned", 8e6),
                                     (200_000, "as_written", 12e6)):
         xt = ar1_proxy(terms + 2)

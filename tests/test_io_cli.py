@@ -52,8 +52,7 @@ def test_ingest_flat_prices(tmp_path):
     f = write_prices(tmp_path / "p.csv", ["0,100", "1,100", "2,100"])
     series, info = ingest_prices(f, "close", delta=1.0)
     assert np.array_equal(series.xt, [0.0, 0.0])
-    assert info["rows"] == 3 and info["dropped"] == 0
-    assert info["gaps_treated_as_uniform_steps"] is True
+    assert info == {"rows": 3, "delta": 1.0}
 
 
 def test_ingest_blank_row_reports_line(tmp_path):
@@ -217,8 +216,7 @@ def test_cli_empirical_manifest_records_the_ingest(tmp_path):
     assert main(["empirical", "--in", str(f), "--price-col", "close", "--delta", "1/96",
                  "--out", str(curve)]) == 0
     manifest = json.loads(Path(f"{curve}.manifest.json").read_text())
-    assert manifest["diagnostics"]["ingest"] == {
-        "rows": 242, "dropped": 0, "delta": 1 / 96, "gaps_treated_as_uniform_steps": True}
+    assert manifest["diagnostics"]["ingest"] == {"rows": 242, "delta": 1 / 96}
     # and the undefined grid points of the curve, and of the bands when given
     for bands in ([], ["--bands", "0.05"]):
         assert main(["empirical", "--in", str(f), "--price-col", "close", "--out", str(curve)]
@@ -401,7 +399,7 @@ def test_cli_estimate_bands_at_a_bandwidth_whose_square_overflows(tmp_path, h):
         warnings.simplefilter("error")
         assert main(["estimate", "--in", str(path_csv), "--h", h, "--bands", "0.05",
                      "--out", str(curve_csv)]) == 0
-    # the pilot's local cubic design is singular at such an h: no band anywhere
+    # h^2 overflows in the bias term of every band centre: no band anywhere
     counts = undefined_counts(curve_csv)
     assert counts["undefined_mu"] == counts["undefined_m"] == 101
     assert {k: fit_record(curve_csv)[k] for k in counts} == counts
