@@ -5,13 +5,14 @@ stand-ins, and of the curve fit with bands on the benchmark's large paths.
 Builds each stand-in with scripts/make_empirical_standin.py (the
 mean-reverting benchmark model with Variance Gamma jumps at step 1/48, one
 seed per stand-in), takes its log-price proxy as `lljd empirical` does, and
-cross-validates the default grid around the rule of thumb with both
-backends, for each kernel (Gaussian, Epanechnikov) and method (local linear,
-Nadaraya-Watson). Prints one row per kernel and method: on how many
-stand-ins the chosen h and the degenerate counts agree, the largest relative
-difference of the CV values, the (h, term) pairs the binned backend rescored
-exactly, the seconds of each backend over all stand-ins, and the seeds of
-any stand-in that failed:
+cross-validates the default grid around the rule of thumb twice, for each
+kernel (Gaussian, Epanechnikov) and method (local linear, Nadaraya-Watson):
+as `cross_validate` chooses its sums, and with exact sums at every h, its
+oracle (`lljd.estimators.CV_BINS_PER_H` set to infinity). Prints one row per
+kernel and method: on how many stand-ins the chosen h and the degenerate
+counts agree, the largest relative difference of the CV values, the (h,
+term) pairs binned CV rescored exactly, the seconds of the oracle and of
+binned CV over all stand-ins, and the seeds of any stand-in that failed:
 
     python scripts/check_cv_backends.py --days 100 --seeds 16
 
@@ -33,6 +34,7 @@ fit column is off by more than --fit-rtol or its NaN places differ.
 """
 
 import argparse
+import math
 import sys
 import tempfile
 import time
@@ -68,9 +70,16 @@ def standin_proxy(days: float, per_day: int, seed: int):
     return build_log_proxy(np.exp(path.y), 1.0 / per_day)
 
 
-def timed_cv(series, grid, cfg, backend):
+def timed_cv(series, grid, cfg, exact: bool):
+    """cross_validate, with exact sums at every h when `exact`, and its seconds."""
+    saved = estimators.CV_BINS_PER_H
+    if exact:
+        estimators.CV_BINS_PER_H = math.inf
     start = time.perf_counter()
-    choice = cross_validate(series, grid, cfg, backend)
+    try:
+        choice = cross_validate(series, grid, cfg)
+    finally:
+        estimators.CV_BINS_PER_H = saved
     return choice, time.perf_counter() - start
 
 
@@ -80,9 +89,9 @@ def compare(proxies, cfg, rtol):
     worst, exact_s, binned_s, failed = 0.0, 0.0, 0.0, []
     for seed, series in enumerate(proxies):
         grid = default_cv_grid(rule_of_thumb(series).h)
-        exact, seconds = timed_cv(series, grid, cfg, "exact")
+        exact, seconds = timed_cv(series, grid, cfg, True)
         exact_s += seconds
-        binned, seconds = timed_cv(series, grid, cfg, "binned")
+        binned, seconds = timed_cv(series, grid, cfg, False)
         binned_s += seconds
         want = np.array([c for _, c in exact.cv_curve])
         got = np.array([c for _, c in binned.cv_curve])

@@ -186,8 +186,8 @@ def _bandwidth_record(choice: BandwidthChoice) -> dict:
         flatness = (max(finite) - min(finite)) / min(finite) if min(finite) > 0 else None
     return {"h": choice.h, "method": choice.method, "cv_grid_edge": edge,
             "cv_degenerate_max": max(choice.cv_degenerate) if cv else None,
-            "cv_backend": choice.cv_backend, "cv_exact_terms": choice.cv_exact_terms,
-            "cv_bins": choice.cv_bins, "cv_flatness": flatness}
+            "cv_exact_terms": choice.cv_exact_terms, "cv_bins": choice.cv_bins,
+            "cv_flatness": flatness}
 
 
 def _peak_rss_mb() -> float:
@@ -413,6 +413,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "grid_n", 1) < 1:
             raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")
+        if getattr(args, "bands", None) is not None and not 0.0 < args.bands < 1.0:
+            raise ValidationError(f"--bands must be in (0, 1), got {args.bands}")
+        if not 0.0 < getattr(args, "pilot_mult", 1.0) < math.inf:
+            raise ValidationError(f"--pilot-mult must be positive and finite, "
+                                  f"got {args.pilot_mult}")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ One routine, `_power_sums`, sums K_i d_i^q times each of the caller's weight
 columns up to the column's own top power q, at one bandwidth. A fit's
 columns are [1 | responses]: the unit column up to 2p gives the S_j, each
 response up to p its T_j. It serves every direct sum: exact and binned fits
-(below) and CV's exact leave-out sums. The fits it serves:
+and CV's exact leave-out sums (below). The fits it serves:
 
     estimate_curves     one p=1 pass of the drift, the second moment and the
                         fourth power the bands need; `_closed_form` takes the
@@ -39,11 +39,10 @@ response up to p its T_j. It serves every direct sum: exact and binned fits
                         Nadaraya-Watson mean T_0 / S_0. Its S_0 is the
                         bands' density up to the two trailing proxies
     _local_cubic        p=3, the bands' pilot: S_0..S_6 and T_0..T_3
-    bandwidth.cross_validate
-                        the p=0/1 fit at the regressor points with an
-                        exclusion window, one call per bandwidth: at every
-                        term under backend 'exact', under 'binned' only at
-                        its few ill-conditioned leave-out fits
+    _leave_out_sums     CV's p=0/1 drift fit at the regressor points with
+                        an exclusion window, one call per bandwidth: at
+                        every term where the bins cannot resolve h, else
+                        only at its few ill-conditioned leave-out fits
 
 A fit is defined where its design is, by one rule for every p (`_defined`):
 kernel mass S_0 >= DEGENERACY_FLOOR n and det R > COND_FLOOR, R the moment
@@ -61,11 +60,11 @@ on the remaining terms. The sums accumulate over tiles of at most
 TILE_ELEMENTS (evaluation point, term) pairs, 1 MB per temporary. The fits
 form their responses per term block from the block's slice of the proxy
 (`_Responses`), and binning walks the same blocks, so beside the proxy a fit
-with bands holds a few tiles, its bins, the grid's order statistics and, as
-written, the binned passes' offsets. Both kernels are radial,
-K(u) = g(u^2) / z (`lljd.kernels`). Per term block the engine orders the
-columns A by falling top, so those summed at power q are a leading slice A_q;
-per tile of regressor and kernel-point distances d and d_k it takes
+with bands holds a few tiles, its bins and the grid's order statistics. Both
+kernels are radial, K(u) = g(u^2) / z (`lljd.kernels`). Per term block the
+engine orders the columns A by falling top, so those summed at power q are a
+leading slice A_q; per tile of regressor and kernel-point distances d and d_k
+it takes
 
     w = g(d_k^2 / h^2)    in place over d_k^2; for the Gaussian a scale and
                           an exp; then each row's window of terms set to 0
@@ -78,28 +77,79 @@ underflows (under 1e-154) counts as zero.
 A Gaussian fit of one bandwidth with at least BINNED_MIN_TERMS = 2^16 terms
 takes binned direct sums instead (Wand 1994, JCGS 3:433-445); `_fit_sums`
 picks the path for every fit. It bins the kernel points linearly as binned CV
-does, in the engine's term blocks, onto the fewest bins M, a power of
-two, that put CV_H_BINS bins inside h (a sample needing more than CV_BINS
+does, in the engine's term blocks, onto the fewest bins M, a power of two,
+that put CV_H_BINS bins inside h (`_bins`; a sample needing more than CV_BINS
 gets exact sums). With dk = kernel point - x and e = regressor - kernel
-point, d^j = sum_q C(j, q) dk^q e^(j-q): S_j and T_j combine (`_combine`)
-sums of K dk^q over the weight columns of `_columns`, [1 | responses] where
-e = 0 (aligned), else e^m and e^m r. One `_power_sums` call takes the M bin
-centres c_b as its terms and the binned columns, each to its top, so each
-sums K((c_b - x)/h) (c_b - x)^q over the bins, in the tiles of every other
-sum. A term with bin weights g and f = 1 - g puts on its bins the chord of
-phi = K dk^q, which exceeds phi by D^2 f g phi'' / 2 (D the bin width). The
-points are therefore binned a second time, weighted by f g, as more columns
-of that call; for the Gaussian, phi'' combines K dk^(q-2), K dk^q and
-K dk^(q+2), so those columns go two powers above their tops to give the
-excess, and the pass subtracts it. Grid points that fail a fallback test of
-binned CV (`lljd.bandwidth`) get exact sums, so NaN sits where the exact fit
-has it. On the default grid every column of fit and bands is within 2.1e-9 of
-its largest magnitude of the exact one, at either alignment (AR(1) proxies
-of 66k-200k terms, CP and VG paths of 70k-150k; the tests hold 5e-7). Over
-the data's whole range it was within 1.3e-7, but for the second-moment band
-where the fourth-moment fit nearly vanishes and its square root amplifies
-the error (2.8e-6 at one point). The Epanechnikov kernel stays exact: its
-kink at |u| = 1 makes its binning error first order (1e-5, 128 bins per h).
+point, formed per term block, d^j = sum_q C(j, q) dk^q e^(j-q): S_j and T_j
+combine (`_combine`) sums of K dk^q over the weight columns of `_columns`,
+[1 | responses] where e = 0 (aligned), else e^m and e^m r. One `_power_sums`
+call takes the M bin centres c_b as its terms and the binned columns, each to
+its top, so each sums K((c_b - x)/h) (c_b - x)^q over the bins, in the tiles
+of every other sum. A term with bin weights g and f = 1 - g puts on its bins
+the chord of phi = K dk^q, which exceeds phi by D^2 f g phi'' / 2 (D the bin
+width). The points are therefore binned a second time, weighted by f g, as
+more columns of that call; for the Gaussian, phi'' combines K dk^(q-2),
+K dk^q and K dk^(q+2), so those columns go two powers above their tops to give
+the excess, and the pass subtracts it. Grid points that fail a fallback test
+of binned CV (below) get exact sums, so NaN sits where the exact fit has it.
+On the default grid every column of fit and bands is within 2.1e-9 of its
+largest magnitude of the exact one, at either alignment (AR(1) proxies of
+66k-200k terms, CP and VG paths of 70k-150k; the tests hold 5e-7). Over the
+data's whole range it was within 1.3e-7, but for the second-moment band where
+the fourth-moment fit nearly vanishes and its square root amplifies the error
+(2.8e-6 at one point). The Epanechnikov kernel stays exact: its kink at
+|u| = 1 makes its binning error first order (1e-5, 128 bins per h).
+
+Cross-validation (`lljd.bandwidth`) takes, at each h of its ascending grid,
+the leave-out sums of every term from `_leave_out_sums`, handed its deletion
+rule: at regressor i the terms i + o, o in `deleted`, are left out. The sums
+are binned, after KernSmooth (Fan & Marron 1994, JCGS 3:35-56; Wand 1994).
+The kernel and regressor points are binned linearly onto the M bins of
+`_bins` over one range, the kernel points once per weight column of
+`_columns`. For each h the lag kernels kappa_q[m] = K(m D / h) (m D)^q, D
+the bin width, are correlated with each column up to its top power by FFT,
+which gives its sums at every bin centre (a fit, which needs sums at few
+grid points, takes no FFT); linear interpolation carries them to the
+regressor points. The deleted terms are then subtracted in the same binned
+bilinear form: term k = i + o at regressor i, its kernel point d bins from
+the regressor, pairs bins at lags d, d + 1 and d - 1 with weights
+g_i g_k + f_i f_k, g_i f_k and f_i g_k, so a leave-out sum is the binned sum
+of exactly the terms that remain. The grid ascends, so M never rises along
+it; the points are binned once per distinct M (`_Binning`), and the
+following h reuse the binned spectra.
+
+Exact sums, with the deletion window, rescore every term whose binned
+leave-out fit rests on too little to be trusted to the bins
+(`_poorly_binned`, which the binned fits' grid points also pass):
+
+    S_0 <= CV_MIN_MASS * K(0)                       few terms' kernel mass
+    S_0 S_2 - S_1^2 <= (CV_MIN_SPREAD D S_0)^2      spread within two bins
+
+the second for the local linear fit. These are sparse-tail terms, where
+exact CV itself degenerates or nearly does and binning error in one weight
+would move the fit. The mass test also keeps terms just outside a compact
+kernel's support, which enter the binned sums with small weights, from
+making an exactly collinear leave-out design look well conditioned: without
+it, Epanechnikov CV values on the stand-ins below were up to 7e-4 off and 4
+of 16 had different degenerate counts. The spread test catches tied values:
+terms at one place are spread over two bins, which gives an exactly
+collinear design a spread of up to a bin. FFT round-off is absolute, below
+1e-15 of the largest sum (4e-16 to 8e-16 measured); tiny sums need no test
+of their own, because the mass test keeps every binned S_0 above 4 K(0)
+while no S_0 exceeds n K(0).
+
+A bandwidth narrower than CV_BINS_PER_H bins is scored exactly throughout.
+Setting CV_BINS_PER_H = math.inf scores every h so: the oracle of the
+binned sums, as BINNED_MIN_TERMS = sys.maxsize is the fits'.
+`scripts/check_cv_backends.py` compares the two on the 16 five-minute
+stand-ins of the `empirical_cv` benchmark (4,799 terms each, the default
+grid, where M falls from 2^14 to 2^9 or 2^10). The largest relative
+difference of a binned CV value from exact is 4e-7 (Gaussian, local
+linear), 7e-7 (Gaussian, Nadaraya-Watson), 8e-6 (Epanechnikov, local
+linear) and 4e-6 (Epanechnikov, Nadaraya-Watson); the chosen h and the
+degenerate counts are the same on every stand-in, 65-511 of the 120k (h,
+term) pairs fall back, and CV takes about 0.1 s against 2-3 s. Both stream
+one bandwidth at a time, binned in O(n + CV_BINS) memory.
 """
 
 from __future__ import annotations
@@ -144,12 +194,16 @@ TILE_ELEMENTS = 1 << 17
 
 # Binned sums, of CV and of large fits: the most bins, and the bins that a
 # bandwidth's bin count puts inside one h. Their exact-fallback tests
-# (`lljd.bandwidth`): the least kernel mass in units of K(0), i.e. of terms
+# (`_poorly_binned`): the least kernel mass in units of K(0), i.e. of terms
 # at zero distance, and the least weighted spread of the design, in bins.
 CV_BINS = 1 << 14
 CV_H_BINS = 128
 CV_MIN_MASS = 4.0
 CV_MIN_SPREAD = 2.0
+# The least bandwidth, in bins, that binned CV scores; at 32 bins the
+# binning error of a CV value is below 3e-5 relative (Epanechnikov, the
+# stand-ins with 2^10 to 2^14 bins). math.inf scores every h exactly.
+CV_BINS_PER_H = 32
 # The fewest terms of a fit that takes binned sums.
 BINNED_MIN_TERMS = 1 << 16
 
@@ -316,12 +370,13 @@ def _power_sums(kpts, ppts, cols, tops, grid, kernel: Kernel, h: float, window=N
     return acc[..., sorted(range(len(order)), key=order.__getitem__)]
 
 
-def _bin_count(h: float, span: float, m: int = CV_BINS) -> int:
-    """The fewest bins, a power of two up to m, that put CV_H_BINS bins inside
-    h over a sample of range `span`."""
+def _bins(h: float, span: float):
+    """The fewest bins, a power of two up to CV_BINS, that put CV_H_BINS bins
+    inside h over a sample of range `span`, and their width."""
+    m = CV_BINS
     while m > 2 and (m // 2 - 1) * h >= CV_H_BINS * span:
         m //= 2
-    return m
+    return m, span / (m - 1) or 1.0  # any width bins a constant sample
 
 
 def _linear_bins(pts, lo: float, width: float, m: int):
@@ -340,7 +395,7 @@ def _bin_weights(b, f, g, weights, size: int):
 
 def _poorly_binned(s, k0, width: float, degree: int):
     """The rows of binned power sums s [rows, 2 degree + 1] that fail a
-    fallback test of `lljd.bandwidth`; k0 = K(0)."""
+    fallback test (module docstring); k0 = K(0)."""
     s0 = s[:, 0]
     poor = s0 <= CV_MIN_MASS * k0
     if degree:
@@ -348,22 +403,29 @@ def _poorly_binned(s, k0, width: float, degree: int):
     return poor
 
 
+def _tops(degree: int, responses: int):
+    """The top powers of the weight columns [1 | responses] of a degree-p
+    fit: 2p for the unit column, p for each response."""
+    return [2 * degree] + [degree] * responses
+
+
 def _columns(e, responses, degree: int):
     """The weight columns of `_combine`'s sums, and the top power of each:
     [1 | responses] when e is None; else e^m, m <= 2 degree, up to power
     2 degree - m, then e^m r, m <= degree, up to power degree - m."""
     if e is None:
-        return [1.0, *responses.T], [2 * degree] + [degree] * responses.shape[1]
+        return [1.0, *responses.T], _tops(degree, responses.shape[1])
     pows = [1.0, *np.cumprod([e] * (2 * degree), axis=0)]
     cols = pows + [pows[m] * r for m in range(degree + 1) for r in responses.T]
     tops = [2 * degree - m for m in range(2 * degree + 1)]
     return cols, tops + [degree - m for m in range(degree + 1) for _ in responses.T]
 
 
-def _combine(a, e, degree: int):
+def _combine(a, offset: bool, degree: int):
     """S_j and T_j from sums a[i, q, c] of K dk^q times column c of
-    `_columns`, by d^j = sum_q C(j, q) dk^q e^(j-q) (module docstring)."""
-    if e is None:
+    `_columns`, whose offsets e are all 0 unless `offset`, by
+    d^j = sum_q C(j, q) dk^q e^(j-q) (module docstring)."""
+    if not offset:
         return a[..., 0], a[..., : degree + 1, 1:]
     r = a[..., 2 * degree + 1 :].reshape(*a.shape[:-1], degree + 1, -1)
     s, t = ([sum(math.comb(j, q) * x[:, q, j - q] for q in range(j + 1)) for j in range(top)]
@@ -371,17 +433,27 @@ def _combine(a, e, degree: int):
     return np.stack(s, axis=-1), np.stack(t, axis=-2)
 
 
-def _binned_power_sums(kpts, e, cols, grid, kernel: Kernel, h: float, degree: int,
+def _exact_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int,
+                window=None):
+    """S_0..S_2p and T_0..T_p of the degree-p fit of the weight columns
+    `cols` = [1 | responses] from one `_power_sums` call, with its `window`."""
+    tops = _tops(degree, cols.shape[1] - 1)
+    return _combine(_power_sums(kpts, ppts, cols, tops, grid, kernel, h, window), False, degree)
+
+
+def _binned_power_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int,
                        m: int, width: float):
-    """The S_j and T_j of `_fit_sums` at one Gaussian bandwidth, from bins of
-    `width`; e = ppts - kpts or None (see the module docstring)."""
+    """The S_j and T_j of `_fit_sums` at one Gaussian bandwidth, from m bins
+    of `width` (see the module docstring)."""
     lo = float(kpts.min())
+    offset = ppts is not kpts
     binned = 0.0  # the binned columns of `_columns`, then the same weighted by f g
     step = TILE_ELEMENTS // TILE_ROWS  # the engine's own term block
     for c0 in range(0, len(kpts), step):
         block = slice(c0, c0 + step)
         b, f, g = _linear_bins(kpts[block], lo, width, m)
-        weights, tops = _columns(None if e is None else e[block], cols[block][:, 1:], degree)
+        e = ppts[block] - kpts[block] if offset else None
+        weights, tops = _columns(e, cols[block][:, 1:], degree)
         sums = _bin_weights(b, f, g, weights, m)
         fg = f * g
         f *= fg
@@ -398,7 +470,7 @@ def _binned_power_sums(kpts, e, cols, grid, kernel: Kernel, h: float, degree: in
     j = np.arange(s.shape[1] - 2)[:, None]
     err = (s_fg[:, 2:] * scale - (2 * j + 1) * s_fg[:, :-2]) * scale
     err[:, 2:] += j[2:] * (j[2:] - 1) * s_fg[:, :-4]
-    return _combine(s[:, :-2] - 0.5 * width * width * err, e, degree)
+    return _combine(s[:, :-2] - 0.5 * width * width * err, offset, degree)
 
 
 def _fit_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int):
@@ -407,21 +479,98 @@ def _fit_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int):
     backend, binned or exact, the bin count and the grid points rescored
     exactly, the last two None when exact."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    tops = [2 * degree] + [degree] * (cols.shape[1] - 1)
     if kernel is GAUSSIAN and len(kpts) >= BINNED_MIN_TERMS:
-        span = float(np.ptp(kpts))
-        m = _bin_count(h, span)
-        width = span / (m - 1) or 1.0
+        m, width = _bins(h, float(np.ptp(kpts)))
         if h >= CV_H_BINS * width:
-            e = None if ppts is kpts else ppts - kpts
-            s, t = _binned_power_sums(kpts, e, cols, grid, kernel, h, degree, m, width)
+            s, t = _binned_power_sums(kpts, ppts, cols, grid, kernel, h, degree, m, width)
             redo = np.flatnonzero(_poorly_binned(s, kernel.eval(0.0), width, degree))
             if redo.size:
-                exact = _power_sums(kpts, ppts, cols, tops, grid[redo], kernel, h)
-                s[redo], t[redo] = _combine(exact, None, degree)
+                s[redo], t[redo] = _exact_sums(kpts, ppts, cols, grid[redo], kernel, h, degree)
             return s, t, {"backend": "binned", "bins": m, "rescored": int(redo.size)}
-    s, t = _combine(_power_sums(kpts, ppts, cols, tops, grid, kernel, h), None, degree)
+    s, t = _exact_sums(kpts, ppts, cols, grid, kernel, h, degree)
     return s, t, {"backend": "exact", "bins": None, "rescored": None}
+
+
+def _leave_out_sums(xt: ProxySeries, h_grid, cfg: EstimatorConfig, deleted: range):
+    """For each h of the ascending `h_grid`, the leave-out sums S_0..S_2p and
+    T_0..T_p of CV's drift fit at every regressor point i, without the terms
+    i + o, o in `deleted`, and how they were taken: the bin count (None:
+    exact throughout) and the terms scored exactly. Yields (s, t, bins,
+    exact terms); s and t are overwritten at the next h."""
+    kpts, ppts = term_points(xt, cfg.index_alignment)
+    resp, degree = drift_responses(xt), _degree(cfg.method)
+    cols, n = _Responses(xt, (drift_responses,)), len(resp)
+    s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
+    lo = min(kpts.min(), ppts.min())  # one range for both
+    span = float(max(kpts.max(), ppts.max()) - lo)
+    terms, binning = np.arange(n), None
+    for h in h_grid:
+        m, width = _bins(h, span)
+        redo = terms
+        if h < CV_BINS_PER_H * width:
+            m = None
+        else:
+            if binning is None or binning.m != m:
+                binning = None  # free the old binning first: one in memory at a time
+                binning = _Binning(kpts, ppts, resp, degree, m, lo, width, deleted)
+            redo = np.flatnonzero(binning.sums(h, cfg.kernel, s, t))
+        if redo.size:  # leaving out at each term what the deletion rule removes
+            s[redo], t[redo] = _exact_sums(kpts, ppts, cols, ppts[redo], cfg.kernel, h, degree,
+                                           (redo + deleted.start, redo + deleted.stop))
+        yield s, t, m, redo.size
+
+
+class _Binning:
+    """The kernel and regressor points binned linearly onto m bins of `width`
+    from `lo` (kbins, pbins: (b, f, g), g = 1 - f on bin b and f on b + 1),
+    and what every h scored on them shares: the spectra of the binned
+    `_columns`. `deleted` is the deletion rule of `_leave_out_sums`."""
+
+    def __init__(self, kpts, ppts, resp, degree: int, m: int, lo: float, width: float,
+                 deleted: range):
+        from numpy import fft  # only binned CV needs it; keeps it off CLI start-up
+
+        self.m, self.degree, self.width, self.deleted = m, degree, width, deleted
+        self.offset = ppts is not kpts
+        self.cols, self.tops = _columns(ppts - kpts if self.offset else None, resp[:, None],
+                                        degree)
+        # zero-padded to 2m bins, the circular correlation with a lag kernel
+        # is the linear one; entry q of a lag kernel holds lag q, entry 2m - q
+        # lag -q
+        self.size = 2 * m
+        self.kbins = b, f, g = _linear_bins(kpts, lo, width, m)
+        self.pbins = _linear_bins(ppts, lo, width, m) if self.offset else self.kbins
+        self.spectra = [fft.rfft(w) for w in _bin_weights(b, f, g, self.cols, self.size)]
+        self.lag = fft.fftfreq(self.size, 1.0 / self.size) * width
+
+    def sums(self, h: float, kernel, s, t):
+        """Fill s and t with the binned leave-out sums at h. Returns the mask
+        of terms whose leave-out design is poorly conditioned."""
+        from numpy import fft
+
+        k0 = kernel.eval(self.lag / h)
+        (bk, fk, gk), (b, f, g), n = self.kbins, self.pbins, len(s)
+        a = np.empty((n, max(self.tops) + 1, len(self.cols)))  # [term, power, column]
+        for q in range(a.shape[1]):
+            kap = k0 * self.lag**q
+            live = [c for c, top in enumerate(self.tops) if top >= q]
+            dropped = np.zeros((len(live), n))  # the binned share of the deleted terms
+            for o in self.deleted:
+                # term k = i + o at regressor i, d = bk[k] - b[i] bins away,
+                # pairs bins at lags d, d + 1 and d - 1
+                i, k = slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n - max(-o, 0))
+                d = bk[k] - b[i]
+                near = ((g[i] * gk[k] + f[i] * fk[k]) * kap[d] + g[i] * fk[k] * kap[d + 1]
+                        + f[i] * gk[k] * kap[d - 1])
+                for w, c in enumerate(live):
+                    col = self.cols[c]
+                    dropped[w, i] += near if np.ndim(col) == 0 else near * col[k]
+            spectrum = np.conj(fft.rfft(kap))
+            for w, c in enumerate(live):
+                full = fft.irfft(self.spectra[c] * spectrum, self.size)
+                a[:, q, c] = g * full[b] + f * full[b + 1] - dropped[w]
+        s[:], t[:] = _combine(a, self.offset, self.degree)
+        return _poorly_binned(s, k0[0], self.width, self.degree)
 
 
 def _degree(*methods) -> int:

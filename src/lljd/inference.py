@@ -110,7 +110,7 @@ def attach_bands(
     if pilot_h is None:
         pilot_h = 2.0 * est.h
     if not (pilot_h > 0 and math.isfinite(pilot_h)):
-        raise ValidationError(f"pilot bandwidth must be positive, got {pilot_h}")
+        raise ValidationError(f"pilot bandwidth must be positive and finite, got {pilot_h}")
     z = _normal_critical(alpha)
     tail = est.kernel.eval((xt.xt[-2:, None] - est.grid) / est.h)
     p_hat = (est.n_eff + tail[0] + tail[1]) / (len(xt.xt) * est.h)

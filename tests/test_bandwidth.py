@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lljd import bandwidth, estimators
-from lljd.bandwidth import CV_BINS, cross_validate, default_cv_grid, rule_of_thumb
+from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb
 from lljd.errors import ValidationError
 from lljd.estimators import (
+    CV_BINS,
     CV_H_BINS,
     DEGENERACY_FLOOR,
     LOCAL_LINEAR,
@@ -24,6 +25,7 @@ from lljd.kernels import EPANECHNIKOV, GAUSSIAN
 from lljd.mcstudy import example_model
 from lljd.proxy import ProxySeries, build_log_proxy, build_proxy
 from lljd.simulate import ModelSpec, NoJumps, PathConfig, simulate_path
+from oracles import exact_cv
 
 
 def series(values, delta=0.1):
@@ -131,7 +133,7 @@ def oracle_case():
 def test_cv_matches_brute_force_oracle_and_is_u_shaped(alignment, method):
     xt, h_grid = oracle_case()
     cfg = EstimatorConfig(bandwidth=1.0, method=method, index_alignment=alignment)
-    choice = cross_validate(xt, h_grid, cfg, backend="exact")
+    choice = exact_cv(xt, h_grid, cfg)
     oracle = brute_force_cv(xt, h_grid, cfg)
     got = np.array([c for _, c in choice.cv_curve])
     assert np.allclose(got, oracle, rtol=1e-10)
@@ -148,7 +150,7 @@ def test_cv_matches_brute_force_oracle_under_tiny_tiles(monkeypatch):
     monkeypatch.setattr(estimators, "TILE_ELEMENTS", 16 * 100)
     xt, h_grid = oracle_case()
     cfg = EstimatorConfig(bandwidth=1.0)
-    got = np.array([c for _, c in cross_validate(xt, h_grid, cfg, "exact").cv_curve])
+    got = np.array([c for _, c in exact_cv(xt, h_grid, cfg).cv_curve])
     assert np.allclose(got, brute_force_cv(xt, h_grid, cfg), rtol=1e-10)
 
 
@@ -161,12 +163,11 @@ def test_exact_cv_calls_the_engine_once_per_bandwidth(monkeypatch, n_grid):
         calls.append((grid, h, window))
         return engine(kpts, ppts, cols, tops, grid, kernel, h, window)
 
-    # exact CV calls the engine from lljd.bandwidth
-    monkeypatch.setattr(bandwidth, "_power_sums", counted)
+    monkeypatch.setattr(estimators, "_power_sums", counted)
     rng = np.random.default_rng(14)
     xt = series(np.cumsum(rng.normal(0.0, 0.1, 80)))
     h_grid = np.geomspace(0.05, 1.0, n_grid)
-    choice = cross_validate(xt, h_grid, EstimatorConfig(1.0), backend="exact")
+    choice = exact_cv(xt, h_grid, EstimatorConfig(1.0))
     assert len(calls) == len(choice.cv_curve) == n_grid
     # each call: every term's regressor point, with the deletion window of its term
     ppts = term_points(xt)[1]
@@ -191,7 +192,7 @@ def test_cv_working_memory_stays_small():
         grid = default_cv_grid(rule_of_thumb(xt).h, n_points)
         tracemalloc.start()
         try:
-            choice = cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact")
+            choice = exact_cv(xt, grid, EstimatorConfig(1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,11 +210,10 @@ def test_cv_near_zero_for_noiseless_affine_relation():
     xt = series(xt, delta=delta)
     grid = np.array([0.05, 0.1, 0.2])
     cfg = EstimatorConfig(1.0, index_alignment="as_written")
-    choice = cross_validate(xt, grid, cfg, backend="exact")
+    choice = exact_cv(xt, grid, cfg)
     assert all(cv < 1e-16 for _, cv in choice.cv_curve)
     # binned sums reproduce an affine relation only up to their binning error
     choice = cross_validate(xt, grid, cfg)
-    assert choice.cv_backend == "binned"
     assert all(cv < 1e-8 * drift_responses(xt).var() for _, cv in choice.cv_curve)
 
 
@@ -321,9 +321,8 @@ def both_alignments(values, ids):
 def assert_backends_agree(xt, grid, cfg):
     """Binned CV against its exact oracle: the same h and degenerate counts,
     NaN in the same places and every CV value within 1e-4 relative."""
-    exact = cross_validate(xt, grid, cfg, backend="exact")
-    binned = cross_validate(xt, grid, cfg, backend="binned")
-    assert binned.cv_backend == "binned"
+    exact = exact_cv(xt, grid, cfg)
+    binned = cross_validate(xt, grid, cfg)
     assert binned.h == exact.h and binned.cv_degenerate == exact.cv_degenerate
     want = np.array([c for _, c in exact.cv_curve])
     got = np.array([c for _, c in binned.cv_curve])
@@ -361,7 +360,8 @@ def test_binned_leave_out_sums_drop_exactly_the_deleted_terms(kernel, alignment)
     resp = drift_responses(xt)
     n = len(resp)
     lo = min(kpts.min(), ppts.min())
-    binning = bandwidth._Binning(kpts, ppts, resp, 1, 64, lo, max(kpts.max(), ppts.max()) - lo)
+    span = max(kpts.max(), ppts.max()) - lo
+    binning = estimators._Binning(kpts, ppts, resp, 1, 64, lo, span / 63, bandwidth.DELETED)
     h = 6.0 * binning.width
     s, t = np.empty((n, 3)), np.empty((n, 2, 1))
     binning.sums(h, kernel, s, t)
@@ -395,7 +395,6 @@ def test_binned_cv_bins_each_bandwidth_at_its_own_resolution():
             if m < CV_BINS:
                 assert h * (m - 1) / span >= CV_H_BINS > h * (m // 2 - 1) / span
         assert len(set(bins)) > 1
-        assert cross_validate(xt, grid, EstimatorConfig(1.0), backend="exact").cv_bins is None
 
 
 def test_binned_cv_keeps_the_degenerate_penalty_pattern():
@@ -431,20 +430,19 @@ def test_binned_cv_working_memory_stays_small(n_terms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert choice.cv_backend == "binned" and len(choice.cv_curve) == 25
+    assert len(choice.cv_curve) == 25
     assert peak < 8e6
 
 
-def test_cv_backend_selection():
+def test_the_cv_oracle_scores_every_term_exactly():
     xt = series(np.cumsum(np.random.default_rng(17).normal(0.0, 0.1, 80)))
     grid = np.geomspace(0.05, 1.0, 3)
-    as_written = EstimatorConfig(1.0, index_alignment="as_written")
-    assert cross_validate(xt, grid).cv_backend == "binned"
-    assert cross_validate(xt, grid, as_written).cv_backend == "binned"
-    choice = cross_validate(xt, grid, as_written, backend="exact")
-    assert (choice.cv_backend, choice.cv_exact_terms) == ("exact", 3 * 78)
-    with pytest.raises(ValidationError, match="unknown CV backend"):
-        cross_validate(xt, grid, backend="fft")
+    for alignment in ("aligned", "as_written"):
+        cfg = EstimatorConfig(1.0, index_alignment=alignment)
+        binned = cross_validate(xt, grid, cfg)
+        assert None not in binned.cv_bins and binned.cv_exact_terms < 3 * 78
+        choice = exact_cv(xt, grid, cfg)
+        assert (choice.cv_bins, choice.cv_exact_terms) == ((None,) * 3, 3 * 78)
 
 
 def test_binned_cv_scores_bandwidths_below_the_bin_resolution_exactly():
@@ -455,7 +453,7 @@ def test_binned_cv_scores_bandwidths_below_the_bin_resolution_exactly():
     exact, binned = assert_backends_agree(xt, np.array([0.05, 0.3, 3.0]),
                                           EstimatorConfig(1.0))
     assert binned.cv_exact_terms >= 2 * 1499
-    # those two h are the exact backend's, bit for bit
+    # those two h are the oracle's, bit for bit
     assert binned.cv_bins[:2] == (None, None) and binned.cv_bins[2] is not None
     assert binned.cv_curve[:2] == exact.cv_curve[:2]
     assert binned.cv_degenerate[:2] == exact.cv_degenerate[:2]
@@ -491,7 +489,7 @@ def lone_designs(xt, h, alignment):
 def test_cv_counts_a_design_singular_up_to_rounding_as_degenerate(alignment):
     # 10.0 and 10.1, far apart in the series: deleting either leaves the
     # other one term inside the support, whose S_0 S_2 - S_1^2 is rounding
-    # noise. Both backends count every such term as degenerate
+    # noise. Binned CV and its oracle count every such term as degenerate
     rng = np.random.default_rng(12)
     bulk = np.clip(rng.normal(0.0, 1.0, 200), -3, 3)
     xt = series(np.concatenate([bulk[:100], [10.0], bulk[100:], [10.1, 0.0, 0.1]]))

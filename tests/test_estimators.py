@@ -27,7 +27,7 @@ from lljd.kernels import EPANECHNIKOV, GAUSSIAN
 from lljd.proxy import ProxySeries, build_proxy
 from lljd.simulate import NoJumps, ModelSpec, PathConfig, default_model, derive_seeds, simulate_path
 from lljd.mcstudy import example_model
-from oracles import fit_responses
+from oracles import exact_cv, fit_responses
 
 
 def series(values, delta=0.1):
@@ -337,7 +337,7 @@ def test_tiled_kernel_sums_match_single_tile(monkeypatch, kernel):
             out += [est.mu_hat, est.m_hat, est.n_eff]
         out.append(_local_cubic(xt, with_unit(resp), grid, kernel, 2 * h, "aligned")[0].T)
         out.append(density_estimate(xt, grid, kernel, h))
-        cv = cross_validate(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel), "exact")
+        cv = exact_cv(xt, [0.1, 0.3, 1.0], EstimatorConfig(1.0, kernel))
         out.append(np.array([c for _, c in cv.cv_curve]))
         return out
 
@@ -565,8 +565,7 @@ def test_fit_and_bands_memory_does_not_grow_with_the_sample():
     # AR(1) proxies of 200k and 800k terms; dense G x n kernel matrices would
     # need about 1.2 GB at 200k. Beside the proxy itself, the fit and the bands
     # work in term blocks: no n x R response matrix, no list of n-vectors.
-    # What remains of n is a few n-vectors: the grid's order statistics and,
-    # as written, the binned passes' offsets.
+    # What remains of n is the grid's order statistics.
     for terms, alignment, bound in ((200_000, "aligned", 8e6), (800_000, "aligned", 8e6),
                                     (200_000, "as_written", 12e6)):
         xt = ar1_proxy(terms + 2)

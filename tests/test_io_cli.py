@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from lljd import cli
-from lljd.bandwidth import CV_BINS, BandwidthChoice
+from lljd.bandwidth import BandwidthChoice
 from lljd.cli import main
 from lljd.errors import ValidationError
-from lljd.estimators import CurveEstimate
+from lljd.estimators import CV_BINS, CurveEstimate
 from lljd.inference import ConfidenceBands
 from lljd.io import (
     WRITE_BLOCK_ROWS,
@@ -480,8 +480,7 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
         assert record["cv_grid_edge"] is edge
         assert record["cv_grid_edge"] == (record["h"] in (cv["h"][0], cv["h"][-1]))
         assert record["cv_degenerate_max"] == int(cv["degenerate"].max())
-        assert record["cv_backend"] == "binned"
-        assert 0 <= record["cv_exact_terms"] < pairs
+        assert "cv_backend" not in record and 0 <= record["cv_exact_terms"] < pairs
         # one bin count per grid h, never rising along the ascending grid
         bins = record["cv_bins"]
         assert len(bins) == 25 and all(isinstance(m, int) for m in bins)
@@ -499,12 +498,12 @@ def test_cli_cv_grid_edge_is_logged_and_recorded(tmp_path, caplog):
     assert main(estimate) == 0
     record = bandwidth_record()
     assert (record["method"], record["cv_grid_edge"], record["cv_degenerate_max"],
-            record["cv_backend"], record["cv_exact_terms"], record["cv_bins"],
-            record["cv_flatness"]) == ("rule_of_thumb", None, None, None, None, None, None)
+            record["cv_exact_terms"], record["cv_bins"],
+            record["cv_flatness"]) == ("rule_of_thumb", None, None, None, None, None)
     # as-written indexing takes binned CV too
     assert main(estimate + ["--h", "cv", "--alignment", "as_written"]) == 0
     record = bandwidth_record()
-    assert record["cv_backend"] == "binned" and 0 <= record["cv_exact_terms"] < pairs
+    assert 0 <= record["cv_exact_terms"] < pairs
     assert len(record["cv_bins"]) == 25 and None not in record["cv_bins"]
 
 
@@ -787,6 +786,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     cv_dump = tmp_path / "cv.csv"
     bad_cv_out = [commands["estimate"] + ["--h", h, "--cv-out", str(cv_dump)]
                   for h in ("auto", "0.05")]
+    # a band level or pilot multiple is checked before any work: nothing is
+    # written, not even the CV or proxy dump
+    proxy_dump = tmp_path / "proxy.csv"
+    dumps = [commands["estimate"] + ["--h", "cv", "--cv-out", str(cv_dump)],
+             commands["empirical"] + ["--proxy-out", str(proxy_dump)]]
+    bad_bands = [dumps[0] + ["--bands", "1.5"], dumps[1] + ["--bands", "2"]]
+    bad_mult = [cmd + ["--bands", "0.05", "--pilot-mult", mult]
+                for cmd in dumps for mult in ("0", "inf")]
+    # a pilot bandwidth that overflows is named as not finite
+    bad_pilot = commands["estimate"] + ["--h", "1e308", "--bands", "0.05"]
     # a non-finite proxy entry is named before anything is computed from it
     bad_entry = [["estimate", "--in", str(proxies[bad])] for bad in ("nan", "inf")]
     # a non-finite time is named as such, not as a bad step or uneven spacing
@@ -799,7 +808,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "location": simulate + ["--jump", "cp", "--size-loc", "nan"],
                  "x0": simulate + ["--x0", "nan"]}
     for argv in (bad + list(bad_model.values()) + bad_delta + bad_h + bad_entry + bad_time
-                 + bad_cv_out):
+                 + bad_cv_out + bad_bands + bad_mult + [bad_pilot]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) == 2, argv
@@ -810,8 +819,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
         assert argv not in bad_time or "non-finite 't' at 0-based data row 1" in err, err
         assert argv not in bad_cv_out or "--cv-out needs --h cv" in err, err
+        assert argv not in bad_bands or "error: --bands must be in (0, 1)" in err, err
+        assert argv not in bad_mult or "error: --pilot-mult must be positive and finite" in err
+        assert argv != bad_pilot or "must be positive and finite, got inf" in err, err
         assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
-        assert not out.exists() and not cv_dump.exists(), argv
+        assert not (out.exists() or cv_dump.exists() or proxy_dump.exists()), argv
 
 
 @pytest.mark.parametrize("rows", [0, 1])
