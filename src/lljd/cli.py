@@ -1,13 +1,15 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Commands: simulate, estimate, mc-study, empirical. Exit codes: 0 on success,
-2 on validation errors, 3 on numerical failures.
+2 on validation errors and on failures to read or write a file, 3 on
+numerical failures. Every output's directory is checked before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -418,8 +420,14 @@ def main(argv=None) -> int:
         if not 0.0 < getattr(args, "pilot_mult", 1.0) < math.inf:
             raise ValidationError(f"--pilot-mult must be positive and finite, "
                                   f"got {args.pilot_mult}")
+        for option in ("out", "cv_out", "proxy_out", "csv_prefix"):  # --out's manifest too
+            target = getattr(args, option, None) or ""
+            folder = os.path.dirname(target)
+            if folder and not os.path.isdir(folder):
+                raise ValidationError(f"--{option.replace('_', '-')} {target}: "
+                                      f"no directory {folder!r}")
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: reading --in or writing an output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

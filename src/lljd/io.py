@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -48,6 +49,9 @@ __all__ = [
 # a path's four columns, however long the table. Larger blocks write no faster
 # and raise the high-water mark that a process spawned afterwards inherits.
 WRITE_BLOCK_ROWS = 1 << 11
+
+# Bytes that are not UTF-8, as a reader with errors="surrogateescape" sees them
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def sha256_file(path) -> str:
@@ -192,10 +196,12 @@ def csv_header(path) -> list:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        header = next(csv.reader(fh), None)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        header = next(csv.reader(fh), None)  # a byte-order mark dropped
     if header is None:
         raise ValidationError(f"{path}: empty file")
+    if _NOT_UTF8.search(",".join(header)):
+        raise ValidationError(f"{path}: bytes that are not UTF-8 at line 1")
     return [h.strip() for h in header]
 
 
@@ -243,13 +249,16 @@ def read_columns_csv(path, columns=None) -> dict:
 
 
 def _first_bad_cell(path, header, usecols):
-    """The first blank, short, long or unparseable row, or None: why a bulk
-    parse failed."""
-    with open(path, newline="") as fh:
+    """The first row that is not UTF-8, blank, short, long or unparseable,
+    or None: why a bulk parse failed."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         rows = csv.reader(fh)
         next(rows)
         for line, row in enumerate(rows, start=2):
-            if not "".join(row).strip():
+            text = "".join(row)
+            if _NOT_UTF8.search(text):
+                return f"bytes that are not UTF-8 at line {line}"
+            if not text.strip():
                 return f"blank row at line {line}"
             if usecols is None and len(row) != len(header):
                 return f"row at line {line} has {len(row)} cells, expected {len(header)}"

@@ -156,6 +156,20 @@ def test_read_columns_nan_cell_reads_as_nan(tmp_path):
     assert np.isnan(cols["close"][0]) and cols["close"][1] == 2.5
 
 
+@pytest.mark.parametrize("text, line", [
+    (b"t,clo\xffse\n0,100\n1,101\n", 1),
+    (b"t,close\n0,100\n1,10\xff1\n", 3),  # in a parsed cell
+    (b"t,close\n0,100\n1\xff,101\n", 3),  # in a cell that is not parsed
+    (b"t,close\n" + b"0,100\n" * 5000 + b"1,10\xff1\n", 5002),  # past the header's read
+])
+def test_read_columns_names_the_line_of_bytes_that_are_not_utf8(tmp_path, text, line):
+    f = tmp_path / "p.csv"
+    f.write_bytes(text)
+    for columns in (None, ["close"]):
+        with pytest.raises(ValidationError, match=f"bytes that are not UTF-8 at line {line}$"):
+            read_columns_csv(f, columns)
+
+
 def test_read_columns_header_only_gives_empty_columns(tmp_path):
     f = write_prices(tmp_path / "p.csv", [])
     with warnings.catch_warnings():
@@ -743,7 +757,7 @@ def test_cli_empirical_downward_drift_on_mean_reverting_standin(tmp_path):
     assert read_columns_csv(proxy_out)["xtilde"].size == 2400 + 1
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["estimate", "--in", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "input file not found" in capsys.readouterr().err
@@ -824,6 +838,47 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert argv != bad_pilot or "must be positive and finite, got inf" in err, err
         assert all(name in err for name, cmd in bad_model.items() if cmd == argv), err
         assert not (out.exists() or cv_dump.exists() or proxy_dump.exists()), argv
+    # a file that cannot be read or written is an input error, not a crash:
+    # a directory as --in, and as --out once the fit has run
+    unreadable = [["estimate", "--in", str(tmp_path), "--out", str(out)],
+                  ["empirical", "--in", str(tmp_path), "--price-col", "close", "--out", str(out)],
+                  commands["estimate"] + ["--out", str(tmp_path)]]
+    for argv in unreadable:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err, err
+    # bytes that are not UTF-8 are named with their line, in the header and
+    # in a data row
+    for src, command in ((path_csv, ["estimate"]),
+                         (prices, ["empirical", "--price-col", "close"])):
+        for line in (1, 3):
+            lines = src.read_bytes().split(b"\n")
+            lines[line - 1] += b"\xff"
+            text = tmp_path / f"not_utf8_{line}_{src.name}"
+            text.write_bytes(b"\n".join(lines))
+            assert main(command + ["--in", str(text), "--out", str(out)]) == 2, (src, line)
+            err = capsys.readouterr().err
+            assert err == f"error: {text}: bytes that are not UTF-8 at line {line}\n", err
+    assert not out.exists()
+
+    # an output whose directory is missing is named before any work starts
+    def started(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for name in ("simulate_path", "_load_series", "ingest_prices", "run_studies"):
+        monkeypatch.setattr(cli, name, started)
+    nowhere = tmp_path / "nowhere"
+    missing_dir = [cmd + ["--out", str(nowhere / "x.csv")]
+                   for cmd in [simulate, *commands.values()]]
+    missing_dir += [cmd + [option, str(nowhere / "x.csv"), "--out", str(out)]
+                    for cmd, option in ((commands["estimate"] + ["--h", "cv"], "--cv-out"),
+                                        (commands["empirical"], "--proxy-out"),
+                                        (commands["mc-study"], "--csv-prefix"))]
+    for argv in missing_dir:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and f"no directory {str(nowhere)!r}" in err, err
+        assert not (out.exists() or nowhere.exists()), argv
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -943,12 +998,25 @@ def test_cli_import_keeps_rarely_called_stdlib_unloaded(module):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_importing_one_module_loads_only_what_it_needs():
+    # the package namespace re-exports nothing, so a module loads its own
+    # imports and no others
+    src = Path(__file__).resolve().parents[1] / "src"
+    others = ["lljd.simulate", "lljd.mcstudy", "lljd.bandwidth", "lljd.inference", "lljd.io"]
+    code = f"import sys, lljd.proxy; sys.exit(sorted(set({others!r}) & set(sys.modules)) or None)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_binned_fit_keeps_numpy_fft_unloaded():
     # the binned fit sums bins directly; only binned cross-validation uses FFTs
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, numpy as np\n"
-        "from lljd import EstimatorConfig, ProxySeries, attach_bands, estimate_curve\n"
+        "from lljd.estimators import EstimatorConfig, estimate_curve\n"
+        "from lljd.inference import attach_bands\n"
+        "from lljd.proxy import ProxySeries\n"
         "rng = np.random.default_rng(4)\n"
         "xt = ProxySeries(0.01, np.cumsum(rng.normal(0.0, 0.01, 70_000)))\n"
         "est = estimate_curve(xt, None, EstimatorConfig(0.05))\n"
