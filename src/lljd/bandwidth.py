@@ -71,7 +71,7 @@ def default_cv_grid(h_center: float, n_points: int = 25, span: float = 5.0) -> n
     return np.geomspace(h_center / span, h_center * span, n_points)
 
 
-def cross_validate(xt: ProxySeries, h_grid, cfg: EstimatorConfig | None = None) -> BandwidthChoice:
+def cross_validate(xt: ProxySeries, h_grid, cfg: EstimatorConfig) -> BandwidthChoice:
     """Leave-one-out cross-validation of the drift fit over a bandwidth grid.
 
     CV(h) averages the squared prediction errors of the fit evaluated at each
@@ -91,13 +91,11 @@ def cross_validate(xt: ProxySeries, h_grid, cfg: EstimatorConfig | None = None) 
         raise ValidationError("bandwidth grid must be a nonempty 1-d array")
     if not np.all((h_grid > 0) & (h_grid < math.inf)) or np.any(np.diff(h_grid) < 0):
         raise ValidationError("bandwidth grid must be finite, positive and sorted ascending")
-    if cfg is None:
-        cfg = EstimatorConfig(bandwidth=1.0)
 
     resp = drift_responses(xt)
     n = len(resp)
     cv_vals, degen, bins, exact_terms = [], [], [], 0
-    for s, t, m, exact in _leave_out_sums(xt, h_grid, cfg, DELETED):
+    for s, t, m, exact in _leave_out_sums(xt, resp, h_grid, cfg, DELETED):
         (pred,), _, ok = _closed_form(s, t, cfg.method, n)
         err = np.where(ok, resp - pred, resp - resp.mean())
         degen.append(n - np.count_nonzero(ok))

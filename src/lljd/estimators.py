@@ -491,15 +491,16 @@ def _fit_sums(kpts, ppts, cols, grid, kernel: Kernel, h: float, degree: int):
     return s, t, {"backend": "exact", "bins": None, "rescored": None}
 
 
-def _leave_out_sums(xt: ProxySeries, h_grid, cfg: EstimatorConfig, deleted: range):
+def _leave_out_sums(xt: ProxySeries, resp, h_grid, cfg: EstimatorConfig, deleted: range):
     """For each h of the ascending `h_grid`, the leave-out sums S_0..S_2p and
-    T_0..T_p of CV's drift fit at every regressor point i, without the terms
-    i + o, o in `deleted`, and how they were taken: the bin count (None:
-    exact throughout) and the terms scored exactly. Yields (s, t, bins,
-    exact terms); s and t are overwritten at the next h."""
+    T_0..T_p of CV's drift fit to `resp` (the caller's `drift_responses(xt)`)
+    at every regressor point i, without the terms i + o, o in `deleted`, and
+    how they were taken: the bin count (None: exact throughout) and the terms
+    scored exactly. Yields (s, t, bins, exact terms); s and t are overwritten
+    at the next h."""
     kpts, ppts = term_points(xt, cfg.index_alignment)
-    resp, degree = drift_responses(xt), _degree(cfg.method)
-    cols, n = _Responses(xt, (drift_responses,)), len(resp)
+    degree, n = _degree(cfg.method), len(resp)
+    cols = _Responses(xt, (drift_responses,))
     s, t = np.empty((n, 2 * degree + 1)), np.empty((n, degree + 1, 1))
     lo = min(kpts.min(), ppts.min())  # one range for both
     span = float(max(kpts.max(), ppts.max()) - lo)

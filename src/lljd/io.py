@@ -120,10 +120,11 @@ def _strict_json(value):
 def _write_json(path, payload: dict) -> Path:
     """Encode `payload` into the file as deterministic strict JSON: keys
     sorted and non-finite floats written as null. If encoding raises, no
-    file is left."""
+    file is left; if opening raises, the file is left as it was."""
     path = Path(path)
+    fh = path.open("w")
     try:
-        with path.open("w") as fh:
+        with fh:
             json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except BaseException:

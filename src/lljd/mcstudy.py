@@ -377,56 +377,25 @@ def table_presets(
     4: jump size sweep, N(0,0.036^2) / N(0,1) / Cauchy(0,1) at T=10.
     5: Variance Gamma bias table (T=10, n=1000).
     6: Variance Gamma RMSE over T x n.
+
+    Each table is a list of sweeps, (model, T, label stem, sample sizes),
+    and each sweep gives one config per size, labelled "<stem> n=<n>".
     """
-    spans = (10.0, 20.0, 50.0)
-    sizes = (500, 1000, 2500)
-
-    def mk(model, t, n, label):
-        return McConfig(
-            model=model,
-            t_span=t,
-            n=n,
-            replicates=replicates,
-            master_seed=master_seed,
-            label=label,
-        )
-
-    if table == 1:
-        return [mk(example_model(1), 10.0, 1000, "cp bias T=10 n=1000")]
-    if table == 2:
-        return [
-            mk(example_model(1), t, n, f"cp rmse T={t:g} n={n}")
-            for t in spans
-            for n in sizes
-        ]
-    if table == 3:
-        return [
-            mk(example_model(1, lam=lam), 10.0, n, f"cp rmse lambda={lam:g} n={n}")
-            for lam in (1.0, 2.0, 5.0)
-            for n in sizes
-        ]
-    if table == 4:
-        dists = (
-            JumpSizeDist("normal", 0.0, 0.036),
-            JumpSizeDist("normal", 0.0, 1.0),
-            JumpSizeDist("cauchy", 0.0, 1.0),
-        )
-        return [
-            mk(
-                example_model(1, size=dist),
-                10.0,
-                n,
-                f"cp rmse size={dist.family}({dist.loc:g},{dist.scale:g}) n={n}",
-            )
-            for dist in dists
-            for n in sizes
-        ]
-    if table == 5:
-        return [mk(example_model(2), 10.0, 1000, "vg bias T=10 n=1000")]
-    if table == 6:
-        return [
-            mk(example_model(2), t, n, f"vg rmse T={t:g} n={n}")
-            for t in spans
-            for n in sizes
-        ]
-    raise ValidationError(f"unknown table {table!r} (expected 1..6)")
+    spans, sizes = (10.0, 20.0, 50.0), (500, 1000, 2500)
+    dists = (JumpSizeDist("normal", 0.0, 0.036), JumpSizeDist("normal", 0.0, 1.0),
+             JumpSizeDist("cauchy", 0.0, 1.0))
+    rows = {
+        1: [(example_model(1), 10.0, "cp bias T=10", (1000,))],
+        2: [(example_model(1), t, f"cp rmse T={t:g}", sizes) for t in spans],
+        3: [(example_model(1, lam=lam), 10.0, f"cp rmse lambda={lam:g}", sizes)
+            for lam in (1.0, 2.0, 5.0)],
+        4: [(example_model(1, size=d), 10.0, f"cp rmse size={d.family}({d.loc:g},{d.scale:g})",
+             sizes) for d in dists],
+        5: [(example_model(2), 10.0, "vg bias T=10", (1000,))],
+        6: [(example_model(2), t, f"vg rmse T={t:g}", sizes) for t in spans],
+    }
+    if table not in rows:
+        raise ValidationError(f"unknown table {table!r} (expected 1..6)")
+    return [McConfig(model=model, t_span=t, n=n, replicates=replicates,
+                     master_seed=master_seed, label=f"{stem} n={n}")
+            for model, t, stem, ns in rows[table] for n in ns]

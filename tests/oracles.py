@@ -19,7 +19,7 @@ def fit_responses(xt, responses, grid, cfg):
     return vals, n_eff, int((~ok).sum())
 
 
-def exact_cv(xt, h_grid, cfg=None):
+def exact_cv(xt, h_grid, cfg):
     """cross_validate with exact leave-out sums at every h: the oracle of its
     binned sums."""
     saved = estimators.CV_BINS_PER_H

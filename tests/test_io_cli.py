@@ -647,6 +647,31 @@ def test_json_encoding_error_leaves_no_file(tmp_path, write):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_json_file_that_cannot_be_opened_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    # a report or manifest that exists but cannot be opened for writing (read
+    # only, say) is left as it was, and the error reaches the caller
+    report, manifest = tmp_path / "m.json", tmp_path / "m.json.manifest.json"
+    old = {report: b'{"old": "report"}\n', manifest: b'{"old": "manifest"}\n'}
+    for path, data in old.items():
+        path.write_bytes(data)
+    real_open = Path.open
+
+    def refuse(self, mode="r", *args, **kwargs):
+        if self in old and "w" in mode:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse)
+    with pytest.raises(PermissionError):
+        emit_report({"kind": "test"}, report)
+    with pytest.raises(PermissionError):
+        RunManifest("mc-study", {"reps": 2}).write(report)
+    assert main(["mc-study", "--reps", "2", "--n", "100", "--grid-n", "5",
+                 "--out", str(report)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in old} == old
+
+
 def test_manifest_is_strict_json(tmp_path):
     manifest = RunManifest("estimate", {"h": 0.1}, diagnostics={"cv_min": float("nan"),
                                                               "spread": [1.0, float("inf")]})

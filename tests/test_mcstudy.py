@@ -28,6 +28,7 @@ from lljd.simulate import (
     CompoundPoisson,
     JumpSizeDist,
     PathConfig,
+    VarianceGamma,
     default_model,
     derive_seeds,
     simulate_path,
@@ -312,6 +313,60 @@ def test_table_presets_shapes():
     assert {c.n for c in table_presets(2)} == {500, 1000, 2500}
     with pytest.raises(ValidationError):
         table_presets(7)
+
+
+def test_table_presets_are_the_papers_38_configs():
+    # every config of tables 1-6, in order: its table, label, span, size and
+    # jumps; the rest is the benchmark model and McConfig's defaults
+    normal = JumpSizeDist("normal", 0.0, 0.036)
+    cp = CompoundPoisson(2.0, normal)
+    wide = CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 1.0))
+    cauchy = CompoundPoisson(2.0, JumpSizeDist("cauchy", 0.0, 1.0))
+    vg = VarianceGamma(c=-0.2, eta=0.2, b=0.23)
+    want = [
+        (1, "cp bias T=10 n=1000", 10.0, 1000, cp),
+        (2, "cp rmse T=10 n=500", 10.0, 500, cp),
+        (2, "cp rmse T=10 n=1000", 10.0, 1000, cp),
+        (2, "cp rmse T=10 n=2500", 10.0, 2500, cp),
+        (2, "cp rmse T=20 n=500", 20.0, 500, cp),
+        (2, "cp rmse T=20 n=1000", 20.0, 1000, cp),
+        (2, "cp rmse T=20 n=2500", 20.0, 2500, cp),
+        (2, "cp rmse T=50 n=500", 50.0, 500, cp),
+        (2, "cp rmse T=50 n=1000", 50.0, 1000, cp),
+        (2, "cp rmse T=50 n=2500", 50.0, 2500, cp),
+        (3, "cp rmse lambda=1 n=500", 10.0, 500, CompoundPoisson(1.0, normal)),
+        (3, "cp rmse lambda=1 n=1000", 10.0, 1000, CompoundPoisson(1.0, normal)),
+        (3, "cp rmse lambda=1 n=2500", 10.0, 2500, CompoundPoisson(1.0, normal)),
+        (3, "cp rmse lambda=2 n=500", 10.0, 500, cp),
+        (3, "cp rmse lambda=2 n=1000", 10.0, 1000, cp),
+        (3, "cp rmse lambda=2 n=2500", 10.0, 2500, cp),
+        (3, "cp rmse lambda=5 n=500", 10.0, 500, CompoundPoisson(5.0, normal)),
+        (3, "cp rmse lambda=5 n=1000", 10.0, 1000, CompoundPoisson(5.0, normal)),
+        (3, "cp rmse lambda=5 n=2500", 10.0, 2500, CompoundPoisson(5.0, normal)),
+        (4, "cp rmse size=normal(0,0.036) n=500", 10.0, 500, cp),
+        (4, "cp rmse size=normal(0,0.036) n=1000", 10.0, 1000, cp),
+        (4, "cp rmse size=normal(0,0.036) n=2500", 10.0, 2500, cp),
+        (4, "cp rmse size=normal(0,1) n=500", 10.0, 500, wide),
+        (4, "cp rmse size=normal(0,1) n=1000", 10.0, 1000, wide),
+        (4, "cp rmse size=normal(0,1) n=2500", 10.0, 2500, wide),
+        (4, "cp rmse size=cauchy(0,1) n=500", 10.0, 500, cauchy),
+        (4, "cp rmse size=cauchy(0,1) n=1000", 10.0, 1000, cauchy),
+        (4, "cp rmse size=cauchy(0,1) n=2500", 10.0, 2500, cauchy),
+        (5, "vg bias T=10 n=1000", 10.0, 1000, vg),
+        (6, "vg rmse T=10 n=500", 10.0, 500, vg),
+        (6, "vg rmse T=10 n=1000", 10.0, 1000, vg),
+        (6, "vg rmse T=10 n=2500", 10.0, 2500, vg),
+        (6, "vg rmse T=20 n=500", 20.0, 500, vg),
+        (6, "vg rmse T=20 n=1000", 20.0, 1000, vg),
+        (6, "vg rmse T=20 n=2500", 20.0, 2500, vg),
+        (6, "vg rmse T=50 n=500", 50.0, 500, vg),
+        (6, "vg rmse T=50 n=1000", 50.0, 1000, vg),
+        (6, "vg rmse T=50 n=2500", 50.0, 2500, vg),
+    ]
+    got = [(k, c) for k in range(1, 7) for c in table_presets(k, replicates=3, master_seed=7)]
+    assert got == [(k, McConfig(default_model(jump=jump), t, n, 3, 7, label=label))
+                   for k, label, t, n, jump in want]
+    assert all(type(c.t_span) is float and type(c.n) is int for _, c in got)
 
 
 def test_example_model_jumps():
