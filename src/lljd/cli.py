@@ -67,7 +67,7 @@ def _parse_delta(text: str) -> float:
 
             return float(Fraction(text))
         return float(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValidationError(f"cannot parse step {text!r}") from None
 
 
@@ -434,6 +434,3 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -813,12 +814,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             commands["estimate"] + ["--grid-lo", "0.1", "--grid-hi", "-0.1"]]
     # a bad step is named as such, also where the fit would go through, and
     # is rejected before anything divides by it
+    huge_step = "1" + "0" * 400 + "/1"  # a fraction too large for a float
     bad_delta = [commands["estimate"] + ["--delta", "inf"],
                  commands["estimate"] + ["--delta", "nan"],
                  commands["empirical"] + ["--delta", "inf"],
                  commands["estimate"] + ["--delta", "inf", "--h", "0.05"],
                  commands["estimate"] + ["--delta", "0"],
-                 commands["empirical"] + ["--delta", "0"]]
+                 commands["empirical"] + ["--delta", "0"],
+                 commands["empirical"] + ["--delta", huge_step]]
     # a fixed bandwidth is checked where the fit is configured
     bad_h = [commands["estimate"] + ["--h", h] for h in ("-1", "0", "inf", "nan")]
     # a CV dump without CV has nothing to write
@@ -853,7 +856,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
-        assert argv not in bad_delta or "error: delta must be" in err, err
+        assert argv not in bad_delta or (
+            "error: cannot parse step" if huge_step in argv else "error: delta must be") in err, err
         assert argv not in bad_h or "error: bandwidth must be positive" in err, err
         assert argv not in bad_entry or err == "error: non-finite proxy entry at index 1\n", err
         assert argv not in bad_time or "non-finite 't' at 0-based data row 1" in err, err
@@ -904,6 +908,40 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: --") and f"no directory {str(nowhere)!r}" in err, err
         assert not (out.exists() or nowhere.exists()), argv
+
+
+def test_entry_runs_the_cli_and_freezes_only_its_own_import(tmp_path, capsys):
+    # `python -m lljd` and the console script call lljd.__main__.run, which
+    # loads the CLI with the collector off and freezes what it loaded; main
+    # itself leaves the caller's collector as it found it
+    ok = ["simulate", "--t", "2", "--n", "150", "--out", str(tmp_path / "path.csv")]
+    frozen = gc.get_freeze_count()
+    assert main(ok) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    line = capsys.readouterr().out
+    assert line.startswith("wrote ")
+    cases = {0: ok,
+             2: ["estimate", "--in", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "x.csv")],
+             3: ["simulate", "--t", "10", "--n", "100", "--seed", "1", "--jump", "cp",
+                 "--size-dist", "cauchy", "--size-scale", "1e9",
+                 "--out", str(tmp_path / "boom.csv")]}
+    messages = {0: "", 2: "error: input file not found", 3: "numerical failure"}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    entries = [[sys.executable, "-m", "lljd"],
+               [sys.executable, "-c", "import sys; from lljd.__main__ import run; sys.exit(run())"]]
+    for entry in entries:
+        for code, argv in cases.items():
+            proc = subprocess.run(entry + argv, env=env, capture_output=True, text=True)
+            assert proc.returncode == code, (entry, proc.stderr)
+            assert proc.stdout == (line if code == 0 else ""), entry
+            assert proc.stderr.startswith(messages[code]), (entry, proc.stderr)
+    # run returns to its caller with the collector on and the import frozen
+    state = ("import gc; from lljd.__main__ import run; status = run(); "
+             "print(status, gc.isenabled(), gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", state, *ok], env=env, capture_output=True,
+                          text=True)
+    assert proc.stdout == line + "0 True True\n", proc.stderr
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -963,7 +1001,8 @@ def test_manifest_records_the_commands_own_peak_rss(tmp_path):
             "--out", str(out)]
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert child.returncode == 0
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert 0 < manifest["diagnostics"]["peak_rss_mb"] <= usage.ru_maxrss / 1024
 
