@@ -50,6 +50,7 @@ import workloads  # noqa: E402
 from lljd import estimators  # noqa: E402
 from lljd.bandwidth import cross_validate, default_cv_grid, rule_of_thumb  # noqa: E402
 from lljd.estimators import (  # noqa: E402
+    ALIGNMENTS,
     LOCAL_LINEAR,
     NADARAYA_WATSON,
     EstimatorConfig,
@@ -168,7 +169,7 @@ def main():
                     help="estimate_large inputs to fit, 0..N-1")
     ap.add_argument("--fit-rtol", type=float, default=5e-7,
                     help="largest fit deviation, as a share of the column's largest magnitude")
-    ap.add_argument("--alignment", default="aligned", choices=["aligned", "as_written"],
+    ap.add_argument("--alignment", default="aligned", choices=ALIGNMENTS,
                     help="index alignment of every CV and fit")
     args = ap.parse_args()
 

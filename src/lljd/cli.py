@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb
 from .errors import NumericalError, ValidationError
-from .estimators import RANGE_MODES, EstimatorConfig, default_grid, estimate_curve
+from .estimators import ALIGNMENTS, RANGE_MODES, EstimatorConfig, default_grid, estimate_curve
 from .inference import attach_bands
 from .io import (
     RunManifest,
@@ -35,7 +35,7 @@ from .io import (
     write_proxy_csv,
     write_table,
 )
-from .kernels import get_kernel
+from .kernels import KERNEL_NAMES, get_kernel
 from .mcstudy import (
     METHOD_ALIASES,
     McConfig,
@@ -47,6 +47,7 @@ from .mcstudy import (
 )
 from .proxy import ProxySeries, build_proxy
 from .simulate import (
+    JUMP_SIZE_FAMILIES,
     CompoundPoisson,
     JumpSizeDist,
     NoJumps,
@@ -82,91 +83,92 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lljd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate an integrated jump-diffusion path")
+    # the options several commands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--kernel", default="gaussian", choices=KERNEL_NAMES)
+    grid.add_argument("--grid-n", type=int, default=101)
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--h", default="auto",
+                       help="'auto' (rule of thumb), 'cv' (cross-validation) or a number")
+    curve.add_argument("--bands", type=float, default=None, metavar="ALPHA",
+                       help="append confidence band columns at this level")
+    curve.add_argument("--pilot-mult", type=float, default=2.0,
+                       help="pilot bandwidth multiple for curvature estimation")
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--t", type=float, default=10.0, help="observation span")
+    span.add_argument("--n", type=int, default=1000, help="number of observations")
+    span.add_argument("--seed", type=int, default=1)
+
+    sim = sub.add_parser("simulate", parents=[span, out],
+                         help="simulate an integrated jump-diffusion path")
     sim.add_argument("--jump", default="none", choices=["none", "cp", "vg"])
-    sim.add_argument("--t", type=float, default=10.0, help="observation span")
-    sim.add_argument("--n", type=int, default=1000, help="number of observations")
-    sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--substeps", type=int, default=10)
     sim.add_argument("--burn-in", type=int, default=200)
     sim.add_argument("--x0", type=float, default=0.0)
     sim.add_argument("--y0", type=float, default=0.0)
     sim.add_argument("--lambda", dest="lam", type=float, default=2.0,
                      help="compound Poisson intensity")
-    sim.add_argument("--size-dist", default="normal", choices=["normal", "cauchy"])
+    sim.add_argument("--size-dist", default="normal", choices=JUMP_SIZE_FAMILIES)
     sim.add_argument("--size-loc", type=float, default=0.0)
     sim.add_argument("--size-scale", type=float, default=0.036)
     sim.add_argument("--vg-c", type=float, default=-0.2)
     sim.add_argument("--vg-eta", type=float, default=0.2)
     sim.add_argument("--vg-b", type=float, default=0.23)
-    sim.add_argument("--out", required=True)
 
-    est = sub.add_parser("estimate", help="estimate drift/second-moment curves")
+    est = sub.add_parser("estimate", parents=[grid, curve, out],
+                         help="estimate drift/second-moment curves")
     est.add_argument("--in", dest="infile", required=True,
                      help="CSV with an xtilde column (proxy) or a y column (integrated path)")
-    est.add_argument("--method", default="ll", choices=["ll", "nw"])
-    est.add_argument("--h", default="auto",
-                     help="'auto' (rule of thumb), 'cv' (cross-validation) or a number")
-    est.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
-    est.add_argument("--alignment", default="aligned", choices=["aligned", "as_written"])
+    est.add_argument("--method", default="ll", choices=list(METHOD_ALIASES))
+    est.add_argument("--alignment", default="aligned", choices=ALIGNMENTS)
     est.add_argument("--delta", default=None, help="override the step (float or a/b)")
     est.add_argument("--grid-lo", type=float, default=None)
     est.add_argument("--grid-hi", type=float, default=None)
-    est.add_argument("--grid-n", type=int, default=101)
-    est.add_argument("--bands", type=float, default=None, metavar="ALPHA",
-                     help="append confidence band columns at this level")
-    est.add_argument("--pilot-mult", type=float, default=2.0,
-                     help="pilot bandwidth multiple for curvature estimation")
     est.add_argument("--cv-out", default=None, help="dump the CV curve to this CSV")
-    est.add_argument("--out", required=True)
 
-    mc = sub.add_parser("mc-study", help="Monte Carlo benchmark of the estimators")
+    mc = sub.add_parser("mc-study", parents=[span, grid, out],
+                        help="Monte Carlo benchmark of the estimators")
     mc.add_argument("--example", type=int, default=1, choices=[1, 2],
                     help="1: compound Poisson jumps, 2: Variance Gamma jumps")
     mc.add_argument("--table", type=int, default=None, choices=[1, 2, 3, 4, 5, 6],
                     help="run a preset benchmark table instead of a single config")
-    mc.add_argument("--t", type=float, default=10.0)
-    mc.add_argument("--n", type=int, default=1000)
     mc.add_argument("--reps", type=int, default=100)
-    mc.add_argument("--seed", type=int, default=1)
     mc.add_argument("--methods", default="ll,nw")
-    mc.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
-    mc.add_argument("--grid-n", type=int, default=101)
     mc.add_argument("--range", dest="range_mode", default="inner", choices=RANGE_MODES)
     mc.add_argument("--csv-prefix", default=None,
                     help="also write per-config band and QQ CSV extracts")
-    mc.add_argument("--out", required=True)
 
-    emp = sub.add_parser("empirical", help="estimate from an observed price series")
+    emp = sub.add_parser("empirical", parents=[grid, curve, out],
+                         help="estimate from an observed price series")
     emp.add_argument("--in", dest="infile", required=True)
     emp.add_argument("--price-col", required=True)
     emp.add_argument("--delta", default="1/48",
                      help="observation step in days (default five-minute: 1/48)")
-    emp.add_argument("--h", default="auto")
-    emp.add_argument("--kernel", default="gaussian", choices=["gaussian", "epanechnikov"])
-    emp.add_argument("--grid-n", type=int, default=101)
-    emp.add_argument("--bands", type=float, default=None, metavar="ALPHA")
-    emp.add_argument("--pilot-mult", type=float, default=2.0)
     emp.add_argument("--proxy-out", default=None)
-    emp.add_argument("--out", required=True)
 
     return parser
 
 
-def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
-    """The --h choice; CV fits with the kernel, method and alignment of `cfg`.
-    A number is checked where the fit is configured (EstimatorConfig)."""
-    if spec == "auto":
-        return rule_of_thumb(series)
-    if spec == "cv":
-        return cross_validate(series, default_cv_grid(rule_of_thumb(series).h), cfg)
+def _fixed_bandwidth(spec: str) -> BandwidthChoice | None:
+    """A number given as --h, checked as the fit's bandwidth (EstimatorConfig)
+    before any input is read; None for 'auto' and 'cv'."""
+    if spec in ("auto", "cv"):
+        return None
     try:
         h = float(spec)
     except ValueError:
-        raise ValidationError(
-            f"--h must be 'auto', 'cv' or a number, got {spec!r}"
-        ) from None
-    return BandwidthChoice(h=h, method="fixed")
+        raise ValidationError(f"--h must be 'auto', 'cv' or a number, got {spec!r}") from None
+    return BandwidthChoice(h=EstimatorConfig(h).bandwidth, method="fixed")
+
+
+def _choose_bandwidth(spec: str, series: ProxySeries, cfg: EstimatorConfig):
+    """The bandwidth of --h 'auto' or 'cv'; CV fits with the kernel, method
+    and alignment of `cfg`."""
+    if spec == "auto":
+        return rule_of_thumb(series)
+    return cross_validate(series, default_cv_grid(rule_of_thumb(series).h), cfg)
 
 
 def _bandwidth_record(choice: BandwidthChoice) -> dict:
@@ -274,17 +276,17 @@ def _cmd_simulate(args) -> int:
 
 def _load_series(args) -> ProxySeries:
     """The proxy series of --in. Only the columns used are parsed: xtilde (or
-    else y) and, without --delta, t; any other column may hold anything."""
+    else y) and, without --delta, t; any other column may hold anything. The
+    step is parsed before the file is read and checked by the series."""
+    delta = None if args.delta is None else _parse_delta(args.delta)
     header = csv_header(args.infile)
     names = [name for name in ("xtilde", "y") if name in header][:1]
     if not names:
         raise ValidationError(f"{args.infile}: need an 'xtilde' or 'y' column")
-    if args.delta is None and "t" in header:
+    if delta is None and "t" in header:
         names.append("t")
     cols = read_columns_csv(args.infile, names)
-    if args.delta is not None:
-        delta = _parse_delta(args.delta)
-    elif "t" in cols:
+    if "t" in cols:
         if len(cols["t"]) < 2:
             raise ValidationError(f"{args.infile}: too few data rows ({len(cols['t'])})")
         bad = np.flatnonzero(~np.isfinite(cols["t"]))
@@ -305,7 +307,7 @@ def _load_series(args) -> ProxySeries:
             raise ValidationError(
                 f"{args.infile}: time column is not uniformly spaced; pass --delta"
             )
-    else:
+    elif delta is None:
         raise ValidationError(f"{args.infile}: no time column; pass --delta")
     if "xtilde" in cols:
         return ProxySeries(delta=delta, xt=cols["xtilde"])
@@ -320,12 +322,13 @@ def _cmd_estimate(args) -> int:
         raise ValidationError(f"need finite --grid-lo < --grid-hi, got {lo:g} and {hi:g}")
     if args.cv_out and args.h != "cv":
         raise ValidationError("--cv-out needs --h cv: there is no CV curve to write")
+    fixed = _fixed_bandwidth(args.h)
     stages = Stages()
     series = _load_series(args)
     stages.lap("ingest")
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel), METHOD_ALIASES[args.method],
                           args.alignment)
-    choice = _choose_bandwidth(args.h, series, cfg)
+    choice = fixed or _choose_bandwidth(args.h, series, cfg)
     stages.lap("bandwidth")
     if args.cv_out:
         write_cv_csv(args.cv_out, choice)
@@ -385,13 +388,14 @@ def _cmd_mc_study(args) -> int:
 def _cmd_empirical(args) -> int:
     stages = Stages()
     delta = _parse_delta(args.delta)
+    fixed = _fixed_bandwidth(args.h)
     series, info = ingest_prices(args.infile, args.price_col, delta)
     stages.lap("ingest")
     if args.proxy_out:
         write_proxy_csv(args.proxy_out, series)
         stages.lap("write")
     cfg = EstimatorConfig(1.0, get_kernel(args.kernel))
-    choice = _choose_bandwidth(args.h, series, cfg)
+    choice = fixed or _choose_bandwidth(args.h, series, cfg)
     stages.lap("bandwidth")
     est = _fit_and_write(args, series, default_grid(series, args.grid_n), cfg, stages, choice,
                          ingest=info)

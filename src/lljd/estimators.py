@@ -172,6 +172,7 @@ __all__ = ["EstimatorConfig", "CurveEstimate", "LOCAL_LINEAR", "NADARAYA_WATSON"
 LOCAL_LINEAR = "local_linear"
 NADARAYA_WATSON = "nadaraya_watson"
 RANGE_MODES = ("inner", "full")  # the spans of `default_grid`
+ALIGNMENTS = ("aligned", "as_written")  # the index alignments of `term_points`
 
 # A grid point is treated as undefined when the kernel mass there falls below
 # this fraction of the term count; avoids 0/0 amplification in empty regions.
@@ -220,7 +221,7 @@ class EstimatorConfig:
             raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.method not in (LOCAL_LINEAR, NADARAYA_WATSON):
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.index_alignment not in ("as_written", "aligned"):
+        if self.index_alignment not in ALIGNMENTS:
             raise ValidationError(f"unknown index alignment {self.index_alignment!r}")
 
 
@@ -551,25 +552,28 @@ class _Binning:
 
         k0 = kernel.eval(self.lag / h)
         (bk, fk, gk), (b, f, g), n = self.kbins, self.pbins, len(s)
-        a = np.empty((n, max(self.tops) + 1, len(self.cols)))  # [term, power, column]
-        for q in range(a.shape[1]):
-            kap = k0 * self.lag**q
-            live = [c for c, top in enumerate(self.tops) if top >= q]
-            dropped = np.zeros((len(live), n))  # the binned share of the deleted terms
-            for o in self.deleted:
-                # term k = i + o at regressor i, d = bk[k] - b[i] bins away,
-                # pairs bins at lags d, d + 1 and d - 1
-                i, k = slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n - max(-o, 0))
-                d = bk[k] - b[i]
-                near = ((g[i] * gk[k] + f[i] * fk[k]) * kap[d] + g[i] * fk[k] * kap[d + 1]
-                        + f[i] * gk[k] * kap[d - 1])
-                for w, c in enumerate(live):
+        kaps = [k0 * self.lag**q for q in range(max(self.tops) + 1)]
+        live = [[c for c, top in enumerate(self.tops) if top >= q] for q in range(len(kaps))]
+        # [term, power, column]: minus the binned share of the deleted terms,
+        # then plus the binned sums; -D + B has the bits of B - D
+        a = np.zeros((n, len(kaps), len(self.cols)))
+        for o in self.deleted:
+            # term k = i + o at regressor i, d = bk[k] - b[i] bins away,
+            # pairs bins at lags d, d + 1 and d - 1
+            i, k = slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n - max(-o, 0))
+            d = bk[k] - b[i]
+            up, down = d + 1, d - 1
+            same, to_up, to_down = g[i] * gk[k] + f[i] * fk[k], g[i] * fk[k], f[i] * gk[k]
+            for q, kap in enumerate(kaps):
+                near = same * kap[d] + to_up * kap[up] + to_down * kap[down]
+                for c in live[q]:
                     col = self.cols[c]
-                    dropped[w, i] += near if np.ndim(col) == 0 else near * col[k]
+                    a[i, q, c] -= near if np.ndim(col) == 0 else near * col[k]
+        for q, kap in enumerate(kaps):
             spectrum = np.conj(fft.rfft(kap))
-            for w, c in enumerate(live):
+            for c in live[q]:
                 full = fft.irfft(self.spectra[c] * spectrum, self.size)
-                a[:, q, c] = g * full[b] + f * full[b + 1] - dropped[w]
+                a[:, q, c] += g * full[b] + f * full[b + 1]
         s[:], t[:] = _combine(a, self.offset, self.degree)
         return _poorly_binned(s, k0[0], self.width, self.degree)
 

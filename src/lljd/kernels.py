@@ -82,6 +82,7 @@ EPANECHNIKOV = Kernel(id="epanechnikov", profile=_epanechnikov_profile, norm=4.0
                       second_moment=0.2, roughness=0.6)
 
 _BY_NAME = {"gaussian": GAUSSIAN, "epanechnikov": EPANECHNIKOV}
+KERNEL_NAMES = tuple(_BY_NAME)
 
 
 def get_kernel(name: str) -> Kernel:

@@ -54,6 +54,8 @@ EXPLOSION_BOUND = 1e8
 # Draws do not depend on the chunk, which bounds a call's working memory.
 BLOCK_VALUES = 1 << 15
 
+JUMP_SIZE_FAMILIES = ("normal", "cauchy")  # the families of `JumpSizeDist`
+
 
 @dataclass(frozen=True)
 class JumpSizeDist:
@@ -64,7 +66,7 @@ class JumpSizeDist:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("normal", "cauchy"):
+        if self.family not in JUMP_SIZE_FAMILIES:
             raise ValidationError(f"unknown jump size family {self.family!r}")
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise ValidationError(f"jump size scale must be positive, got {self.scale}")

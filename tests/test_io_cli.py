@@ -22,6 +22,7 @@ from lljd.inference import ConfidenceBands
 from lljd.io import (
     WRITE_BLOCK_ROWS,
     RunManifest,
+    _count_lines,
     emit_report,
     ingest_prices,
     read_columns_csv,
@@ -92,6 +93,23 @@ def test_read_columns_scans_lines_only_when_the_bulk_parse_falls_short(tmp_path,
     assert np.array_equal(read_columns_csv(f)["close"], [100.0, 101.5, 99.0])
     f.write_text("t,close\n0,100\n1,101.5")  # no newline after the last row
     assert np.array_equal(read_columns_csv(f, ["t"])["t"], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("data", [
+    b"t,close\n0,100\n1,101\n",  # a final newline
+    b"t,close\n0,100\n1,101",  # none
+    b"t,close\r\n0,100\r\n1,101\r\n",  # CRLF endings
+    b"t,close",  # a single line
+    b"t,close\n",
+    b"t,close\n\n0,100\n\n\n1,101\n\n",  # blank lines
+    b"",
+    b"0,100\n" * 200_000 + b"1,101",  # past one read block, no final newline
+], ids=["final-newline", "no-final-newline", "crlf", "single-line", "single-line-newline",
+        "blank-lines", "empty", "many-blocks"])
+def test_count_lines_matches_bytes_count(tmp_path, data):
+    f = tmp_path / "p.csv"
+    f.write_bytes(data)
+    assert _count_lines(f) == data.count(b"\n") + (data[-1:] not in (b"", b"\n"))
 
 
 def test_ingest_missing_column(tmp_path):
@@ -1119,3 +1137,100 @@ def test_script_help_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+def _option_surface(parser):
+    # every action of every subcommand, help text aside: option strings, dest,
+    # default, type, choices (as a list, in order), required and nargs
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {(tuple(a.option_strings), a.dest, a.default, a.type,
+                    None if a.choices is None else tuple(a.choices), a.required, a.nargs)
+                   for a in command._actions}
+            for name, command in sub.choices.items()}
+
+
+def test_cli_option_surface_is_pinned():
+    help_action = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, False, 0)
+    out = (("--out",), "out", None, None, None, True, None)
+    kernel = (("--kernel",), "kernel", "gaussian", None, ("gaussian", "epanechnikov"),
+              False, None)
+    grid_n = (("--grid-n",), "grid_n", 101, int, None, False, None)
+    h = (("--h",), "h", "auto", None, None, False, None)
+    bands = (("--bands",), "bands", None, float, None, False, None)
+    pilot_mult = (("--pilot-mult",), "pilot_mult", 2.0, float, None, False, None)
+    t = (("--t",), "t", 10.0, float, None, False, None)
+    n = (("--n",), "n", 1000, int, None, False, None)
+    seed = (("--seed",), "seed", 1, int, None, False, None)
+    infile = (("--in",), "infile", None, None, None, True, None)
+    expected = {
+        "simulate": {
+            help_action, out, t, n, seed,
+            (("--jump",), "jump", "none", None, ("none", "cp", "vg"), False, None),
+            (("--substeps",), "substeps", 10, int, None, False, None),
+            (("--burn-in",), "burn_in", 200, int, None, False, None),
+            (("--x0",), "x0", 0.0, float, None, False, None),
+            (("--y0",), "y0", 0.0, float, None, False, None),
+            (("--lambda",), "lam", 2.0, float, None, False, None),
+            (("--size-dist",), "size_dist", "normal", None, ("normal", "cauchy"), False, None),
+            (("--size-loc",), "size_loc", 0.0, float, None, False, None),
+            (("--size-scale",), "size_scale", 0.036, float, None, False, None),
+            (("--vg-c",), "vg_c", -0.2, float, None, False, None),
+            (("--vg-eta",), "vg_eta", 0.2, float, None, False, None),
+            (("--vg-b",), "vg_b", 0.23, float, None, False, None),
+        },
+        "estimate": {
+            help_action, out, kernel, grid_n, h, bands, pilot_mult, infile,
+            (("--method",), "method", "ll", None, ("ll", "nw"), False, None),
+            (("--alignment",), "alignment", "aligned", None, ("aligned", "as_written"),
+             False, None),
+            (("--delta",), "delta", None, None, None, False, None),
+            (("--grid-lo",), "grid_lo", None, float, None, False, None),
+            (("--grid-hi",), "grid_hi", None, float, None, False, None),
+            (("--cv-out",), "cv_out", None, None, None, False, None),
+        },
+        "mc-study": {
+            help_action, out, kernel, grid_n, t, n, seed,
+            (("--example",), "example", 1, int, (1, 2), False, None),
+            (("--table",), "table", None, int, (1, 2, 3, 4, 5, 6), False, None),
+            (("--reps",), "reps", 100, int, None, False, None),
+            (("--methods",), "methods", "ll,nw", None, None, False, None),
+            (("--range",), "range_mode", "inner", None, ("inner", "full"), False, None),
+            (("--csv-prefix",), "csv_prefix", None, None, None, False, None),
+        },
+        "empirical": {
+            help_action, out, kernel, grid_n, h, bands, pilot_mult, infile,
+            (("--price-col",), "price_col", None, None, None, True, None),
+            (("--delta",), "delta", "1/48", None, None, False, None),
+            (("--proxy-out",), "proxy_out", None, None, None, False, None),
+        },
+    }
+    surface = _option_surface(cli._build_parser())
+    assert list(surface) == list(expected)
+    for name, actions in expected.items():
+        assert surface[name] == actions, name
+
+
+def test_bad_bandwidth_or_step_is_reported_before_the_input_is_read(tmp_path, capsys,
+                                                                     monkeypatch):
+    path_csv = tmp_path / "path.csv"
+    assert main(["simulate", "--t", "2", "--n", "150", "--out", str(path_csv)]) == 0
+    prices = write_prices(tmp_path / "p.csv", [f"{i},{100 + i % 7}" for i in range(300)])
+    capsys.readouterr()
+
+    def read(*args, **kwargs):
+        raise AssertionError("the input was read before --h and --delta were checked")
+
+    monkeypatch.setattr(cli, "read_columns_csv", read)
+    monkeypatch.setattr(cli, "ingest_prices", read)
+    estimate = ["estimate", "--in", str(path_csv)]
+    empirical = ["empirical", "--in", str(prices), "--price-col", "close"]
+    not_a_number = "error: --h must be 'auto', 'cv' or a number, got 'abc'\n"
+    cases = [(estimate + ["--delta", "1/0"], "error: cannot parse step '1/0'\n"),
+             (estimate + ["--h", "abc"], not_a_number),
+             (estimate + ["--h", "0"], "error: bandwidth must be positive, got 0.0\n"),
+             (empirical + ["--h", "abc"], not_a_number)]
+    out = tmp_path / "out.csv"
+    for argv, message in cases:
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == message, argv
+        assert not out.exists()
