@@ -20,7 +20,7 @@ from . import __version__
 from .bandwidth import BandwidthChoice, cross_validate, default_cv_grid, rule_of_thumb
 from .errors import NumericalError, ValidationError
 from .estimators import ALIGNMENTS, RANGE_MODES, EstimatorConfig, default_grid, estimate_curve
-from .inference import attach_bands
+from .inference import attach_bands, check_band_method
 from .io import (
     RunManifest,
     Stages,
@@ -322,6 +322,8 @@ def _cmd_estimate(args) -> int:
         raise ValidationError(f"need finite --grid-lo < --grid-hi, got {lo:g} and {hi:g}")
     if args.cv_out and args.h != "cv":
         raise ValidationError("--cv-out needs --h cv: there is no CV curve to write")
+    if args.bands is not None:
+        check_band_method(METHOD_ALIASES[args.method])
     fixed = _fixed_bandwidth(args.h)
     stages = Stages()
     series = _load_series(args)
@@ -351,6 +353,11 @@ def _cmd_mc_study(args) -> int:
                               f"expected a comma-separated list of {sorted(METHOD_ALIASES)}")
     methods = tuple(METHOD_ALIASES[m] for m in names)
     if args.table is not None:
+        # argparse cannot tell a default given explicitly from an absent option
+        default = _build_parser().parse_args(["mc-study", f"--out={args.out}"])
+        given = [f"--{k}" for k in ("example", "t", "n") if getattr(args, k) != getattr(default, k)]
+        if given:
+            raise ValidationError(f"--table runs preset configs and takes no {', '.join(given)}")
         configs = table_presets(args.table, replicates=args.reps, master_seed=args.seed)
     else:
         configs = [McConfig(model=example_model(args.example), t_span=args.t, n=args.n,

@@ -55,6 +55,7 @@ __all__ = [
     "ConfidenceBands",
     "FOURTH_MOMENT_SCALE",
     "attach_bands",
+    "check_band_method",
 ]
 
 # Rescaling from the raw local average of fourth-power differences to the
@@ -90,6 +91,12 @@ def _normal_critical(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
+def check_band_method(method: str) -> None:
+    """Raise ValidationError unless bands are defined for fits by `method`."""
+    if method != LOCAL_LINEAR:
+        raise ValidationError("confidence bands are defined for the local linear fit")
+
+
 def attach_bands(
     est: CurveEstimate,
     xt: ProxySeries,
@@ -103,8 +110,7 @@ def attach_bands(
     module docstring)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if est.method != LOCAL_LINEAR:
-        raise ValidationError("confidence bands are defined for the local linear fit")
+    check_band_method(est.method)
     if est.m4_hat is None:
         raise ValidationError("the estimate carries no fourth-moment fit; use estimate_curve")
     if pilot_h is None:

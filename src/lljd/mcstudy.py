@@ -139,29 +139,22 @@ def _replicate(cfg: McConfig, pr: ProxySeries, common_grid: np.ndarray):
 
 
 def _lane_batches(cfgs: list, lanes: list):
-    """Lane batches of (config index, replicate, seed) triples. Lanes that
-    share mu, sigma, x0 and y0 are batched together in replicate order, at
-    most LANE_SAMPLES retained samples (or one lane) per batch. A seed's lanes
-    are split only if they alone exceed it, so simulate_paths draws its
-    normals once, and a config's replicate 0 is in its first batch."""
-    groups = {}
-    for lane in sorted(lanes, key=lambda lane: lane[1:]):
-        cfg = cfgs[lane[0]]
-        key = (cfg.model.mu, cfg.model.sigma, cfg.model.x0, cfg.model.y0)
-        groups.setdefault(key, []).append(lane)
-    for group in groups.values():
-        batch, samples = [], 0
-        for _, same in groupby(group, key=lambda lane: lane[1:]):
-            same = list(same)
-            sizes = [cfgs[c].n + 2 for c, _, _ in same]
-            # the seed's first lane opens a batch if all of them do not fit
-            for lane, size, need in zip(same, sizes, [sum(sizes)] + sizes[1:]):
-                if batch and samples + need > LANE_SAMPLES:
-                    yield batch
-                    batch, samples = [], 0
-                batch.append(lane)
-                samples += size
-        yield batch
+    """Lane batches of (config index, replicate, seed) triples, in replicate
+    order, at most LANE_SAMPLES retained samples (or one lane) per batch. A
+    seed's lanes are split only if they alone exceed it, so simulate_paths
+    draws its normals once, and a config's replicate 0 is in its first batch."""
+    batch, samples = [], 0
+    for _, same in groupby(sorted(lanes, key=lambda lane: lane[1:]), key=lambda lane: lane[1:]):
+        same = list(same)
+        sizes = [cfgs[c].n + 2 for c, _, _ in same]
+        # the seed's first lane opens a batch if all of them do not fit
+        for lane, size, need in zip(same, sizes, [sum(sizes)] + sizes[1:]):
+            if batch and samples + need > LANE_SAMPLES:
+                yield batch
+                batch, samples = [], 0
+            batch.append(lane)
+            samples += size
+    yield batch
 
 
 def run_study(cfg: McConfig) -> McReport:

@@ -10,14 +10,15 @@ Gamma process (infinite activity), or absent. X is advanced by Euler steps on
 a refined internal grid; Y is advanced by the left-point rule on the same
 grid, matching the left-limit form of the state equation.
 
-simulate_paths advances many lanes (one path each) a block of steps at a
-time: it fills a buffer with every step's state, as numpy vectors or on
-Python floats while one lane is active, then screens the buffer for states
-out of bounds and takes y from one cumulative sum; simulate_path is its
-one-lane case. Each lane draws its random streams block by block, in the
-order one upfront draw would take them, so a lane's path is the same bits
-alone or beside other lanes. Lanes that share a seed share its stream of
-diffusion normals, drawn once per block for all of them.
+simulate_paths advances the lanes (one path each) of one state equation a
+block of steps at a time, each from its own start: it fills a buffer with
+every step's state, as numpy vectors or on Python floats while one lane is
+active, then screens the buffer for states out of bounds and takes y from
+one cumulative sum; simulate_path is its one-lane case. Each lane draws its
+random streams block by block, in the order one upfront draw would take
+them, so a lane's path is the same bits alone or beside other lanes. Lanes
+that share a seed share its stream of diffusion normals, drawn once per
+block for all of them.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ class ModelSpec:
     in both forms, so that a lane's path does not depend on its neighbours.
     For a square root that means math.sqrt on floats and np.sqrt on arrays:
     a float's ** 0.5 calls pow, which can differ from the correctly rounded
-    root in the last bit.
+    root in the last bit. simulate_paths groups lanes by mu and sigma, so
+    both must be hashable, as functions and bound methods are.
     """
 
     mu: Callable
@@ -303,43 +305,52 @@ def _float_steps(X, dt, z, j, mu, sigma):
 
 
 def simulate_paths(lanes, record_x: bool = True) -> list:
-    """Euler paths of many lanes, advanced in lockstep a block at a time.
+    """Euler paths of many lanes, each a (ModelSpec, PathConfig) pair.
 
-    A lane is a (ModelSpec, PathConfig) pair. The lanes of one call share mu,
-    sigma, x0, y0 and substeps; jumps, span, n, burn-in and seed are their
-    own. Every lane's path is bit-identical to simulate_path of that lane,
-    whatever the other lanes and their order: the steps are elementwise and
-    each lane draws its own streams block by block (see _lane_streams). The
-    lanes of a seed take the same normals: its longest lane draws them, and
-    its other active lanes copy them before the scale by their own sqrt(dt).
-
-    Lanes run longest first, so a finished lane drops out of the active
-    prefix. A block's draws are laid out step-major, its compound Poisson
-    jumps scattered in one assignment from all lanes' jumps merged in step
-    order. The steps fill a buffer X with a row of lane states per step, as
-    numpy vectors or, while one lane is active, on Python floats: numpy calls
-    on one-element arrays cost far more than the step. Then one test of X
-    screens the bounds, a lane that left them fails at its first row outside
-    and goes on from 0, and y follows from one cumulative sum of X * dt,
-    which adds in step order as y += x * dt does. Returns one entry per lane,
+    The lanes of one state equation, those that share mu, sigma and
+    substeps, advance in lockstep a block at a time (see _lockstep); start,
+    jumps, span, n, burn-in and seed are each lane's own. Every lane's path is
+    bit-identical to simulate_path of that lane, whatever the other lanes and
+    their order: the steps are elementwise and each lane draws its own
+    streams block by block (see _lane_streams). Returns one entry per lane,
     in the order given: its SamplePath (x is None unless record_x), or the
     NumericalError of a lane whose state left [-1e8, 1e8] or became
-    non-finite; the others carry on until every active lane has failed.
+    non-finite.
     """
-    lanes = list(lanes)
-    if not lanes:
-        return []
-    first, m = lanes[0][0], lanes[0][1].substeps
-    shared = (first.mu, first.sigma, first.x0, first.y0, m)
-    if any((s.mu, s.sigma, s.x0, s.y0, c.substeps) != shared for s, c in lanes):
-        raise ValidationError("lanes of one call must share mu, sigma, x0, y0 and substeps")
-    order = sorted(range(len(lanes)), key=lambda i: -(lanes[i][1].burn_in + lanes[i][1].n))
-    cfgs = [lanes[i][1] for i in order]
+    lanes, groups, out = list(lanes), {}, {}
+    for i in sorted(range(len(lanes)), key=lambda i: -(lanes[i][1].burn_in + lanes[i][1].n)):
+        spec, cfg = lanes[i]
+        groups.setdefault((spec.mu, spec.sigma, cfg.substeps), []).append(i)
+    for same in groups.values():
+        out.update(zip(same, _lockstep([lanes[i] for i in same], record_x)))
+    return [out[i] for i in range(len(lanes))]
+
+
+def _lockstep(lanes, record_x: bool) -> list:
+    """simulate_paths of lanes that share mu, sigma and substeps, given
+    longest first, advanced in lockstep a block at a time. The lanes of a
+    seed take the same normals: its longest lane draws them, and its other
+    active lanes copy them before the scale by their own sqrt(dt).
+
+    A finished lane drops out of the active prefix. A block's draws are laid
+    out step-major, its compound Poisson jumps scattered in one assignment
+    from all lanes' jumps merged in step order. The steps fill a buffer X
+    with a row of lane states per step, as numpy vectors or, while one lane
+    is active, on Python floats: numpy calls on one-element arrays cost far
+    more than the step. Then one test of X screens the bounds, a lane that
+    left them fails at its first row outside and goes on from 0, and y
+    follows from one cumulative sum of X * dt, which adds in step order as
+    y += x * dt does. Each lane starts from its own x0 and y0. Returns
+    simulate_paths' entries, in the order given; a failed lane's neighbours
+    carry on until every active lane has failed.
+    """
+    specs, cfgs = zip(*lanes)
+    mu, sigma, m = specs[0].mu, specs[0].sigma, cfgs[0].substeps
     n_obs = [c.burn_in + c.n + 2 for c in cfgs]
     dts = [c.delta / m for c in cfgs]
     scales = np.sqrt(dts)
-    normals, jumps = _lane_streams([(lanes[i][0].jump, dt, (n - 1) * m, c.seed)
-                                    for i, c, dt, n in zip(order, cfgs, dts, n_obs)])
+    normals, jumps = _lane_streams([(s.jump, dt, (n - 1) * m, c.seed)
+                                    for s, c, dt, n in zip(specs, cfgs, dts, n_obs)])
     sparse = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))] + [
         (jp[0], np.full(len(jp[0]), p), jp[1])
         for p, jp in enumerate(jumps) if isinstance(jp, tuple)]
@@ -348,13 +359,13 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
     at, lane, inc = at[by_step], lane[by_step], inc[by_step]
     ys = [np.empty(c.n + 2) for c in cfgs]
     xs = [np.empty(c.n + 2) for c in cfgs] if record_x else None
+    x = np.array([s.x0 for s in specs], dtype=float)
+    y = np.array([s.y0 for s in specs], dtype=float)
     for p, c in enumerate(cfgs):
         if c.burn_in == 0:
-            ys[p][0] = first.y0
+            ys[p][0] = y[p]
             if record_x:
-                xs[p][0] = first.x0
-    x = np.full(len(lanes), float(first.x0))
-    y = np.full(len(lanes), float(first.y0))
+                xs[p][0] = x[p]
     failed = {}
     o0, a, done = 1, len(lanes), 0
     # a block holds at most max(BLOCK_VALUES, a * m) values per stream: the
@@ -386,12 +397,11 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
             X[0], dt = x[:a], np.array(dts[:a])
             if a == 1:
                 # a memoryview yields Python floats without a list of the block
-                _float_steps(X[:, 0], dts[0], memoryview(z[:, 0]), memoryview(j[:, 0]),
-                             first.mu, first.sigma)
+                _float_steps(X[:, 0], dts[0], memoryview(z[:, 0]), memoryview(j[:, 0]), mu, sigma)
             else:  # the float operations of _float_steps, in order, on lane vectors
                 for xk, x1, zk, jk in zip(X[:-1], X[1:], z, j):
-                    t = first.mu(xk) * dt
-                    t += first.sigma(xk) * zk
+                    t = mu(xk) * dt
+                    t += sigma(xk) * zk
                     t += jk
                     np.add(xk, t, out=x1)
             left = []
@@ -415,12 +425,8 @@ def simulate_paths(lanes, record_x: bool = True) -> list:
                         xs[p][lo - c.burn_in : o1 - c.burn_in] = X[m::m][lo - o0 :, p]
             o0 = o1
 
-    out = [None] * len(lanes)
-    for p, (i, c) in enumerate(zip(order, cfgs)):
-        out[i] = failed.get(p) or SamplePath(
-            delta=c.delta, x=xs[p] if record_x else None, y=ys[p], seed=c.seed
-        )
-    return out
+    return [failed.get(p) or SamplePath(delta=c.delta, x=xs[p] if record_x else None, y=ys[p],
+                                        seed=c.seed) for p, c in enumerate(cfgs)]
 
 
 def simulate_path(spec: ModelSpec, cfg: PathConfig) -> SamplePath:

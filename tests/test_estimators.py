@@ -278,6 +278,12 @@ def test_default_grid_spans_inner_quantiles():
     assert full[0] == xt.xt.min() and full[-1] == xt.xt.max()
 
 
+def test_default_grid_rejects_an_unknown_range_mode():
+    xt = series(np.random.default_rng(6).normal(0.0, 1.0, 50))
+    with pytest.raises(ValidationError, match="unknown range mode 'edge'"):
+        default_grid(xt, 11, "edge")
+
+
 def test_alignment_variants_differ_on_generic_data():
     path = simulate_path(default_model(), PathConfig(t_span=5.0, n=400, seed=12))
     xt = build_proxy(path.y, path.delta)

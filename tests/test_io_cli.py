@@ -728,7 +728,7 @@ def test_cli_mc_study_table_matches_single_config_run(tmp_path):
 
 def test_cli_mc_study_table_preset(tmp_path):
     out = tmp_path / "t1.json"
-    assert main(["mc-study", "--table", "1", "--reps", "4", "--seed", "2", "--n", "120",
+    assert main(["mc-study", "--table", "1", "--reps", "4", "--seed", "2",
                  "--grid-n", "11", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert len(report["configs"]) == 1
@@ -1234,3 +1234,76 @@ def test_bad_bandwidth_or_step_is_reported_before_the_input_is_read(tmp_path, ca
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert capsys.readouterr().err == message, argv
         assert not out.exists()
+
+
+def test_mc_study_table_refuses_the_options_of_a_single_config(tmp_path, capsys):
+    # a preset table sets its own model, span and sample sizes
+    table = ["mc-study", "--table", "6", "--reps", "2", "--seed", "7"]
+    out = tmp_path / "t6.json"
+    cases = [(["--t", "5", "--n", "10", "--example", "2"], "--example, --t, --n"),
+             (["--n", "10"], "--n"), (["--t", "10.5"], "--t"), (["--example", "2"], "--example")]
+    for options, named in cases:
+        assert main(table + options + ["--out", str(out)]) == 2, options
+        assert capsys.readouterr().err == (
+            f"error: --table runs preset configs and takes no {named}\n"), options
+        assert list(tmp_path.iterdir()) == []
+    assert main(table + ["--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["configs"]) == 9
+
+
+def test_nadaraya_watson_bands_are_refused_before_the_input_is_read(tmp_path, capsys,
+                                                                     monkeypatch):
+    path_csv = tmp_path / "path.csv"
+    assert main(["simulate", "--t", "2", "--n", "150", "--out", str(path_csv)]) == 0
+    capsys.readouterr()
+
+    def read(*args, **kwargs):
+        raise AssertionError("the input was read before the band method was checked")
+
+    monkeypatch.setattr(cli, "read_columns_csv", read)
+    out = tmp_path / "out.csv"
+    argv = ["estimate", "--in", str(path_csv), "--method", "nw", "--bands", "0.05",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: confidence bands are defined for the local linear fit\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n0,1\n1,2\n2,3\n", "need an 'xtilde' or 'y' column"),
+    ("y\n1\n2\n3\n", "no time column; pass --delta"),
+])
+def test_cli_estimate_names_a_missing_series_or_time_column(tmp_path, capsys, text, message):
+    f = tmp_path / "in.csv"
+    f.write_text(text)
+    assert main(["estimate", "--in", str(f), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {f}: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_peak_rss_falls_back_to_ru_maxrss_without_proc_status(monkeypatch):
+    import resource
+
+    opened = []
+
+    def no_proc(path, *args, **kwargs):
+        opened.append(path)
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = cli._peak_rss_mb()
+    assert opened == ["/proc/self/status"]
+    assert before <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def test_read_columns_names_an_empty_file_and_a_row_short_of_a_named_column(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    with pytest.raises(ValidationError, match="empty file"):
+        read_columns_csv(empty)
+    short = tmp_path / "short.csv"
+    short.write_text("a,b,c\n1,2,3\n4,5\n7,8,9\n")
+    with pytest.raises(ValidationError, match="row at line 3 has no 'c' cell"):
+        read_columns_csv(short, ["c"])

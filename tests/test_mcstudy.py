@@ -27,6 +27,7 @@ from lljd.proxy import build_proxy
 from lljd.simulate import (
     CompoundPoisson,
     JumpSizeDist,
+    ModelSpec,
     PathConfig,
     VarianceGamma,
     default_model,
@@ -92,12 +93,16 @@ def test_lane_grouping_does_not_change_report(monkeypatch):
     b = McConfig(model=example_model(1), t_span=3.0, n=150, replicates=6, master_seed=4,
                  methods=("nadaraya_watson",))
     c = McConfig(model=default_model(x0=0.5), t_span=4.0, n=120, replicates=5, master_seed=8)
-    alone = payloads([run_study(a), run_study(b), run_study(c)])
-    assert payloads(run_studies([a, b, c])) == alone
-    assert payloads(run_studies([c, a, b])) == [alone[2], alone[0], alone[1]]
+    # another drift on a's seeds: its lanes share batches and seeds with a's lanes,
+    # but step apart from them
+    d = McConfig(model=ModelSpec(mu=lambda x: 0.5 - 8.0 * x, sigma=lambda x: 0.3 + 0.0 * x),
+                 t_span=4.0, n=160, replicates=4, master_seed=13)
+    alone = payloads([run_study(a), run_study(b), run_study(c), run_study(d)])
+    assert payloads(run_studies([a, b, c, d])) == alone
+    assert payloads(run_studies([c, d, a, b])) == [alone[2], alone[3], alone[0], alone[1]]
     # batches of at most two lanes of a, so a config spans several batches
     monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", 2 * (a.n + 2))
-    assert payloads(run_studies([a, b, c])) == alone
+    assert payloads(run_studies([a, b, c, d])) == alone
 
 
 def batches_of(cfgs):
@@ -208,6 +213,51 @@ def test_study_aborts_when_too_many_replicates_fail():
     )
     with pytest.raises(NumericalError, match="replicates failed"):
         run_study(cfg)
+
+
+def test_a_failed_first_replicate_aborts_its_config_after_every_batch(monkeypatch):
+    # replicate 0 fixes a config's grid: when it fails, the config aborts
+    # once every batch has run, and the first aborting config in the order
+    # given raises its error
+    cfgs = [McConfig(model=example_model(1), t_span=2.0, n=100, replicates=4, master_seed=s,
+                     methods=("local_linear",), grid_n=11) for s in (3, 4, 5)]
+    first = {derive_seeds(c.master_seed, 1)[0]: k for k, c in enumerate(cfgs)}
+    seen = []
+
+    def failing_first(lanes, record_x=True):
+        lanes = list(lanes)
+        seen.extend(cfg.seed for _, cfg in lanes)
+        return [NumericalError(f"config {first[cfg.seed]} failed") if first.get(cfg.seed) in (1, 2)
+                else path for (_, cfg), path in zip(lanes, simulate_paths(lanes, record_x))]
+
+    monkeypatch.setattr(lljd.mcstudy, "simulate_paths", failing_first)
+    monkeypatch.setattr(lljd.mcstudy, "LANE_SAMPLES", 2 * 102)  # batches of two lanes
+    every_seed = sorted(s for c in cfgs for s in derive_seeds(c.master_seed, c.replicates))
+    for order, raised in (([0, 1, 2], 1), ([2, 0, 1], 2), ([0, 2, 1], 2)):
+        seen.clear()
+        with pytest.raises(NumericalError, match=f"config {raised} failed"):
+            run_studies([cfgs[k] for k in order])
+        assert sorted(seen) == every_seed
+    assert run_studies([cfgs[0]])[0].skipped == 0
+
+
+def test_a_replicate_whose_fit_raises_is_skipped_and_counted(monkeypatch):
+    calls = []
+
+    def failing_third(pr, t_span=None):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericalError("no bandwidth")
+        return rule_of_thumb(pr, t_span)
+
+    monkeypatch.setattr(lljd.mcstudy, "rule_of_thumb", failing_third)
+    cfg = McConfig(model=example_model(1), t_span=2.0, n=100, replicates=12, master_seed=6,
+                   methods=("local_linear",), grid_n=11)
+    report = run_study(cfg)
+    assert (report.skipped, report.failures) == (1, ["NumericalError: no bandwidth"])
+    per_replicate = report.rmse_per_replicate["local_linear"]
+    assert np.isnan(per_replicate[2]) and np.isfinite(np.delete(per_replicate, 2)).all()
+    assert len(report.estimates_at_x["local_linear"]["mu"]) == 11
 
 
 def test_local_linear_beats_baseline_on_benchmark():

@@ -27,6 +27,16 @@ def test_non_finite_entry_reports_index():
         build_proxy(y, delta=1.0)
 
 
+def test_series_shorter_than_three_are_rejected():
+    for short in ([], [1.0], [1.0, 2.0]):
+        with pytest.raises(ValidationError, match="series of length >= 3"):
+            build_proxy(short, delta=1.0)
+        with pytest.raises(ValidationError, match="price series of length >= 3"):
+            build_log_proxy(short, delta=1.0)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        build_proxy(np.ones((3, 3)), delta=1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_proxy_entry_is_named_by_its_index(bad):
     with pytest.raises(ValidationError, match=r"^non-finite proxy entry at index 1$"):

@@ -97,6 +97,12 @@ def test_jump_spec_validation():
             default_model(y0=-bad)
 
 
+def test_unknown_jump_specification_is_rejected():
+    spec = ModelSpec(mu=lambda x: -x, sigma=lambda x: 0.1, jump="poisson")
+    with pytest.raises(ValidationError, match="unknown jump specification 'poisson'"):
+        simulate_path(spec, PathConfig(t_span=1.0, n=10, seed=1))
+
+
 def test_degenerate_dynamics_give_exact_linear_integral():
     model = ModelSpec(mu=lambda x: 0.0, sigma=lambda x: 0.0, jump=NoJumps(), x0=3.0, y0=1.0)
     cfg = PathConfig(t_span=2.0, n=10, seed=5, burn_in=0, substeps=4)
@@ -208,17 +214,26 @@ def upfront_path(spec, cfg):
     return np.array(xs[cfg.burn_in:]), np.array(ys[cfg.burn_in:])
 
 
+def pull(x):
+    return 1.0 - 4.0 * x
+
+
+def root_sigma(x):
+    v = 0.04 + 0.02 * x * x
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+
+
 def mixed_lanes():
     cp = CompoundPoisson(2.0, JumpSizeDist("normal", 0.0, 0.036))
     cauchy = CompoundPoisson(5.0, JumpSizeDist("cauchy", 0.01, 0.02))
+    vg = VarianceGamma(-0.2, 0.2, 0.23)
     return [
         (default_model(), PathConfig(t_span=3.0, n=211, seed=1, burn_in=0)),
         (default_model(jump=cp), PathConfig(t_span=10.0, n=433, seed=2, burn_in=37)),
         (default_model(jump=cauchy), PathConfig(t_span=4.0, n=97, seed=3, burn_in=5)),
         (default_model(jump=CompoundPoisson(0.0, JumpSizeDist("normal", 0.0, 1.0))),
          PathConfig(t_span=2.0, n=150, seed=4, burn_in=11)),
-        (default_model(jump=VarianceGamma(-0.2, 0.2, 0.23)),
-         PathConfig(t_span=6.0, n=389, seed=5, burn_in=200)),
+        (default_model(jump=vg), PathConfig(t_span=6.0, n=389, seed=5, burn_in=200)),
         (default_model(jump=cp), PathConfig(t_span=1.0, n=2, seed=6, burn_in=0)),
         # lanes that share seed 7: one stream of diffusion normals, drawn by
         # the longest of them, and jump generators placed by one pass over
@@ -226,17 +241,29 @@ def mixed_lanes():
         (default_model(), PathConfig(t_span=2.5, n=180, seed=7, burn_in=3)),
         (default_model(jump=cp), PathConfig(t_span=7.0, n=301, seed=7, burn_in=0)),
         (default_model(jump=cauchy), PathConfig(t_span=4.0, n=97, seed=7, burn_in=40)),
-        (default_model(jump=VarianceGamma(-0.2, 0.2, 0.23)),
-         PathConfig(t_span=5.0, n=250, seed=7, burn_in=120)),
+        (default_model(jump=vg), PathConfig(t_span=5.0, n=250, seed=7, burn_in=120)),
         (default_model(jump=cp), PathConfig(t_span=3.0, n=330, seed=7, burn_in=40)),
+        # other state equations, which step apart from the lanes above: another
+        # drift and diffusion, at 4 and at 10 substeps, and the default model
+        # at 7; seeds 1 and 7 are shared across equations. Other starts, also
+        # in the default model's lockstep group, seed observation 0 when
+        # burn_in is 0.
+        (ModelSpec(pull, root_sigma, jump=cp, x0=0.25, y0=-1.0),
+         PathConfig(t_span=3.0, n=120, seed=7, burn_in=0, substeps=4)),
+        (ModelSpec(pull, root_sigma, jump=vg, x0=0.25, y0=-1.0),
+         PathConfig(t_span=5.0, n=260, seed=8, burn_in=30, substeps=4)),
+        (ModelSpec(pull, root_sigma, x0=-0.1), PathConfig(t_span=2.0, n=93, seed=9, burn_in=0)),
+        (default_model(x0=0.3, y0=2.0), PathConfig(t_span=2.0, n=140, seed=10, burn_in=0)),
+        (default_model(jump=cp, x0=-0.2, y0=0.5),
+         PathConfig(t_span=4.0, n=170, seed=1, burn_in=6, substeps=7)),
     ]
 
 
 def test_lanes_match_single_lane_paths_and_the_upfront_oracle(monkeypatch):
     lanes = mixed_lanes()
     oracle = [upfront_path(spec, cfg) for spec, cfg in lanes]
-    # blocks of 7 observations (one lane) or one and two (several lanes), and
-    # count draws and discards of 75 values, divide no step count
+    # blocks of 75 // substeps observations (one lane) or fewer (several
+    # lanes), and count draws and discards of 75 values, divide no step count
     monkeypatch.setattr(lljd.simulate, "BLOCK_VALUES", 75)
     for (spec, cfg), (x, y) in zip(lanes, oracle):
         path = simulate_path(spec, cfg)
@@ -364,14 +391,26 @@ def test_lane_block_memory_does_not_grow_with_the_paths():
     assert short < bound and long < bound
 
 
-def test_lanes_must_share_the_state_equation():
+def test_lanes_must_share_the_state_equation(monkeypatch):
+    # lanes step together only with lanes of their mu, sigma and substeps,
+    # whatever their starts; no lanes take no step
+    calls = []
+    lockstep = lljd.simulate._lockstep
+
+    def recording(lanes, record_x):
+        calls.append(lanes)
+        return lockstep(lanes, record_x)
+
+    monkeypatch.setattr(lljd.simulate, "_lockstep", recording)
+    assert simulate_paths([]) == [] and calls == []
     cfg = PathConfig(t_span=1.0, n=10, seed=1)
-    with pytest.raises(ValidationError, match="share"):
-        simulate_paths([(default_model(), cfg), (default_model(x0=1.0), cfg)])
-    with pytest.raises(ValidationError, match="share"):
-        simulate_paths([(default_model(), cfg),
-                        (default_model(), PathConfig(t_span=1.0, n=10, seed=1, substeps=5))])
-    assert simulate_paths([]) == []
+    five = PathConfig(t_span=1.0, n=10, seed=1, substeps=5)
+    lanes = [(default_model(), cfg), (ModelSpec(pull, root_sigma), cfg), (default_model(), five),
+             (default_model(x0=1.0), cfg), (ModelSpec(pull, root_sigma, y0=3.0), cfg)]
+    paths = simulate_paths(lanes)
+    assert calls == [[lanes[0], lanes[3]], [lanes[1], lanes[4]], [lanes[2]]]
+    for path, lane in zip(paths, lanes):
+        assert np.array_equal(path.y, simulate_path(*lane).y)
 
 
 def test_long_path_memory_is_its_retained_arrays():
